@@ -55,7 +55,10 @@ def metrics(predictions: np.ndarray, actual: np.ndarray) -> tuple[float, float, 
     rmse = float(np.sqrt(np.mean(err * err)))
     mae = float(np.mean(np.abs(err)))
     mape = float(np.mean(np.abs(err) / np.abs(actual)))
-    assert rmse >= mae - 1e-12 * max(1.0, mae), "rmse >= mae by power-mean inequality"
+    # rmse >= mae by the power-mean inequality; it fails only when the
+    # errors overflow, and then mae - tolerance is nan.
+    if not rmse >= mae - 1e-12 * max(1.0, mae):
+        raise DataError(f"rmse {rmse!r} below mae {mae!r}: prediction errors overflow")
     return rmse, mae, mape
 
 

@@ -1,5 +1,5 @@
-"""Recurrent sequence regressors built on numpy: LSTM cells, bidirectional
-layers, log-cosh loss, and Adam with global-norm gradient clipping.
+"""Recurrent sequence regressors built on numpy: fused-gate LSTM layers,
+bidirectional layers, log-cosh loss, and Adam with global-norm gradient clipping.
 
 The two-layer network is recurrent layer -> ReLU -> dropout -> recurrent
 layer -> ReLU -> dropout -> last time step -> affine head. The head is
@@ -33,165 +33,126 @@ from .errors import (
 )
 
 _NET_MAGIC = b"WFNN"
-_NET_VERSION = 1
+_NET_VERSION = 2
 TAG_BILSTM = 1
 TAG_LSTM = 2
 TAG_LINEAR = 3
 TAG_SVR = 4
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 @dataclass
 class LstmParams:
-    """One direction of one layer; each gate weight is (hidden, hidden+input)
-    and multiplies the concatenation [a_prev, x]."""
+    """One direction of one layer, the four gates stacked in the order
+    candidate, update, forget, output (c, u, f, o): input weights w_x
+    (4h, d), recurrent weights w_a (4h, h) and bias b (4h,). Gate k owns
+    rows k*h:(k+1)*h of all three."""
 
-    w_c: np.ndarray
-    w_u: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    b_c: np.ndarray
-    b_u: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
+    w_x: np.ndarray
+    w_a: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden(self) -> int:
-        return self.w_c.shape[0]
+        return self.w_a.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.w_c.shape[1] - self.w_c.shape[0]
+        return self.w_x.shape[1]
 
 
 def init_lstm_params(hidden: int, input_dim: int, rng: np.random.Generator) -> LstmParams:
-    """Uniform +-1/sqrt(fan_in) weights, zero biases except forget gate at 1."""
+    """Uniform +-1/sqrt(fan_in) weights, zero biases except forget gate at 1.
+
+    Each gate in turn draws one (h, h+d) block over [a_prev, x]; its first
+    h columns are recurrent weights and the rest input weights."""
     bound = 1.0 / math.sqrt(hidden + input_dim)
-
-    def draw() -> np.ndarray:
-        return rng.uniform(-bound, bound, size=(hidden, hidden + input_dim))
-
-    return LstmParams(
-        w_c=draw(), w_u=draw(), w_f=draw(), w_o=draw(),
-        b_c=np.zeros(hidden), b_u=np.zeros(hidden),
-        b_f=np.ones(hidden), b_o=np.zeros(hidden),
-    )
-
-
-def lstm_cell_forward(
-    params: LstmParams,
-    a_prev: np.ndarray,
-    c_prev: np.ndarray,
-    x: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One step: candidate tanh, update/forget/output sigmoids, new (a, c)."""
-    a_prev = np.atleast_2d(np.asarray(a_prev, dtype=np.float64))
-    c_prev = np.atleast_2d(np.asarray(c_prev, dtype=np.float64))
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if a_prev.shape[1] != params.hidden or x.shape[1] != params.input_dim:
-        raise ShapeMismatch(
-            f"cell expects state width {params.hidden} and input width "
-            f"{params.input_dim}, got {a_prev.shape[1]} and {x.shape[1]}"
-        )
-    z = np.concatenate([a_prev, x], axis=1)
-    c_tilde = np.tanh(z @ params.w_c.T + params.b_c)
-    gu = _sigmoid(z @ params.w_u.T + params.b_u)
-    gf = _sigmoid(z @ params.w_f.T + params.b_f)
-    go = _sigmoid(z @ params.w_o.T + params.b_o)
-    c = gu * c_tilde + gf * c_prev
-    tc = np.tanh(c)
-    a = go * tc
-    if not np.isfinite(a).all():
-        raise NonFiniteActivation("lstm cell")
-    cache = {"z": z, "c_tilde": c_tilde, "gu": gu, "gf": gf, "go": go,
-             "c_prev": c_prev, "tc": tc}
-    return a, c, cache
+    w_x = np.empty((4 * hidden, input_dim))
+    w_a = np.empty((4 * hidden, hidden))
+    for k in range(4):
+        block = rng.uniform(-bound, bound, size=(hidden, hidden + input_dim))
+        w_a[k * hidden: (k + 1) * hidden] = block[:, :hidden]
+        w_x[k * hidden: (k + 1) * hidden] = block[:, hidden:]
+    b = np.zeros(4 * hidden)
+    b[2 * hidden: 3 * hidden] = 1.0
+    return LstmParams(w_x=w_x, w_a=w_a, b=b)
 
 
 def lstm_layer_forward(params: LstmParams, seq: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run the cell across seq (m, L, d) from zero initial state."""
+    """Run the layer across seq (m, L, d) from zero initial state.
+
+    The input projection of all L steps is one GEMM before the time loop,
+    so each step makes one recurrent GEMM. Work is time-major: the (m, L, h)
+    output is a view of (L, m, h) storage."""
     m, length, d = seq.shape
     h = params.hidden
     if d != params.input_dim:
         raise ShapeMismatch(f"layer expects input width {params.input_dim}, got {d}")
-    z = np.empty((length, m, h + d))
-    c_tilde = np.empty((length, m, h))
-    gu = np.empty((length, m, h))
-    gf = np.empty((length, m, h))
-    go = np.empty((length, m, h))
+    xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, d)
+    gates = (xs @ params.w_x.T).reshape(length, m, 4 * h)
+    gates += params.b
     c_all = np.empty((length, m, h))
     tc = np.empty((length, m, h))
-    out = np.empty((m, length, h))
-
-    a = np.zeros((m, h))
-    c = np.zeros((m, h))
+    out = np.empty((length, m, h))
     for t in range(length):
-        zt = np.concatenate([a, seq[:, t, :]], axis=1)
-        ct = np.tanh(zt @ params.w_c.T + params.b_c)
-        ut = _sigmoid(zt @ params.w_u.T + params.b_u)
-        ft = _sigmoid(zt @ params.w_f.T + params.b_f)
-        ot = _sigmoid(zt @ params.w_o.T + params.b_o)
-        c = ut * ct + ft * c
-        a = ot * np.tanh(c)
-        z[t], c_tilde[t], gu[t], gf[t], go[t] = zt, ct, ut, ft, ot
-        c_all[t] = c
-        tc[t] = np.tanh(c)
-        out[:, t, :] = a
+        g = gates[t]
+        if t:
+            g += out[t - 1] @ params.w_a.T
+        np.tanh(g[:, :h], out=g[:, :h])
+        sig = g[:, h:]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
+        sig *= 0.5
+        np.tanh(sig, out=sig)
+        sig += 1.0
+        sig *= 0.5
+        c = c_all[t]
+        np.multiply(g[:, h: 2 * h], g[:, :h], out=c)
+        if t:
+            c += g[:, 2 * h: 3 * h] * c_all[t - 1]
+        np.tanh(c, out=tc[t])
+        np.multiply(g[:, 3 * h:], tc[t], out=out[t])
     if not np.isfinite(out).all():
         raise NonFiniteActivation("lstm layer")
-    cache = {"z": z, "c_tilde": c_tilde, "gu": gu, "gf": gf, "go": go,
-             "c": c_all, "tc": tc, "shape": (m, length, d)}
-    return out, cache
+    cache = {"xs": xs, "gates": gates, "c": c_all, "tc": tc, "a": out}
+    return out.transpose(1, 0, 2), cache
 
 
 def lstm_layer_backward(
     params: LstmParams, cache: dict, d_out: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Backpropagate through time, through both the a and c recurrences."""
-    m, length, d = cache["shape"]
-    h = params.hidden
-    grads = {
-        "w_c": np.zeros_like(params.w_c), "w_u": np.zeros_like(params.w_u),
-        "w_f": np.zeros_like(params.w_f), "w_o": np.zeros_like(params.w_o),
-        "b_c": np.zeros_like(params.b_c), "b_u": np.zeros_like(params.b_u),
-        "b_f": np.zeros_like(params.b_f), "b_o": np.zeros_like(params.b_o),
-    }
-    d_seq = np.empty((m, length, d))
-    da_next = np.zeros((m, h))
-    dc_next = np.zeros((m, h))
+    """Backpropagate through time, through both the a and c recurrences.
+
+    The loop carries only the recurrent gradients; each step's gate
+    pre-activation gradients land in one (L, m, 4h) buffer, from which the
+    weight, bias and input gradients each take one GEMM or reduction over
+    all L*m rows."""
+    gates, c_all, tc = cache["gates"], cache["c"], cache["tc"]
+    length, m, h4 = gates.shape
+    h = h4 // 4
+    d_gates = np.empty_like(gates)
+    da = np.zeros((m, h))
+    dc = np.zeros((m, h))
     for t in range(length - 1, -1, -1):
-        z, ct, gu, gf, go = cache["z"][t], cache["c_tilde"][t], cache["gu"][t], cache["gf"][t], cache["go"][t]
-        tc = cache["tc"][t]
-        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((m, h))
-
-        da = d_out[:, t, :] + da_next
-        dc = dc_next + da * go * (1.0 - tc * tc)
-        dso = (da * tc) * go * (1.0 - go)
-        dsc = (dc * gu) * (1.0 - ct * ct)
-        dsu = (dc * ct) * gu * (1.0 - gu)
-        dsf = (dc * c_prev) * gf * (1.0 - gf)
-        dc_next = dc * gf
-
-        grads["w_c"] += dsc.T @ z
-        grads["w_u"] += dsu.T @ z
-        grads["w_f"] += dsf.T @ z
-        grads["w_o"] += dso.T @ z
-        grads["b_c"] += dsc.sum(axis=0)
-        grads["b_u"] += dsu.sum(axis=0)
-        grads["b_f"] += dsf.sum(axis=0)
-        grads["b_o"] += dso.sum(axis=0)
-
-        dz = dsc @ params.w_c + dsu @ params.w_u + dsf @ params.w_f + dso @ params.w_o
-        da_next = dz[:, :h]
-        d_seq[:, t, :] = dz[:, h:]
+        g, dg = gates[t], d_gates[t]
+        cand, gu, gf, go = g[:, :h], g[:, h: 2 * h], g[:, 2 * h: 3 * h], g[:, 3 * h:]
+        da += d_out[:, t, :]
+        dc += da * go * (1.0 - tc[t] * tc[t])
+        dg[:, :h] = dc * gu * (1.0 - cand * cand)
+        np.subtract(1.0, g[:, h:], out=dg[:, h:])
+        dg[:, h:] *= g[:, h:]  # sigmoid slopes of u, f, o
+        dg[:, h: 2 * h] *= dc * cand
+        dg[:, 3 * h:] *= da * tc[t]
+        if t:
+            dg[:, 2 * h: 3 * h] *= dc * c_all[t - 1]
+            dc *= gf
+            da = dg @ params.w_a
+        else:
+            dg[:, 2 * h: 3 * h] = 0.0
+    rows = d_gates.reshape(length * m, h4)
+    grads = {
+        "w_x": rows.T @ cache["xs"],
+        "w_a": rows[m:].T @ cache["a"][:-1].reshape(-1, h),
+        "b": rows.sum(axis=0),
+    }
+    d_seq = (rows @ params.w_x).reshape(length, m, -1).transpose(1, 0, 2)
     return d_seq, grads
 
 
@@ -251,10 +212,9 @@ class BiLstmNetwork:
         for prefix, cell in cells:
             if cell is None:
                 continue
-            for gate in ("c", "u", "f", "o"):
-                out[f"{prefix}.w_{gate}"] = getattr(cell, f"w_{gate}")
-            for gate in ("c", "u", "f", "o"):
-                out[f"{prefix}.b_{gate}"] = getattr(cell, f"b_{gate}")
+            out[f"{prefix}.w_x"] = cell.w_x
+            out[f"{prefix}.w_a"] = cell.w_a
+            out[f"{prefix}.b"] = cell.b
         out["dense.w"] = self.dense_w
         out["dense.b"] = self.dense_b
         return out
@@ -268,26 +228,47 @@ def build_network(
     bidirectional: bool = True,
     seed: int = 0,
 ) -> BiLstmNetwork:
+    return _assemble(input_dim, hidden1, hidden2, dropout_rate, bidirectional,
+                     np.random.default_rng(seed))
+
+
+def _assemble(
+    input_dim: int,
+    hidden1: int,
+    hidden2: int,
+    dropout_rate: float,
+    bidirectional: bool,
+    rng: np.random.Generator | None,
+) -> BiLstmNetwork:
+    """A network initialized from rng, or with its arrays left unfilled when
+    rng is None, for a checkpoint to overwrite."""
     if input_dim < 1 or hidden1 < 1 or hidden2 < 1:
         raise ConfigError(
             f"widths must be positive, got input={input_dim}, h1={hidden1}, h2={hidden2}"
         )
     if not (0.0 <= dropout_rate < 1.0):
         raise ConfigError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
-    rng = np.random.default_rng(seed)
     width1 = 2 * hidden1 if bidirectional else hidden1
     dense_in = 2 * hidden2 if bidirectional else hidden2
-    layer1_fwd = init_lstm_params(hidden1, input_dim, rng)
-    layer1_bwd = init_lstm_params(hidden1, input_dim, rng) if bidirectional else None
-    layer2_fwd = init_lstm_params(hidden2, width1, rng)
-    layer2_bwd = init_lstm_params(hidden2, width1, rng) if bidirectional else None
+
+    def layer(hidden: int, width: int) -> LstmParams:
+        if rng is None:
+            return LstmParams(w_x=np.empty((4 * hidden, width)),
+                              w_a=np.empty((4 * hidden, hidden)), b=np.empty(4 * hidden))
+        return init_lstm_params(hidden, width, rng)
+
+    layer1_fwd = layer(hidden1, input_dim)
+    layer1_bwd = layer(hidden1, input_dim) if bidirectional else None
+    layer2_fwd = layer(hidden2, width1)
+    layer2_bwd = layer(hidden2, width1) if bidirectional else None
     bound = 1.0 / math.sqrt(dense_in)
     return BiLstmNetwork(
         layer1_fwd=layer1_fwd,
         layer1_bwd=layer1_bwd,
         layer2_fwd=layer2_fwd,
         layer2_bwd=layer2_bwd,
-        dense_w=rng.uniform(-bound, bound, size=dense_in),
+        dense_w=(np.empty(dense_in) if rng is None
+                 else rng.uniform(-bound, bound, size=dense_in)),
         dense_b=np.zeros(1),
         dropout_rate=dropout_rate,
     )
@@ -450,6 +431,7 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    work: np.ndarray | None = None  # buffer reused across parameters and steps
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
@@ -465,8 +447,17 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update after global-norm clipping; parameter
-    arrays are updated in place."""
+    """One bias-corrected Adam update after global-norm clipping.
+
+    Parameters, moments and gradients are all updated in place: each
+    gradient array is overwritten with its step. The arithmetic, operation
+    for operation, is
+
+        g = grad * factor
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        param -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+    """
     if set(params) != set(grads):
         raise ShapeMismatch("parameter and gradient key sets differ")
     sq = 0.0
@@ -483,13 +474,30 @@ def adam_step(
 
     state.step += 1
     t = state.step
+    m_corr = 1.0 - config.beta1 ** t
+    v_corr = 1.0 - config.beta2 ** t
+    largest = max((arr.size for arr in params.values()), default=0)
+    if state.work is None or state.work.size < largest:
+        state.work = np.empty(largest)
     for name, arr in params.items():
-        g = grads[name] * factor
-        state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - config.beta1 ** t)
-        v_hat = state.v[name] / (1.0 - config.beta2 ** t)
-        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        m, v = state.m[name], state.v[name]
+        g = grads[name]
+        tmp = state.work[: arr.size].reshape(arr.shape)
+        g *= factor
+        np.multiply(g, 1.0 - config.beta1, out=tmp)
+        m *= config.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - config.beta2
+        v *= config.beta2
+        v += tmp
+        np.divide(v, v_corr, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += config.eps
+        np.divide(m, m_corr, out=g)
+        g *= config.learning_rate
+        g /= tmp
+        arr -= g
     return params, state
 
 
@@ -524,6 +532,7 @@ def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
             grads = network_backward(net, cache, d_preds)
             adam_step(params, grads, state, config)
             total += loss * len(chunk)
+            del cache, grads  # so the next step does not hold two sets
         epoch_loss = total / m
         if not math.isfinite(epoch_loss):
             raise DivergedLoss(epoch)
@@ -564,8 +573,8 @@ def load_network(path: str) -> BiLstmNetwork:
         hidden1 = _binio.read_u64(f, path)
         hidden2 = _binio.read_u64(f, path)
         dropout_rate = _binio.read_f64(f, path)
-        net = build_network(input_dim, hidden1, hidden2, dropout_rate,
-                            bidirectional=(tag == TAG_BILSTM), seed=0)
+        net = _assemble(input_dim, hidden1, hidden2, dropout_rate,
+                        bidirectional=(tag == TAG_BILSTM), rng=None)
         for name, arr in net.param_dict().items():
             arr[...] = _binio.read_f64_array(f, arr.shape, path)
     return net

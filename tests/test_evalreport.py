@@ -1,6 +1,9 @@
 """Error metrics, persistence baseline, aggregation, and report rendering."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +75,26 @@ class TestMetrics:
             metrics(np.array([np.inf]), np.array([1.0]))
         with pytest.raises(DataError):
             metrics(np.array([]), np.array([]))
+
+    def test_overflowing_errors_rejected(self):
+        # Finite inputs whose difference overflows: rmse and mae are both
+        # inf, so the rmse >= mae check cannot hold.
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflow"):
+            metrics(np.array([1.5e308, 1.0]), np.array([-1.5e308, 2.0]))
+
+    def test_overflow_check_survives_optimized_python(self):
+        code = ("import numpy as np\n"
+                "from walkforge.errors import DataError\n"
+                "from walkforge.evalreport import metrics\n"
+                "np.seterr(over='ignore')\n"
+                "try:\n"
+                "    metrics(np.array([1.5e308]), np.array([-1.5e308]))\n"
+                "except DataError:\n"
+                "    raise SystemExit(7)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=False)
+        assert proc.returncode == 7
 
     def test_batch_metrics_labels_carry_through(self):
         run = batch_metrics("lstm", 3, "test", np.array([110.0]), np.array([100.0]))

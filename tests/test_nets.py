@@ -2,10 +2,12 @@
 optimizer, dropout, and training behavior."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from walkforge import nets
 from walkforge.errors import (
     BadArtifact,
     ConfigError,
@@ -26,7 +28,7 @@ from walkforge.nets import (
     init_lstm_params,
     load_network,
     logcosh_loss,
-    lstm_cell_forward,
+    lstm_layer_backward,
     lstm_layer_forward,
     network_backward,
     network_forward,
@@ -36,9 +38,35 @@ from walkforge.nets import (
 
 # --- independent oracle: scalar loops, math-module transcendentals ----------
 
+GATES = ("c", "u", "f", "o")  # row-block order of the fused arrays
+
 
 def sig(v):
     return 1.0 / (1.0 + math.exp(-v))
+
+
+def gate_row(params, gate, i):
+    """Weights of unit i of `gate` over [a_prev, x], and its bias, read out
+    of the fused (4h, .) arrays."""
+    r = GATES.index(gate) * params.hidden + i
+    return list(params.w_a[r]) + list(params.w_x[r]), params.b[r]
+
+
+def pre_activation(params, gate, i, z):
+    w, b = gate_row(params, gate, i)
+    return sum(wj * zj for wj, zj in zip(w, z)) + b
+
+
+def oracle_step(params, a_prev, c_prev, x):
+    """One cell step for one sample; returns (a, c)."""
+    z = list(a_prev) + list(x)
+    new_a, new_c = [], []
+    for i in range(params.hidden):
+        pre = {g: pre_activation(params, g, i, z) for g in GATES}
+        ci = sig(pre["u"]) * math.tanh(pre["c"]) + sig(pre["f"]) * c_prev[i]
+        new_c.append(ci)
+        new_a.append(sig(pre["o"]) * math.tanh(ci))
+    return new_a, new_c
 
 
 def oracle_layer(params, seq):
@@ -47,19 +75,51 @@ def oracle_layer(params, seq):
     a, c = [0.0] * h, [0.0] * h
     outs = []
     for x_t in seq:
-        z = list(a) + list(x_t)
-        new_a, new_c = [], []
-        for i in range(h):
-            pre_c = sum(w * v for w, v in zip(params.w_c[i], z)) + params.b_c[i]
-            pre_u = sum(w * v for w, v in zip(params.w_u[i], z)) + params.b_u[i]
-            pre_f = sum(w * v for w, v in zip(params.w_f[i], z)) + params.b_f[i]
-            pre_o = sum(w * v for w, v in zip(params.w_o[i], z)) + params.b_o[i]
-            ci = sig(pre_u) * math.tanh(pre_c) + sig(pre_f) * c[i]
-            new_c.append(ci)
-            new_a.append(sig(pre_o) * math.tanh(ci))
-        a, c = new_a, new_c
+        a, c = oracle_step(params, a, c, x_t)
         outs.append(a)
     return outs
+
+
+def oracle_layer_backward(params, seq, d_out):
+    """Scalar BPTT for one sample: (d_seq, dW over [a_prev, x] per fused
+    row, db per fused row), with per-gate loops and no fused arithmetic."""
+    h, d = params.hidden, params.input_dim
+    a, c = [0.0] * h, [0.0] * h
+    steps = []
+    for x_t in seq:
+        z = list(a) + list(x_t)
+        pre = {g: [pre_activation(params, g, i, z) for i in range(h)] for g in GATES}
+        cand = [math.tanh(v) for v in pre["c"]]
+        u, f, o = ([sig(v) for v in pre[g]] for g in ("u", "f", "o"))
+        c_new = [u[i] * cand[i] + f[i] * c[i] for i in range(h)]
+        steps.append((z, cand, u, f, o, c, c_new))
+        a = [o[i] * math.tanh(c_new[i]) for i in range(h)]
+        c = c_new
+    d_w = [[0.0] * (h + d) for _ in range(4 * h)]
+    d_b = [0.0] * (4 * h)
+    d_seq = [None] * len(seq)
+    da_next, dc_next = [0.0] * h, [0.0] * h
+    for t in range(len(seq) - 1, -1, -1):
+        z, cand, u, f, o, c_prev, c_t = steps[t]
+        d_pre = [0.0] * (4 * h)
+        for i in range(h):
+            da = d_out[t][i] + da_next[i]
+            tc = math.tanh(c_t[i])
+            dc = dc_next[i] + da * o[i] * (1.0 - tc * tc)
+            d_pre[i] = dc * u[i] * (1.0 - cand[i] ** 2)
+            d_pre[h + i] = dc * cand[i] * u[i] * (1.0 - u[i])
+            d_pre[2 * h + i] = dc * c_prev[i] * f[i] * (1.0 - f[i])
+            d_pre[3 * h + i] = da * tc * o[i] * (1.0 - o[i])
+            dc_next[i] = dc * f[i]
+        dz = [0.0] * (h + d)
+        for r in range(4 * h):
+            w, _ = gate_row(params, GATES[r // h], r % h)
+            d_b[r] += d_pre[r]
+            for j in range(h + d):
+                d_w[r][j] += d_pre[r] * z[j]
+                dz[j] += d_pre[r] * w[j]
+        da_next, d_seq[t] = dz[:h], dz[h:]
+    return d_seq, d_w, d_b
 
 
 def oracle_bilayer(fwd, bwd, seq):
@@ -89,58 +149,76 @@ def oracle_network(net, sample):
 
 
 def zero_params(hidden, input_dim):
-    shape = (hidden, hidden + input_dim)
-    return LstmParams(
-        w_c=np.zeros(shape), w_u=np.zeros(shape),
-        w_f=np.zeros(shape), w_o=np.zeros(shape),
-        b_c=np.zeros(hidden), b_u=np.zeros(hidden),
-        b_f=np.zeros(hidden), b_o=np.zeros(hidden),
-    )
+    return LstmParams(w_x=np.zeros((4 * hidden, input_dim)),
+                      w_a=np.zeros((4 * hidden, hidden)), b=np.zeros(4 * hidden))
+
+
+def gate_bias(params, gate):
+    """The bias block of one gate: a writable view into the fused bias."""
+    h = params.hidden
+    k = GATES.index(gate)
+    return params.b[k * h: (k + 1) * h]
 
 
 class TestCell:
+    """One cell step, run as a layer of length 1 (or longer where a nonzero
+    previous cell state is needed)."""
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
         params = init_lstm_params(3, 2, rng)
-        a_prev = rng.normal(size=(1, 3))
-        c_prev = rng.normal(size=(1, 3))
-        x = rng.normal(size=(1, 2))
-        a, c, _ = lstm_cell_forward(params, a_prev, c_prev, x)
-
-        z = list(a_prev[0]) + list(x[0])
-        for i in range(3):
-            pre_c = sum(w * v for w, v in zip(params.w_c[i], z)) + params.b_c[i]
-            pre_u = sum(w * v for w, v in zip(params.w_u[i], z)) + params.b_u[i]
-            pre_f = sum(w * v for w, v in zip(params.w_f[i], z)) + params.b_f[i]
-            pre_o = sum(w * v for w, v in zip(params.w_o[i], z)) + params.b_o[i]
-            want_c = sig(pre_u) * math.tanh(pre_c) + sig(pre_f) * c_prev[0, i]
-            want_a = sig(pre_o) * math.tanh(want_c)
-            assert c[0, i] == pytest.approx(want_c, rel=1e-12, abs=1e-15)
-            assert a[0, i] == pytest.approx(want_a, rel=1e-12, abs=1e-15)
+        params.b[:] = rng.normal(size=12)
+        x = rng.normal(size=(1, 1, 2))
+        out, cache = lstm_layer_forward(params, x)
+        want_a, want_c = oracle_step(params, [0.0] * 3, [0.0] * 3, x[0, 0])
+        np.testing.assert_allclose(cache["c"][0, 0], want_c, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(out[0, 0], want_a, rtol=1e-12, atol=1e-15)
 
     def test_all_zero_parameters_halve_everything(self):
-        # Zero pre-activations: every sigmoid gate is 1/2 and the candidate
-        # is tanh(0) = 0, so c = c_prev/2 and a = tanh(c_prev/2)/2.
+        # Zero weights: every sigmoid gate is 1/2, and with candidate bias
+        # beta the candidate is tanh(beta), so c_t = (tanh(beta) + c_{t-1})/2
+        # and a_t = tanh(c_t)/2 whatever the input.
         params = zero_params(4, 2)
-        c_prev = np.array([[0.3, -1.2, 0.0, 2.5]])
-        a_prev = np.zeros((1, 4))
-        x = np.array([[7.0, -3.0]])
-        a, c, _ = lstm_cell_forward(params, a_prev, c_prev, x)
-        np.testing.assert_allclose(c, 0.5 * c_prev, rtol=1e-15)
-        np.testing.assert_allclose(a, 0.5 * np.tanh(0.5 * c_prev), rtol=1e-15)
+        beta = np.array([0.3, -1.2, 0.0, 2.5])
+        gate_bias(params, "c")[:] = beta
+        x = np.random.default_rng(1).normal(size=(1, 3, 2)) * 7.0
+        out, cache = lstm_layer_forward(params, x)
+        c = np.zeros(4)
+        for t in range(3):
+            c = 0.5 * np.tanh(beta) + 0.5 * c
+            np.testing.assert_allclose(cache["c"][t, 0], c, rtol=1e-15)
+            np.testing.assert_allclose(out[0, t], 0.5 * np.tanh(c), rtol=1e-15)
 
     def test_saturated_forget_gate_preserves_cell_state(self):
-        params = zero_params(2, 2)
-        params.b_f[:] = 50.0
-        c_prev = np.array([[0.8, -0.4]])
-        _, c, _ = lstm_cell_forward(params, np.zeros((1, 2)), c_prev, np.ones((1, 2)))
-        np.testing.assert_allclose(c, c_prev, rtol=0, atol=1e-20)
+        # Step 0 writes tanh(beta) through a fully open update gate; later
+        # steps close the update gate through the input, and a saturated
+        # forget gate carries the cell state unchanged.
+        params = zero_params(2, 1)
+        beta = np.array([0.8, -0.4])
+        gate_bias(params, "c")[:] = beta
+        gate_bias(params, "f")[:] = 50.0
+        params.w_x[2:4, 0] = 50.0  # update gate rows
+        x = np.array([[[1.0], [-1.0], [-1.0], [-1.0]]])
+        _, cache = lstm_layer_forward(params, x)
+        for t in range(4):
+            np.testing.assert_allclose(cache["c"][t, 0], np.tanh(beta), rtol=0, atol=1e-20)
 
     def test_shape_mismatch_rejected(self):
         params = init_lstm_params(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            lstm_cell_forward(params, np.zeros((1, 4)), np.zeros((1, 3)),
-                              np.zeros((1, 2)))
+            lstm_layer_forward(params, np.zeros((1, 1, 4)))
+
+
+def stepwise_cell(params, a_prev, c_prev, x):
+    """A numpy reference cell: four per-gate products over [a_prev, x]."""
+    h = params.hidden
+    z = np.concatenate([a_prev, x], axis=1)
+    w = np.concatenate([params.w_a, params.w_x], axis=1)
+    pre = [z @ w[k * h: (k + 1) * h].T + params.b[k * h: (k + 1) * h] for k in range(4)]
+    cand = np.tanh(pre[0])
+    gu, gf, go = (1.0 / (1.0 + np.exp(-p)) for p in pre[1:])
+    c = gu * cand + gf * c_prev
+    return go * np.tanh(c), c
 
 
 class TestLayer:
@@ -170,8 +248,84 @@ class TestLayer:
         a = np.zeros((2, 3))
         c = np.zeros((2, 3))
         for t in range(5):
-            a, c, _ = lstm_cell_forward(params, a, c, seq[:, t, :])
+            a, c = stepwise_cell(params, a, c, seq[:, t, :])
             np.testing.assert_allclose(out[:, t, :], a, rtol=1e-14)
+
+
+def oracle_loss(net, inputs, targets):
+    """Mean log-cosh of the scalar oracle's predictions."""
+    total = 0.0
+    for sample, target in zip(inputs, targets):
+        total += math.log(math.cosh(oracle_network(net, sample) - target))
+    return total / len(targets)
+
+
+class TestFusedLayer:
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_layer_forward_and_backward_match_scalar_oracle(self, length):
+        rng = np.random.default_rng(40 + length)
+        params = init_lstm_params(3, 2, rng)
+        params.b[:] += rng.uniform(-0.5, 0.5, size=12)
+        seq = rng.normal(size=(2, length, 2))
+        d_out = rng.normal(size=(2, length, 3))
+        out, cache = lstm_layer_forward(params, seq)
+        d_seq, grads = lstm_layer_backward(params, cache, d_out)
+        want_w = np.zeros((12, 5))
+        want_b = np.zeros(12)
+        for s in range(2):
+            np.testing.assert_allclose(out[s], oracle_layer(params, seq[s]),
+                                       rtol=1e-12, atol=1e-15)
+            o_seq, o_w, o_b = oracle_layer_backward(params, seq[s], d_out[s])
+            np.testing.assert_allclose(d_seq[s], o_seq, rtol=1e-11, atol=1e-14)
+            want_w += np.array(o_w)
+            want_b += np.array(o_b)
+        np.testing.assert_allclose(grads["w_a"], want_w[:, :3], rtol=1e-11, atol=1e-14)
+        np.testing.assert_allclose(grads["w_x"], want_w[:, 3:], rtol=1e-11, atol=1e-14)
+        np.testing.assert_allclose(grads["b"], want_b, rtol=1e-11, atol=1e-14)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_network_forward_and_backward_match_scalar_oracle(self, bidirectional, length):
+        rng = np.random.default_rng(50 + length + 2 * bidirectional)
+        net = build_network(2, hidden1=2, hidden2=3, dropout_rate=0.0,
+                            bidirectional=bidirectional, seed=13)
+        for arr in net.param_dict().values():
+            arr += rng.uniform(-0.05, 0.05, size=arr.shape)
+        inputs = rng.normal(size=(3, length, 2))
+        targets = rng.normal(size=3)
+        preds, cache = network_forward(net, inputs, "train", seed=0)
+        for s in range(3):
+            assert preds[s] == pytest.approx(oracle_network(net, inputs[s]),
+                                             rel=1e-10, abs=1e-12)
+        _, d_preds = logcosh_loss(preds, targets)
+        grads = network_backward(net, cache, d_preds)
+        # Central differences of the scalar oracle's loss.
+        step = 1e-5
+        worst = 0.0
+        for name, arr in net.param_dict().items():
+            flat = arr.ravel()
+            for idx in range(flat.size):
+                keep = flat[idx]
+                flat[idx] = keep + step
+                hi = oracle_loss(net, inputs, targets)
+                flat[idx] = keep - step
+                lo = oracle_loss(net, inputs, targets)
+                flat[idx] = keep
+                fd = (hi - lo) / (2.0 * step)
+                got = grads[name].ravel()[idx]
+                worst = max(worst, abs(got - fd) / max(abs(got) + abs(fd), 1e-4))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_params_are_contiguous_and_write_through(self, bidirectional):
+        net = build_network(2, hidden1=3, hidden2=2, bidirectional=bidirectional, seed=3)
+        params = net.param_dict()
+        assert len(params) == 3 * (4 if bidirectional else 2) + 2
+        for name, arr in params.items():
+            assert arr.flags.c_contiguous, name
+            flat = arr.ravel()
+            flat[-1] = 123.25
+            assert net.param_dict()[name].ravel()[-1] == 123.25, name
 
 
 class TestBidirectional:
@@ -239,22 +393,16 @@ class TestNetworkForward:
                             bidirectional=False, seed=3)
         bi = build_network(f, hidden1=h1, hidden2=h2, dropout_rate=0.0,
                            bidirectional=True, seed=4)
-        for gate in ("c", "u", "f", "o"):
-            for layer_bi, layer_uni in ((bi.layer1_fwd, uni.layer1_fwd),):
-                getattr(layer_bi, f"w_{gate}")[...] = getattr(layer_uni, f"w_{gate}")
-                getattr(layer_bi, f"b_{gate}")[...] = getattr(layer_uni, f"b_{gate}")
-            for arr in (getattr(bi.layer1_bwd, f"w_{gate}"),
-                        getattr(bi.layer1_bwd, f"b_{gate}"),
-                        getattr(bi.layer2_bwd, f"w_{gate}"),
-                        getattr(bi.layer2_bwd, f"b_{gate}")):
-                arr[...] = 0.0
-            # Layer-2 forward sees [a_prev | fwd_half | bwd_half]; copy the
-            # uni weights over [a_prev | fwd_half] and zero the bwd block.
-            w_bi = getattr(bi.layer2_fwd, f"w_{gate}")
-            w_uni = getattr(uni.layer2_fwd, f"w_{gate}")
-            w_bi[...] = 0.0
-            w_bi[:, : h2 + h1] = w_uni
-            getattr(bi.layer2_fwd, f"b_{gate}")[...] = getattr(uni.layer2_fwd, f"b_{gate}")
+        for name in ("w_x", "w_a", "b"):
+            getattr(bi.layer1_fwd, name)[...] = getattr(uni.layer1_fwd, name)
+            getattr(bi.layer1_bwd, name)[...] = 0.0
+            getattr(bi.layer2_bwd, name)[...] = 0.0
+        # Layer-2 forward sees [fwd_half | bwd_half]; copy the uni input
+        # weights over fwd_half and zero the bwd_half columns.
+        bi.layer2_fwd.w_x[...] = 0.0
+        bi.layer2_fwd.w_x[:, :h1] = uni.layer2_fwd.w_x
+        bi.layer2_fwd.w_a[...] = uni.layer2_fwd.w_a
+        bi.layer2_fwd.b[...] = uni.layer2_fwd.b
         bi.dense_w[...] = 0.0
         bi.dense_w[:h2] = uni.dense_w
         bi.dense_b[...] = uni.dense_b
@@ -284,12 +432,26 @@ class TestInitialization:
     def test_weights_bounded_by_fan_in_and_forget_bias_one(self):
         params = init_lstm_params(5, 3, np.random.default_rng(0))
         bound = 1.0 / math.sqrt(8)
-        for w in (params.w_c, params.w_u, params.w_f, params.w_o):
+        assert params.w_x.shape == (20, 3) and params.w_a.shape == (20, 5)
+        for w in (params.w_x, params.w_a):
             assert np.abs(w).max() <= bound
-        np.testing.assert_array_equal(params.b_f, 1.0)
-        np.testing.assert_array_equal(params.b_c, 0.0)
-        np.testing.assert_array_equal(params.b_u, 0.0)
-        np.testing.assert_array_equal(params.b_o, 0.0)
+        np.testing.assert_array_equal(gate_bias(params, "f"), 1.0)
+        np.testing.assert_array_equal(gate_bias(params, "c"), 0.0)
+        np.testing.assert_array_equal(gate_bias(params, "u"), 0.0)
+        np.testing.assert_array_equal(gate_bias(params, "o"), 0.0)
+
+    def test_fused_arrays_hold_four_per_gate_draws_in_gate_order(self):
+        # Each gate draws one (h, h+d) block over [a_prev, x], c then u, f,
+        # o; the fused arrays are those blocks split by column.
+        hidden, input_dim = 4, 3
+        params = init_lstm_params(hidden, input_dim, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        bound = 1.0 / math.sqrt(hidden + input_dim)
+        for k in range(4):
+            block = rng.uniform(-bound, bound, size=(hidden, hidden + input_dim))
+            rows = slice(k * hidden, (k + 1) * hidden)
+            np.testing.assert_array_equal(params.w_a[rows], block[:, :hidden])
+            np.testing.assert_array_equal(params.w_x[rows], block[:, hidden:])
 
     def test_same_seed_same_network(self):
         a = build_network(3, hidden1=4, hidden2=4, seed=9)
@@ -440,6 +602,35 @@ class TestAdam:
         adam_step(params, {"a": g.copy()}, state, TrainConfig(clip_norm=0.0))
         np.testing.assert_allclose(state.m["a"], 0.1 * g, rtol=1e-12)
 
+    @pytest.mark.parametrize("clip_norm", [0.0, 0.5])
+    def test_matches_literal_formula_bit_for_bit(self, clip_norm):
+        rng = np.random.default_rng(60)
+        shapes = {"w": (4, 3), "b": (4,), "big": (5, 6)}
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        want = {k: arr.copy() for k, arr in params.items()}
+        m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        state = init_adam_state(params)
+        config = TrainConfig(learning_rate=3e-3, clip_norm=clip_norm)
+        b1, b2 = config.beta1, config.beta2
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            factor = clip_norm / norm if 0.0 < clip_norm < norm else 1.0
+            for k in shapes:
+                g = grads[k] * factor
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                m_hat = m[k] / (1.0 - b1 ** t)
+                v_hat = v[k] / (1.0 - b2 ** t)
+                want[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+            adam_step(params, {k: g.copy() for k, g in grads.items()}, state, config)
+            for k in shapes:
+                np.testing.assert_array_equal(params[k], want[k])
+                np.testing.assert_array_equal(state.m[k], m[k])
+                np.testing.assert_array_equal(state.v[k], v[k])
+        assert state.step == 5
+
     def test_key_and_shape_mismatches_rejected(self):
         params = {"a": np.zeros(2)}
         state = init_adam_state(params)
@@ -586,6 +777,45 @@ class TestSaveLoad:
         want, _ = network_forward(net, x)
         got, _ = network_forward(back, x)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_v2_round_trip_is_bit_identical(self, tmp_path, bidirectional):
+        net = build_network(3, hidden1=3, hidden2=4, dropout_rate=0.25,
+                            bidirectional=bidirectional, seed=22)
+        path = tmp_path / "net.bin"
+        save_network(net, str(path))
+        assert struct.unpack("<H", path.read_bytes()[4:6])[0] == 2
+        back = load_network(str(path))
+        want_params, got_params = net.param_dict(), back.param_dict()
+        assert list(got_params) == list(want_params)
+        for name, arr in want_params.items():
+            np.testing.assert_array_equal(got_params[name], arr)
+        x = np.random.default_rng(9).normal(size=(5, 2, 3))
+        for mode in ("eval", "train"):
+            want, _ = network_forward(net, x, mode, seed=4)
+            got, _ = network_forward(back, x, mode, seed=4)
+            np.testing.assert_array_equal(got, want)
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        # A v1 file stored eight per-gate arrays per direction; the header
+        # alone identifies it.
+        path = tmp_path / "net.bin"
+        header = b"WFNN" + struct.pack("<HBQQQd", 1, 2, 3, 2, 2, 0.2)
+        path.write_bytes(header + np.zeros(200).tobytes())
+        with pytest.raises(BadArtifact, match="version 1"):
+            load_network(str(path))
+
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        net = build_network(2, hidden1=3, hidden2=2, seed=1)
+        path = str(tmp_path / "net.bin")
+        save_network(net, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_network drew initial weights")
+
+        monkeypatch.setattr(nets, "init_lstm_params", no_draws)
+        back = load_network(path)
+        np.testing.assert_array_equal(back.dense_w, net.dense_w)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "net.bin"
