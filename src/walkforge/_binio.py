@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import sys
 from typing import BinaryIO
 
 import numpy as np
@@ -79,6 +80,16 @@ def read_f64_array(f: BinaryIO, shape: tuple[int, ...], path: str) -> np.ndarray
     count = int(np.prod(shape)) if shape else 1
     data = _read_exact(f, 8 * count, path)
     return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def read_f64_into(f: BinaryIO, arr: np.ndarray, path: str) -> None:
+    """Fill a C-contiguous float64 array straight from the file, no copy."""
+    view = memoryview(arr).cast("B")
+    got = f.readinto(view)
+    if got != view.nbytes:
+        raise BadArtifact(path, f"truncated: wanted {view.nbytes} bytes, got {got}")
+    if sys.byteorder != "little":
+        arr.byteswap(inplace=True)
 
 
 def read_i64_array(f: BinaryIO, count: int, path: str) -> np.ndarray:

@@ -3,11 +3,12 @@
 Linear regression solves the ridge-jittered normal equations. The epsilon-
 insensitive RBF support-vector regressor is trained by sequential minimal
 optimization on the net dual coefficients beta_i = alpha_i - alpha_i*:
-pick the steepest feasible pair, solve the two-variable subproblem exactly
-(the epsilon|beta| kinks make it piecewise quadratic over at most three
-segments), and stop when every point satisfies the KKT conditions within
-tol. The equality constraint sum(beta) = 0 is preserved exactly by every
-pair update.
+pick a pair by second-order working-set selection, solve the two-variable
+subproblem exactly (the epsilon|beta| kinks make it piecewise quadratic
+over at most three segments), and stop when the pair gap falls below tol.
+A full per-point KKT check at the end decides whether the fit converged.
+The equality constraint sum(beta) = 0 is preserved exactly by every pair
+update.
 """
 
 from __future__ import annotations
@@ -117,14 +118,16 @@ def _kkt_violations(beta: np.ndarray, err: np.ndarray, epsilon: float, c: float)
     return viol
 
 
-def _bias(beta: np.ndarray, g_minus_y: np.ndarray, epsilon: float, c: float,
-          up: np.ndarray, dn: np.ndarray,
-          can_up: np.ndarray, can_dn: np.ndarray) -> float:
+def _bias(beta: np.ndarray, g_minus_y: np.ndarray, epsilon: float, c: float) -> float:
     atol = 1e-9 * max(1.0, c)
     interior = (np.abs(beta) > atol) & (np.abs(beta) < c - atol)
     if interior.any():
         # interior coefficients pin f(x_i) = y_i - eps*sign(beta_i) exactly
         return float(np.mean(-g_minus_y[interior] - epsilon * np.sign(beta[interior])))
+    # otherwise the midpoint of the bias interval the bound points leave open
+    up = g_minus_y + epsilon * np.where(beta >= 0.0, 1.0, -1.0)
+    dn = -g_minus_y + epsilon * np.where(beta <= 0.0, 1.0, -1.0)
+    can_up, can_dn = beta < c, beta > -c
     lo = -np.min(up[can_up]) if can_up.any() else None
     hi = np.min(dn[can_dn]) if can_dn.any() else None
     if lo is None:
@@ -135,29 +138,27 @@ def _bias(beta: np.ndarray, g_minus_y: np.ndarray, epsilon: float, c: float,
 
 
 def _pair_delta(
-    k: np.ndarray, beta: np.ndarray, g_minus_y: np.ndarray,
-    i: int, j: int, epsilon: float, c: float,
+    beta_i: float, beta_j: float, gd: float, eta: float, epsilon: float, c: float,
 ) -> tuple[float, float] | None:
     """Exact minimizer of the dual restricted to beta_i + beta_j constant.
 
-    Returns (new beta_i, objective change) or None when no strict descent
-    exists along this pair.
+    gd is (g - y)_i - (g - y)_j and eta is K_ii + K_jj - 2 K_ij. Returns
+    (new beta_i, objective change) or None when no strict descent exists
+    along this pair.
     """
-    s = beta[i] + beta[j]
+    s = beta_i + beta_j
     lo = max(-c, s - c)
     hi = min(c, s + c)
     if not lo < hi:
         return None
-    eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-    gd = g_minus_y[i] - g_minus_y[j]
 
     def delta(t: float) -> float:
-        step = t - beta[i]
+        step = t - beta_i
         return (
             0.5 * eta * step * step
             + gd * step
-            + epsilon * (abs(t) - abs(beta[i]))
-            + epsilon * (abs(s - t) - abs(beta[j]))
+            + epsilon * (abs(t) - abs(beta_i))
+            + epsilon * (abs(s - t) - abs(beta_j))
         )
 
     candidates = {lo, hi}
@@ -167,7 +168,7 @@ def _pair_delta(
             mid = (left + right) / 2.0
             sign1 = 1.0 if mid >= 0.0 else -1.0
             sign2 = 1.0 if (s - mid) >= 0.0 else -1.0
-            t_star = beta[i] - (gd + epsilon * (sign1 - sign2)) / eta
+            t_star = beta_i - (gd + epsilon * (sign1 - sign2)) / eta
             candidates.add(min(max(t_star, left), right))
     candidates.update(b for b in (0.0, s) if lo <= b <= hi)
 
@@ -181,6 +182,17 @@ def _pair_delta(
     return float(best_t), float(best_d)
 
 
+def _offsets(b: float, epsilon: float, c: float) -> tuple[float, float]:
+    """Slope offsets of raising and of lowering one coefficient at b: the
+    epsilon|b| kink picks the sign, and inf marks a side the box closes."""
+    up = math.inf if b >= c else (epsilon if b >= 0.0 else -epsilon)
+    dn = math.inf if b <= -c else (epsilon if b <= 0.0 else -epsilon)
+    return up, dn
+
+
+_TAU = 1e-12  # added to pair curvatures so duplicate points never divide by zero
+
+
 def fit_svr(
     x: np.ndarray,
     y: np.ndarray,
@@ -192,8 +204,18 @@ def fit_svr(
     seed: int = 0,
 ) -> SvrModel:
     """SMO on the precomputed RBF Gram matrix; gamma defaults to
-    1 / n_features. Hitting max_iter returns the best-so-far model with
-    converged=False instead of raising."""
+    1 / n_features.
+
+    Each iteration raises the coefficient with the steepest upward slope
+    and lowers the partner that maximises the second-order gain
+    (up_i + dn_j)^2 / eta_ij (Fan, Chen & Lin 2005), falling back to the
+    steepest downward slope when that pair cannot descend. The loop stops
+    when the pair gap -(min up + min dn) drops below tol, when no pair
+    descends, or at max_iter. converged is then set by the full per-point
+    KKT check alone. Hitting max_iter returns the best-so-far model with
+    converged=False instead of raising. The solver is deterministic: seed
+    is accepted for call compatibility and ignored.
+    """
     x, y = _check_xy(x, y)
     if c <= 0 or epsilon < 0 or tol <= 0 or max_iter < 1:
         raise ConfigError(
@@ -206,65 +228,64 @@ def fit_svr(
     if gamma <= 0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
 
-    k = rbf_kernel(x, x, gamma)
+    k = rbf_kernel(x, x, gamma)  # exactly symmetric: row k[i] is column i
+    diag = k.diagonal()
+    half_diag = 0.5 * diag
     beta = np.zeros(n)
-    g = np.zeros(n)  # K @ beta, maintained incrementally
-    rng = np.random.default_rng(seed)
-    converged = False
+    gy = -y  # (K @ beta) - y, updated in place
+    up_off = np.full(n, epsilon)  # up_i = gy_i + up_off_i
+    dn_off = np.full(n, epsilon)  # dn_i = -gy_i + dn_off_i
+    up, dn, gain, half_eta, work = (np.empty(n) for _ in range(5))
     iterations = 0
-    bias = 0.0
 
     for iterations in range(1, max_iter + 1):
-        g_minus_y = g - y
-        up = g_minus_y + epsilon * np.where(beta >= 0.0, 1.0, -1.0)
-        dn = -g_minus_y + epsilon * np.where(beta <= 0.0, 1.0, -1.0)
-        can_up = beta < c
-        can_dn = beta > -c
-        bias = _bias(beta, g_minus_y, epsilon, c, up, dn, can_up, can_dn)
-        if _kkt_violations(beta, g_minus_y + bias, epsilon, c).max() < tol:
-            converged = True
+        np.add(gy, up_off, out=up)
+        np.subtract(dn_off, gy, out=dn)
+        i = int(up.argmin())
+        j_steep = int(dn.argmin())
+        up_i = float(up[i])
+        if -(up_i + float(dn[j_steep])) < tol:
             break
 
+        # second-order choice of j: minimise b|b| / eta_ij over b = up_i + dn_j,
+        # which is -b^2 / eta_ij on the descending partners; halving eta does
+        # not move the argmin, and _TAU keeps duplicate points off zero
+        k_i = k[i]
+        np.subtract(half_diag, k_i, out=half_eta)
+        half_eta += half_diag[i] + _TAU
+        np.add(dn, up_i, out=gain)
+        np.abs(gain, out=work)
+        gain *= work
+        gain /= half_eta
+        beta_i, gy_i = float(beta[i]), float(gy[i])
         move = None
-        up_masked = np.where(can_up, up, np.inf)
-        dn_masked = np.where(can_dn, dn, np.inf)
-        i = int(np.argmin(up_masked))
-        j = int(np.argmin(dn_masked))
-        if i != j:
-            move = _pair_delta(k, beta, g_minus_y, i, j, epsilon, c)
-            if move is not None:
-                move = (i, j, move[0])
-        if move is None:
-            # steepest pair made no progress; seeded sweep over violators
-            order_i = rng.permutation(n)
-            order_j = rng.permutation(n)
-            for i in order_i:
-                if not can_up[i]:
-                    continue
-                for j in order_j:
-                    if i == j or not can_dn[j]:
-                        continue
-                    found = _pair_delta(k, beta, g_minus_y, int(i), int(j), epsilon, c)
-                    if found is not None:
-                        move = (int(i), int(j), found[0])
-                        break
-                if move is not None:
+        for j in (int(gain.argmin()), j_steep):
+            if j != i:
+                eta = float(diag[i] + diag[j] - 2.0 * k_i[j])
+                found = _pair_delta(beta_i, float(beta[j]), gy_i - float(gy[j]),
+                                    eta, epsilon, c)
+                if found is not None:
+                    move = j, found[0]
                     break
         if move is None:
-            converged = _kkt_violations(beta, g_minus_y + bias, epsilon, c).max() < tol
             break
 
-        i, j, new_i = move
-        s = beta[i] + beta[j]
-        new_j = s - new_i
-        g = g + (new_i - beta[i]) * k[:, i] + (new_j - beta[j]) * k[:, j]
+        j, new_i = move
+        beta_j = float(beta[j])
+        new_j = (beta_i + beta_j) - new_i
+        np.multiply(k_i, new_i - beta_i, out=work)
+        gy += work
+        np.multiply(k[j], new_j - beta_j, out=work)
+        gy += work
         beta[i] = new_i
         beta[j] = new_j
+        up_off[i], dn_off[i] = _offsets(new_i, epsilon, c)
+        up_off[j], dn_off[j] = _offsets(new_j, epsilon, c)
 
-    g_minus_y = g - y
-    up = g_minus_y + epsilon * np.where(beta >= 0.0, 1.0, -1.0)
-    dn = -g_minus_y + epsilon * np.where(beta <= 0.0, 1.0, -1.0)
-    bias = _bias(beta, g_minus_y, epsilon, c, up, dn, beta < c, beta > -c)
+    # the full check starts from an exact K @ beta, free of update drift
+    g_minus_y = k @ beta - y
+    bias = _bias(beta, g_minus_y, epsilon, c)
+    converged = bool(_kkt_violations(beta, g_minus_y + bias, epsilon, c).max() < tol)
 
     support = np.abs(beta) > 1e-12
     return SvrModel(

@@ -254,16 +254,6 @@ def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) 
     return matrix
 
 
-def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
-    from .ingest import format_date
-
-    with open(path, "w", newline="") as f:
-        f.write(",".join(("date",) + matrix.names) + "\n")
-        for day, row in zip(matrix.dates, matrix.values):
-            cells = ["" if np.isnan(v) else repr(float(v)) for v in row]
-            f.write(",".join([format_date(day)] + cells) + "\n")
-
-
 def save_cache(matrix: FeatureMatrix, path: str) -> None:
     """Binary cache: WFFM magic, u16 version, u64 n, u64 p, then the matrix
     row-major as little-endian f64; dates, valid_from, usable_from, and the

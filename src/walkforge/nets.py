@@ -575,6 +575,6 @@ def load_network(path: str) -> BiLstmNetwork:
         dropout_rate = _binio.read_f64(f, path)
         net = _assemble(input_dim, hidden1, hidden2, dropout_rate,
                         bidirectional=(tag == TAG_BILSTM), rng=None)
-        for name, arr in net.param_dict().items():
-            arr[...] = _binio.read_f64_array(f, arr.shape, path)
+        for arr in net.param_dict().values():
+            _binio.read_f64_into(f, arr, path)
     return net

@@ -337,7 +337,7 @@ def stage_train(cfg: RunConfig) -> list[str]:
                 model = baselines.fit_svr(
                     train_set.flat_inputs(), train_set.targets,
                     c=cfg.svr_c, epsilon=cfg.svr_epsilon, gamma=cfg.svr_gamma,
-                    tol=cfg.svr_tol, max_iter=cfg.svr_max_iter, seed=seed,
+                    tol=cfg.svr_tol, max_iter=cfg.svr_max_iter,
                 )
                 baselines.save_svr(model, path)
             else:
@@ -447,11 +447,26 @@ def stage_report(cfg: RunConfig) -> str:
     table = evalreport.render_table(report)
     config_lines = "\n".join(f"{key} = {value}" for key, value in cfg.effective().items())
     text = f"Effective config\n{config_lines}\n\n{table}"
+    warnings = _fit_warnings(cfg, runs)
+    if warnings:
+        text += "\nWarnings\n" + "\n".join(warnings) + "\n"
     with open(_path(cfg, "report.txt"), "w") as f:
         f.write(text)
     if cfg.chart:
         _write_chart(cfg)
     return path
+
+
+def _fit_warnings(cfg: RunConfig, runs: list[evalreport.BatchMetrics]) -> list[str]:
+    """One line per evaluated SVR checkpoint that stopped unconverged."""
+    lines = []
+    for batch in sorted({r.batch for r in runs if r.model == "svr"}):
+        path = _require(cfg, os.path.join("models", f"svr_b{batch}.bin"), "train")
+        model = baselines.load_svr(path)
+        if not model.converged:
+            lines.append(f"svr batch {batch}: not converged after {model.iterations} "
+                         f"iterations (max_iter {cfg.svr_max_iter}, tol {cfg.svr_tol})")
+    return lines
 
 
 def _write_chart(cfg: RunConfig) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from walkforge import baselines
 from walkforge.baselines import (
     LinearModel,
     dual_objective,
@@ -104,6 +105,12 @@ class TestRbfKernel:
         np.testing.assert_allclose(np.diag(k), 1.0)
         assert k[0, 1] == pytest.approx(np.exp(-0.5 * 2.0))
         assert k[0, 1] == k[1, 0]
+
+    def test_gram_matrix_exactly_symmetric(self):
+        # The SVR solver reads kernel rows in place of columns.
+        x = np.random.default_rng(3).normal(size=(60, 70))
+        k = rbf_kernel(x, x, gamma=1.0 / 70)
+        np.testing.assert_array_equal(k, k.T)
 
     def test_distance_monotone(self):
         a = np.array([[0.0]])
@@ -219,6 +226,56 @@ class TestSvrOptimality:
         assert model.dual_objective == pytest.approx(
             dual_objective(k, y, beta, 0.1), rel=1e-12, abs=1e-15
         )
+
+
+def pipeline_shaped_instance(n=500, lookback=7, width=10, seed=0):
+    """Flattened lookback windows of median/IQR-scaled random walks, as
+    stage_train feeds the SVR: p = lookback * width columns, target the
+    next level."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(size=(n + lookback, width)), axis=0)
+    q1, median, q3 = np.percentile(walk, [25, 50, 75], axis=0)
+    walk = (walk - median) / (q3 - q1)
+    x = np.stack([walk[t:t + lookback].ravel() for t in range(n)])
+    return x, walk[lookback:, 0]
+
+
+class TestSvrSolver:
+    def test_pipeline_shaped_problem_converges(self):
+        x, y = pipeline_shaped_instance()
+        assert x.shape == (500, 70)
+        model = fit_svr(x, y, c=100.0, epsilon=0.1, tol=1e-3)
+        assert model.converged
+        assert model.iterations < 100_000
+        assert kkt_residuals(model, x, y).max() < 1e-3
+
+    def test_dual_objective_never_increases(self):
+        x, y = pipeline_shaped_instance(n=60, seed=1)
+        objs = [fit_svr(x, y, c=100.0, epsilon=0.1, max_iter=m).dual_objective
+                for m in range(1, 51)]
+        assert objs[-1] < objs[0]
+        assert np.all(np.diff(objs) <= 1e-12 * np.abs(objs[:-1]))
+
+    def test_full_check_alone_sets_converged(self, monkeypatch):
+        x, y = pipeline_shaped_instance(n=60, seed=2)
+        passed = fit_svr(x, y, c=100.0, epsilon=0.1)
+        assert passed.converged and passed.iterations < 100_000
+
+        def always_violated(beta, err, epsilon, c):
+            return np.ones_like(beta)
+
+        # the pair gap still stops the loop at the same iteration
+        monkeypatch.setattr(baselines, "_kkt_violations", always_violated)
+        failed = fit_svr(x, y, c=100.0, epsilon=0.1)
+        assert failed.iterations == passed.iterations
+        assert not failed.converged
+
+    def test_seed_is_ignored(self):
+        x, y = pipeline_shaped_instance(n=40, seed=3)
+        a = fit_svr(x, y, c=5.0, epsilon=0.05, seed=1)
+        b = fit_svr(x, y, c=5.0, epsilon=0.05, seed=2)
+        np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
+        assert a.bias == b.bias
 
 
 class TestSvrBehavior:

@@ -805,6 +805,14 @@ class TestSaveLoad:
         with pytest.raises(BadArtifact, match="version 1"):
             load_network(str(path))
 
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        net = build_network(2, hidden1=3, hidden2=2, seed=1)
+        path = tmp_path / "net.bin"
+        save_network(net, str(path))
+        path.write_bytes(path.read_bytes()[:-12])
+        with pytest.raises(BadArtifact, match="truncated"):
+            load_network(str(path))
+
     def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
         net = build_network(2, hidden1=3, hidden2=2, seed=1)
         path = str(tmp_path / "net.bin")

@@ -355,6 +355,24 @@ class TestStagedRun:
             assert f.read(100).startswith("<svg")
 
 
+    def test_converged_run_has_no_warnings(self, staged):
+        with open(os.path.join(staged.out, "report.txt")) as f:
+            assert "Warnings" not in f.read()
+
+
+class TestFitWarnings:
+    def test_unconverged_svr_fit_is_reported(self, tmp_path):
+        cfg = small_cfg(tmp_path / "out", model="svr", synthetic=110,
+                        chart=False, svr_max_iter=2)
+        pipeline.stage_pipeline(cfg)
+        with open(os.path.join(cfg.out, "report.txt")) as f:
+            text = f.read()
+        assert text.endswith("\nWarnings\nsvr batch 0: not converged after 2 "
+                             "iterations (max_iter 2, tol 0.001)\n")
+        with open(os.path.join(cfg.out, "report.json")) as f:
+            assert "converged" not in f.read()
+
+
 class TestStagedVersusOneShot:
     def read(self, cfg, name):
         with open(os.path.join(cfg.out, name), "rb") as f:
