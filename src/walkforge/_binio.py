@@ -1,113 +1,100 @@
-"""Low-level helpers for the little-endian binary artifact containers."""
+"""The one binary container every walkforge artifact is stored in.
+
+Layout, little-endian throughout:
+
+    MAGIC (4 bytes) | VERSION (u16) | header length (u32) | header | arrays
+
+The header is UTF-8 JSON: {"kind": str, "meta": {...}, "arrays": [[name,
+dtype, shape], ...]}. JSON round-trips floats exactly (NaN and 1e308
+included), so scalars live in meta. The arrays follow back to back in
+header order as raw C-order bytes; `load` reads each one with `readinto`
+straight into its final storage.
+"""
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import struct
 import sys
-from typing import BinaryIO
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import BadArtifact
 
+MAGIC = b"WFAR"
+VERSION = 1
+_PREFIX = struct.Struct("<4sHI")
+_DTYPES = ("<f8", "<i8")
 
-def write_u16(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<H", value))
-
-
-def write_u8(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<B", value))
-
-
-def write_u64(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<Q", value))
+T = TypeVar("T")
 
 
-def write_i64(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<q", value))
+def save(path: str, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    arrays = {name: np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+              for name, arr in arrays.items()}
+    header = json.dumps({
+        "kind": kind,
+        "meta": meta,
+        "arrays": [[name, arr.dtype.str, list(arr.shape)] for name, arr in arrays.items()],
+    }).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
+        f.write(header)
+        for arr in arrays.values():
+            f.write(memoryview(arr.reshape(-1)).cast("B"))
 
 
-def write_f64(f: BinaryIO, value: float) -> None:
-    f.write(struct.pack("<d", value))
+def load(path: str, kind: str, build: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
+    """Read a container of `kind` and return build(meta, arrays).
 
-
-def write_f64_array(f: BinaryIO, arr: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def write_i64_array(f: BinaryIO, arr: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
-
-
-def write_i32_array(f: BinaryIO, arr: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(arr, dtype="<i4").tobytes())
-
-
-def write_str(f: BinaryIO, text: str) -> None:
-    payload = text.encode("utf-8")
-    f.write(struct.pack("<I", len(payload)))
-    f.write(payload)
-
-
-def _read_exact(f: BinaryIO, count: int, path: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise BadArtifact(path, f"truncated: wanted {count} bytes, got {len(data)}")
-    return data
-
-
-def read_u16(f: BinaryIO, path: str) -> int:
-    return struct.unpack("<H", _read_exact(f, 2, path))[0]
-
-
-def read_u8(f: BinaryIO, path: str) -> int:
-    return struct.unpack("<B", _read_exact(f, 1, path))[0]
-
-
-def read_u64(f: BinaryIO, path: str) -> int:
-    return struct.unpack("<Q", _read_exact(f, 8, path))[0]
-
-
-def read_i64(f: BinaryIO, path: str) -> int:
-    return struct.unpack("<q", _read_exact(f, 8, path))[0]
-
-
-def read_f64(f: BinaryIO, path: str) -> float:
-    return struct.unpack("<d", _read_exact(f, 8, path))[0]
-
-
-def read_f64_array(f: BinaryIO, shape: tuple[int, ...], path: str) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    data = _read_exact(f, 8 * count, path)
-    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-def read_f64_into(f: BinaryIO, arr: np.ndarray, path: str) -> None:
-    """Fill a C-contiguous float64 array straight from the file, no copy."""
-    view = memoryview(arr).cast("B")
-    got = f.readinto(view)
-    if got != view.nbytes:
-        raise BadArtifact(path, f"truncated: wanted {view.nbytes} bytes, got {got}")
-    if sys.byteorder != "little":
-        arr.byteswap(inplace=True)
-
-
-def read_i64_array(f: BinaryIO, count: int, path: str) -> np.ndarray:
-    data = _read_exact(f, 8 * count, path)
-    return np.frombuffer(data, dtype="<i8").astype(np.int64)
-
-
-def read_i32_array(f: BinaryIO, count: int, path: str) -> np.ndarray:
-    data = _read_exact(f, 4 * count, path)
-    return np.frombuffer(data, dtype="<i4").astype(np.int32)
-
-
-def read_str(f: BinaryIO, path: str) -> str:
-    length = struct.unpack("<I", _read_exact(f, 4, path))[0]
-    return _read_exact(f, length, path).decode("utf-8")
-
-
-def expect_magic(f: BinaryIO, magic: bytes, path: str) -> None:
-    got = f.read(len(magic))
-    if got != magic:
-        raise BadArtifact(path, f"bad magic {got!r}, expected {magic!r}")
+    Raises BadArtifact on a wrong magic, version or kind, a malformed or
+    truncated file, or contents that `build` cannot assemble."""
+    with open(path, "rb") as f:
+        prefix = f.read(_PREFIX.size)
+        if len(prefix) != _PREFIX.size:
+            raise BadArtifact(path, "truncated: no container header")
+        magic, version, length = _PREFIX.unpack(prefix)
+        if magic != MAGIC:
+            raise BadArtifact(path, f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise BadArtifact(path, f"unsupported container version {version}")
+        # sizes are checked against the file before anything is allocated
+        size = os.fstat(f.fileno()).st_size
+        if _PREFIX.size + length > size:
+            raise BadArtifact(path, f"truncated: header wants {length} bytes, "
+                                    f"file holds {size - _PREFIX.size}")
+        raw = f.read(length)
+        try:
+            header = json.loads(raw)
+            got_kind, meta = header["kind"], header["meta"]
+            specs = [(str(name), dtype, tuple(shape)) for name, dtype, shape in header["arrays"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadArtifact(path, f"bad container header: {exc}") from exc
+        if got_kind != kind:
+            raise BadArtifact(path, f"holds a {got_kind!r} artifact, expected {kind!r}")
+        for name, dtype, shape in specs:
+            if dtype not in _DTYPES or not all(type(d) is int and d >= 0 for d in shape):
+                raise BadArtifact(path, f"array {name!r}: bad dtype {dtype!r} or shape {shape}")
+        body = sum(math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in specs)
+        have = size - f.tell()
+        if have != body:
+            raise BadArtifact(path, f"truncated or padded: arrays want {body} bytes, "
+                                    f"file holds {have}")
+        arrays = {}
+        for name, dtype, shape in specs:
+            arr = np.empty(shape, dtype=np.dtype(dtype).newbyteorder("="))
+            view = memoryview(arr.reshape(-1)).cast("B")
+            got = f.readinto(view)
+            if got != view.nbytes:
+                raise BadArtifact(path, f"truncated: array {name!r} wants {view.nbytes} "
+                                        f"bytes, got {got}")
+            if sys.byteorder != "little":
+                arr.byteswap(inplace=True)
+            arrays[name] = arr
+    try:
+        return build(meta, arrays)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise BadArtifact(path, f"malformed {kind} artifact: {exc!r}") from exc

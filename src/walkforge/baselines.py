@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _binio
-from .errors import (
-    BadArtifact,
-    ConfigError,
-    DataError,
-    DimensionMismatch,
-    NonFiniteInput,
-)
-from .nets import _NET_MAGIC, _NET_VERSION, TAG_LINEAR, TAG_SVR
+from .errors import ConfigError, DataError, DimensionMismatch, NonFiniteInput
 
 
 @dataclass(frozen=True)
@@ -315,73 +308,24 @@ def predict_svr(model: SvrModel, x: np.ndarray) -> np.ndarray | float:
 
 
 def save_linear(model: LinearModel, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(_NET_MAGIC)
-        _binio.write_u16(f, _NET_VERSION)
-        _binio.write_u8(f, TAG_LINEAR)
-        _binio.write_u64(f, len(model.weights))
-        _binio.write_f64_array(f, model.weights)
-        _binio.write_f64(f, model.bias)
+    _binio.save(path, "linear", {"bias": float(model.bias)}, {"weights": model.weights})
 
 
 def load_linear(path: str) -> LinearModel:
-    with open(path, "rb") as f:
-        _binio.expect_magic(f, _NET_MAGIC, path)
-        version = _binio.read_u16(f, path)
-        if version != _NET_VERSION:
-            raise BadArtifact(path, f"unsupported model version {version}")
-        tag = _binio.read_u8(f, path)
-        if tag != TAG_LINEAR:
-            raise BadArtifact(path, f"not a linear-model checkpoint (tag {tag})")
-        p = _binio.read_u64(f, path)
-        weights = _binio.read_f64_array(f, (p,), path)
-        bias = _binio.read_f64(f, path)
-    return LinearModel(weights=weights, bias=bias)
+    return _binio.load(path, "linear", lambda meta, arrays: LinearModel(
+        weights=arrays["weights"], bias=float(meta["bias"])))
 
 
 def save_svr(model: SvrModel, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(_NET_MAGIC)
-        _binio.write_u16(f, _NET_VERSION)
-        _binio.write_u8(f, TAG_SVR)
-        s, p = model.support_vectors.shape
-        _binio.write_u64(f, s)
-        _binio.write_u64(f, p)
-        _binio.write_f64_array(f, model.support_vectors)
-        _binio.write_f64_array(f, model.dual_coef)
-        _binio.write_i64_array(f, model.support_idx)
-        _binio.write_f64(f, model.bias)
-        _binio.write_f64(f, model.gamma)
-        _binio.write_f64(f, model.c)
-        _binio.write_f64(f, model.epsilon)
-        _binio.write_u8(f, int(model.converged))
-        _binio.write_u64(f, model.iterations)
-        _binio.write_f64(f, model.dual_objective)
+    meta = {
+        "bias": float(model.bias), "gamma": float(model.gamma), "c": float(model.c),
+        "epsilon": float(model.epsilon), "converged": bool(model.converged),
+        "iterations": int(model.iterations), "dual_objective": float(model.dual_objective),
+    }
+    arrays = {"support_vectors": model.support_vectors, "dual_coef": model.dual_coef,
+              "support_idx": model.support_idx}
+    _binio.save(path, "svr", meta, arrays)
 
 
 def load_svr(path: str) -> SvrModel:
-    with open(path, "rb") as f:
-        _binio.expect_magic(f, _NET_MAGIC, path)
-        version = _binio.read_u16(f, path)
-        if version != _NET_VERSION:
-            raise BadArtifact(path, f"unsupported model version {version}")
-        tag = _binio.read_u8(f, path)
-        if tag != TAG_SVR:
-            raise BadArtifact(path, f"not an svr checkpoint (tag {tag})")
-        s = _binio.read_u64(f, path)
-        p = _binio.read_u64(f, path)
-        support = _binio.read_f64_array(f, (s, p), path)
-        coef = _binio.read_f64_array(f, (s,), path)
-        idx = _binio.read_i64_array(f, s, path)
-        bias = _binio.read_f64(f, path)
-        gamma = _binio.read_f64(f, path)
-        c = _binio.read_f64(f, path)
-        epsilon = _binio.read_f64(f, path)
-        converged = bool(_binio.read_u8(f, path))
-        iterations = _binio.read_u64(f, path)
-        objective = _binio.read_f64(f, path)
-    return SvrModel(
-        support_vectors=support, dual_coef=coef, bias=bias, gamma=gamma,
-        c=c, epsilon=epsilon, support_idx=idx, converged=converged,
-        iterations=iterations, dual_objective=objective,
-    )
+    return _binio.load(path, "svr", lambda meta, arrays: SvrModel(**meta, **arrays))

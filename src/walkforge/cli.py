@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, DataError, NumericError
-from .pipeline import STAGES, build_config, parse_config_file
+from .pipeline import FIELD_PARSERS, STAGES, RunConfig, build_config, parse_config_file
 
 _EXIT_CONFIG = 2
 _EXIT_DATA = 3
@@ -20,53 +21,17 @@ _EXIT_NUMERIC = 4
 
 
 def _add_flags(parser: argparse.ArgumentParser) -> None:
-    add = parser.add_argument
-    add("--config", help="flat key=value config file; flags override it")
-    add("--out", help="output directory for artifacts (default: out)")
-    add("--seed", type=int, help="master seed; WALKFORGE_SEED is the fallback")
-    add("--csv", help="input CSV path")
-    add("--synthetic", type=int, metavar="N", help="generate N synthetic rows")
-    add("--model", choices=["lr", "svr", "lstm", "proposed", "all"],
-        help="which model(s) to train and evaluate")
-    add("--chart", action="store_const", const=True, help="also write chart.svg")
-
-    add("--fill-cap", dest="fill_cap", type=int, help="max consecutive missing days to fill")
-    add("--windows", help="indicator windows, e.g. 7,30,90")
-    add("--trees", type=int, help="forest size for feature ranking")
-    add("--min-samples-leaf", dest="min_samples_leaf", type=int)
-    add("--mtry", type=int, help="features tried per split (default: ceil(p/3))")
-    add("--max-depth", dest="max_depth", type=int, help="tree depth cap (default: none)")
-    add("--k", type=int, help="number of features to keep")
-
-    add("--train-len", dest="train_len", type=int)
-    add("--test-len", dest="test_len", type=int)
-    add("--stride", type=int)
-    add("--lookback", type=int, help="input window length L")
-
-    add("--h1", type=int, help="first recurrent layer width")
-    add("--h2", type=int, help="second recurrent layer width")
-    add("--dropout", type=float)
-    add("--epochs", type=int)
-    add("--batch-size", dest="batch_size", type=int)
-    add("--learning-rate", dest="learning_rate", type=float)
-    add("--beta1", type=float)
-    add("--beta2", type=float)
-    add("--adam-eps", dest="adam_eps", type=float)
-    add("--clip-norm", dest="clip_norm", type=float)
-
-    add("--svr-c", dest="svr_c", type=float)
-    add("--svr-epsilon", dest="svr_epsilon", type=float)
-    add("--svr-gamma", dest="svr_gamma", type=float, help="default: 1/(L*F)")
-    add("--svr-tol", dest="svr_tol", type=float)
-    add("--svr-max-iter", dest="svr_max_iter", type=int)
-
-    add("--start-price", dest="start_price", type=float)
-    add("--drift", type=float)
-    add("--volatility", type=float)
-    add("--quote-noise", dest="quote_noise", type=float)
-    add("--spread", type=float)
-    add("--aux-coupling", dest="aux_coupling", type=float)
-    add("--aux-noise", dest="aux_noise", type=float)
+    """--config, then one --kebab-case flag per RunConfig field, parsed by
+    the same per-type parser that reads config-file values."""
+    parser.add_argument("--config", help="flat key=value config file; flags override it")
+    for field in fields(RunConfig):
+        default = field.default
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        # nargs="?" lets a bare boolean flag mean true; other types need a value
+        bare = {"nargs": "?", "const": True} if field.type == "bool" else {}
+        parser.add_argument("--" + field.name.replace("_", "-"), type=FIELD_PARSERS[field.name],
+                            help=f"default: {default}", **bare)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,12 +65,6 @@ def main(argv: list[str] | None = None) -> int:
 
     flag_values = {key: value for key, value in vars(args).items()
                    if key not in ("command", "config")}
-    if args.windows is not None:
-        try:
-            flag_values["windows"] = tuple(int(w) for w in args.windows.split(","))
-        except ValueError:
-            print(f"error: bad --windows value {args.windows!r}", file=sys.stderr)
-            return _EXIT_CONFIG
 
     try:
         file_values = parse_config_file(args.config) if args.config else {}

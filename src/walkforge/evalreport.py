@@ -12,12 +12,11 @@ are documentation for the report reader, never assertions.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyGroup, RangeTooShort, ZeroActual
+from .errors import DataError, EmptyGroup, ZeroActual
 
 METRIC_NAMES = ("rmse", "mae", "mape")
 MODEL_ORDER = ("lr", "svr", "lstm", "proposed", "persistence")
@@ -69,16 +68,17 @@ def batch_metrics(model: str, batch: int, split: str,
                         rmse=rmse, mae=mae, mape=mape)
 
 
-def persistence_baseline(close: np.ndarray, start: int, end: int,
+def persistence_baseline(close: np.ndarray, anchors: np.ndarray,
                          batch: int = 0, split: str = "test") -> BatchMetrics:
-    """Tomorrow's close = today's close, scored over rows start+1..end-1."""
+    """Tomorrow's close = today's close: close[anchors] predicts
+    close[anchors + 1], the rows a SampleSet with these anchors scores."""
     close = np.asarray(close, dtype=np.float64)
-    if not (0 <= start < end <= len(close)):
-        raise DataError(f"range [{start}, {end}) out of bounds for {len(close)} rows")
-    if end - start < 2:
-        raise RangeTooShort(end - start, 2)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    if anchors.size and not (0 <= anchors.min() and anchors.max() + 1 < len(close)):
+        raise DataError(f"anchors {anchors.min()}..{anchors.max()} out of bounds "
+                        f"for {len(close)} rows")
     return batch_metrics("persistence", batch, split,
-                         predictions=close[start:end - 1], actual=close[start + 1:end])
+                         predictions=close[anchors], actual=close[anchors + 1])
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ PUBLISHED_REFERENCE = {
 }
 
 
-def report_to_json(report: EvaluationReport, config: dict, reference: bool = True) -> str:
+def report_to_json(report: EvaluationReport, config: dict) -> str:
     """Deterministic JSON: config block, per-batch runs, aggregates, and the
     labeled published reference values."""
     blob: dict = {
@@ -164,28 +164,9 @@ def report_to_json(report: EvaluationReport, config: dict, reference: bool = Tru
             for r in report.runs
         ],
         "aggregates": {"mean": report.mean, "median": report.median},
+        "reference": PUBLISHED_REFERENCE,
     }
-    if reference:
-        blob["reference"] = PUBLISHED_REFERENCE
     return json.dumps(blob, indent=2)
-
-
-def report_from_json(text: str) -> tuple[EvaluationReport, dict]:
-    try:
-        blob = json.loads(text)
-        runs = [
-            BatchMetrics(model=r["model"], batch=r["batch"], split=r["split"],
-                         rmse=r["rmse"], mae=r["mae"], mape=r["mape"])
-            for r in blob["runs"]
-        ]
-        report = EvaluationReport(
-            runs=tuple(runs),
-            mean=blob["aggregates"]["mean"],
-            median=blob["aggregates"]["median"],
-        )
-        return report, blob.get("config", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad report JSON: {exc}") from exc
 
 
 def render_table(report: EvaluationReport) -> str:

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _binio
-from .errors import BadArtifact, ConfigError, DataError, DimensionMismatch, KTooLarge
-
-_FOREST_MAGIC = b"WFRF"
-_FOREST_VERSION = 1
+from .errors import ConfigError, DataError, DimensionMismatch, KTooLarge
 
 
 @dataclass(frozen=True)
@@ -210,33 +206,6 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig) -> Forest:
                   config=config, degenerate_target=degenerate)
 
 
-def _tree_predict(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    node = np.zeros(len(x), dtype=np.int32)
-    active = tree.feature[node] >= 0
-    while active.any():
-        rows = np.nonzero(active)[0]
-        cur = node[rows]
-        go_left = x[rows, tree.feature[cur]] <= tree.threshold[cur]
-        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
-        active[rows] = tree.feature[node[rows]] >= 0
-    return tree.value[node]
-
-
-def predict(forest: Forest, x: np.ndarray) -> np.ndarray | float:
-    """Mean of the per-tree leaf values; accepts one row or a matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != forest.n_features:
-        raise DimensionMismatch(forest.n_features, x.shape[-1] if x.ndim else 0)
-    out = np.zeros(len(x))
-    for tree in forest.trees:
-        out += _tree_predict(tree, x)
-    out /= len(forest.trees)
-    return float(out[0]) if single else out
-
-
 @dataclass(frozen=True)
 class ImportanceRanking:
     names: tuple[str, ...]
@@ -271,66 +240,3 @@ def top_k(ranking: ImportanceRanking, k: int) -> list[str]:
     if not (1 <= k <= len(ranking.names)):
         raise KTooLarge(k, len(ranking.names))
     return [ranking.names[j] for j in ranking.order[:k]]
-
-
-def save_forest(forest: Forest, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(_FOREST_MAGIC)
-        _binio.write_u16(f, _FOREST_VERSION)
-        cfg = forest.config
-        _binio.write_i64(f, cfg.seed)
-        _binio.write_u64(f, cfg.n_trees)
-        _binio.write_i64(f, -1 if cfg.max_depth is None else cfg.max_depth)
-        _binio.write_u64(f, cfg.min_samples_leaf)
-        _binio.write_i64(f, -1 if cfg.mtry is None else cfg.mtry)
-        _binio.write_u64(f, forest.n_features)
-        _binio.write_u64(f, forest.n_samples)
-        _binio.write_u8(f, int(forest.degenerate_target))
-        for tree in forest.trees:
-            _binio.write_u64(f, tree.node_count)
-            _binio.write_i32_array(f, tree.feature)
-            _binio.write_f64_array(f, tree.threshold)
-            _binio.write_i32_array(f, tree.left)
-            _binio.write_i32_array(f, tree.right)
-            _binio.write_f64_array(f, tree.value)
-            _binio.write_i64_array(f, tree.n_samples)
-            _binio.write_f64_array(f, tree.decrease)
-
-
-def load_forest(path: str) -> Forest:
-    with open(path, "rb") as f:
-        _binio.expect_magic(f, _FOREST_MAGIC, path)
-        version = _binio.read_u16(f, path)
-        if version != _FOREST_VERSION:
-            raise BadArtifact(path, f"unsupported forest version {version}")
-        seed = _binio.read_i64(f, path)
-        n_trees = _binio.read_u64(f, path)
-        max_depth = _binio.read_i64(f, path)
-        min_leaf = _binio.read_u64(f, path)
-        mtry = _binio.read_i64(f, path)
-        config = ForestConfig(
-            seed=seed,
-            n_trees=n_trees,
-            max_depth=None if max_depth < 0 else max_depth,
-            min_samples_leaf=min_leaf,
-            mtry=None if mtry < 0 else mtry,
-        )
-        n_features = _binio.read_u64(f, path)
-        n_samples = _binio.read_u64(f, path)
-        degenerate = bool(_binio.read_u8(f, path))
-        trees = []
-        for _ in range(n_trees):
-            count = _binio.read_u64(f, path)
-            trees.append(
-                RegressionTree(
-                    feature=_binio.read_i32_array(f, count, path),
-                    threshold=_binio.read_f64_array(f, (count,), path),
-                    left=_binio.read_i32_array(f, count, path),
-                    right=_binio.read_i32_array(f, count, path),
-                    value=_binio.read_f64_array(f, (count,), path),
-                    n_samples=_binio.read_i64_array(f, count, path),
-                    decrease=_binio.read_f64_array(f, (count,), path),
-                )
-            )
-    return Forest(trees=tuple(trees), n_features=n_features, n_samples=n_samples,
-                  config=config, degenerate_target=degenerate)

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _binio
-from .errors import BadArtifact, DataError, InvalidSpec, SeriesTooShort, ZeroDenominator
+from .errors import DataError, InvalidSpec, SeriesTooShort, ZeroDenominator
 from .ingest import RawSeries
 
 KINDS = (
@@ -34,9 +34,6 @@ KINDS = (
 )
 
 DEFAULT_WINDOWS = (7, 30, 90)
-
-_CACHE_MAGIC = b"WFFM"
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -255,40 +252,18 @@ def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) 
 
 
 def save_cache(matrix: FeatureMatrix, path: str) -> None:
-    """Binary cache: WFFM magic, u16 version, u64 n, u64 p, then the matrix
-    row-major as little-endian f64; dates, valid_from, usable_from, and the
-    newline-joined names follow as self-description."""
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        _binio.write_u16(f, _CACHE_VERSION)
-        _binio.write_u64(f, matrix.n)
-        _binio.write_u64(f, matrix.p)
-        _binio.write_f64_array(f, matrix.values)
-        _binio.write_i64_array(f, matrix.dates)
-        _binio.write_i64_array(f, matrix.valid_from)
-        _binio.write_u64(f, matrix.usable_from)
-        _binio.write_str(f, "\n".join(matrix.names))
+    """The matrix, dates and per-column valid_from as arrays; the names and
+    usable_from as metadata. NaN warm-up entries are stored as they are."""
+    meta = {"names": list(matrix.names), "usable_from": int(matrix.usable_from)}
+    arrays = {"values": matrix.values, "dates": matrix.dates, "valid_from": matrix.valid_from}
+    _binio.save(path, "features", meta, arrays)
 
 
 def load_cache(path: str) -> FeatureMatrix:
-    with open(path, "rb") as f:
-        _binio.expect_magic(f, _CACHE_MAGIC, path)
-        version = _binio.read_u16(f, path)
-        if version != _CACHE_VERSION:
-            raise BadArtifact(path, f"unsupported cache version {version}")
-        n = _binio.read_u64(f, path)
-        p = _binio.read_u64(f, path)
-        values = _binio.read_f64_array(f, (n, p), path)
-        dates = _binio.read_i64_array(f, n, path)
-        valid_from = _binio.read_i64_array(f, p, path)
-        usable_from = _binio.read_u64(f, path)
-        names = tuple(_binio.read_str(f, path).split("\n"))
-    if len(names) != p:
-        raise BadArtifact(path, f"{len(names)} names for {p} columns")
-    return FeatureMatrix(
-        names=names,
-        dates=dates,
-        values=values,
-        valid_from=valid_from,
-        usable_from=int(usable_from),
-    )
+    def build(meta: dict, arrays: dict[str, np.ndarray]) -> FeatureMatrix:
+        names = tuple(meta["names"])
+        if len(names) != arrays["values"].shape[1]:
+            raise ValueError(f"{len(names)} names for {arrays['values'].shape[1]} columns")
+        return FeatureMatrix(names=names, usable_from=int(meta["usable_from"]), **arrays)
+
+    return _binio.load(path, "features", build)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import _binio
 from .errors import (
-    BadArtifact,
     ConfigError,
     DataError,
     DivergedLoss,
@@ -31,14 +30,6 @@ from .errors import (
     ShapeMismatch,
     StaleCache,
 )
-
-_NET_MAGIC = b"WFNN"
-_NET_VERSION = 2
-TAG_BILSTM = 1
-TAG_LSTM = 2
-TAG_LINEAR = 3
-TAG_SVR = 4
-
 
 @dataclass
 class LstmParams:
@@ -228,47 +219,26 @@ def build_network(
     bidirectional: bool = True,
     seed: int = 0,
 ) -> BiLstmNetwork:
-    return _assemble(input_dim, hidden1, hidden2, dropout_rate, bidirectional,
-                     np.random.default_rng(seed))
-
-
-def _assemble(
-    input_dim: int,
-    hidden1: int,
-    hidden2: int,
-    dropout_rate: float,
-    bidirectional: bool,
-    rng: np.random.Generator | None,
-) -> BiLstmNetwork:
-    """A network initialized from rng, or with its arrays left unfilled when
-    rng is None, for a checkpoint to overwrite."""
     if input_dim < 1 or hidden1 < 1 or hidden2 < 1:
         raise ConfigError(
             f"widths must be positive, got input={input_dim}, h1={hidden1}, h2={hidden2}"
         )
     if not (0.0 <= dropout_rate < 1.0):
         raise ConfigError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+    rng = np.random.default_rng(seed)
     width1 = 2 * hidden1 if bidirectional else hidden1
     dense_in = 2 * hidden2 if bidirectional else hidden2
-
-    def layer(hidden: int, width: int) -> LstmParams:
-        if rng is None:
-            return LstmParams(w_x=np.empty((4 * hidden, width)),
-                              w_a=np.empty((4 * hidden, hidden)), b=np.empty(4 * hidden))
-        return init_lstm_params(hidden, width, rng)
-
-    layer1_fwd = layer(hidden1, input_dim)
-    layer1_bwd = layer(hidden1, input_dim) if bidirectional else None
-    layer2_fwd = layer(hidden2, width1)
-    layer2_bwd = layer(hidden2, width1) if bidirectional else None
+    layer1_fwd = init_lstm_params(hidden1, input_dim, rng)
+    layer1_bwd = init_lstm_params(hidden1, input_dim, rng) if bidirectional else None
+    layer2_fwd = init_lstm_params(hidden2, width1, rng)
+    layer2_bwd = init_lstm_params(hidden2, width1, rng) if bidirectional else None
     bound = 1.0 / math.sqrt(dense_in)
     return BiLstmNetwork(
         layer1_fwd=layer1_fwd,
         layer1_bwd=layer1_bwd,
         layer2_fwd=layer2_fwd,
         layer2_bwd=layer2_bwd,
-        dense_w=(np.empty(dense_in) if rng is None
-                 else rng.uniform(-bound, bound, size=dense_in)),
+        dense_w=rng.uniform(-bound, bound, size=dense_in),
         dense_b=np.zeros(1),
         dropout_rate=dropout_rate,
     )
@@ -548,33 +518,27 @@ def save_losses(losses: list[float], path: str) -> None:
 
 
 def save_network(net: BiLstmNetwork, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(_NET_MAGIC)
-        _binio.write_u16(f, _NET_VERSION)
-        _binio.write_u8(f, TAG_BILSTM if net.bidirectional else TAG_LSTM)
-        _binio.write_u64(f, net.input_dim)
-        _binio.write_u64(f, net.hidden1)
-        _binio.write_u64(f, net.hidden2)
-        _binio.write_f64(f, net.dropout_rate)
-        for arr in net.param_dict().values():
-            _binio.write_f64_array(f, arr)
+    _binio.save(path, "network", {"dropout_rate": net.dropout_rate}, net.param_dict())
 
 
 def load_network(path: str) -> BiLstmNetwork:
-    with open(path, "rb") as f:
-        _binio.expect_magic(f, _NET_MAGIC, path)
-        version = _binio.read_u16(f, path)
-        if version != _NET_VERSION:
-            raise BadArtifact(path, f"unsupported network version {version}")
-        tag = _binio.read_u8(f, path)
-        if tag not in (TAG_BILSTM, TAG_LSTM):
-            raise BadArtifact(path, f"not a recurrent-network checkpoint (tag {tag})")
-        input_dim = _binio.read_u64(f, path)
-        hidden1 = _binio.read_u64(f, path)
-        hidden2 = _binio.read_u64(f, path)
-        dropout_rate = _binio.read_f64(f, path)
-        net = _assemble(input_dim, hidden1, hidden2, dropout_rate,
-                        bidirectional=(tag == TAG_BILSTM), rng=None)
-        for arr in net.param_dict().values():
-            _binio.read_f64_into(f, arr, path)
-    return net
+    """Inverse of save_network; the arrays read from the file become the
+    network's parameters, so no initial weights are drawn."""
+
+    def build(meta: dict, params: dict[str, np.ndarray]) -> BiLstmNetwork:
+        def cell(prefix: str) -> LstmParams:
+            return LstmParams(w_x=params[f"{prefix}.w_x"], w_a=params[f"{prefix}.w_a"],
+                              b=params[f"{prefix}.b"])
+
+        bidirectional = "l1b.b" in params
+        return BiLstmNetwork(
+            layer1_fwd=cell("l1f"),
+            layer1_bwd=cell("l1b") if bidirectional else None,
+            layer2_fwd=cell("l2f"),
+            layer2_bwd=cell("l2b") if bidirectional else None,
+            dense_w=params["dense.w"],
+            dense_b=params["dense.b"],
+            dropout_rate=float(meta["dropout_rate"]),
+        )
+
+    return _binio.load(path, "network", build)

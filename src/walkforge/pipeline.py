@@ -16,9 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import baselines, evalreport, forest, indicators, ingest, nets, scaling, splitter
-from ._binio import expect_magic, read_u16, read_u8
 from .errors import DataError, InvalidConfig
-from .nets import TAG_BILSTM, TAG_LINEAR, TAG_LSTM, TAG_SVR, _NET_MAGIC
 
 MODEL_CHOICES = ("lr", "svr", "lstm", "proposed")
 _SEED_STRIDE = 1009  # distinct deterministic seeds per (model, batch)
@@ -115,10 +113,27 @@ class RunConfig:
         return block
 
 
+def boolean(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes"):
+        return True
+    if text.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
+# One parser per annotation; `T | None` fields parse as T.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": boolean,
+            "tuple[int, ...]": int_list}
+FIELD_PARSERS = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments ignored."""
     values: dict[str, str] = {}
-    known = {f.name for f in fields(RunConfig)}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -128,33 +143,17 @@ def parse_config_file(path: str) -> dict[str, str]:
                 raise InvalidConfig(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in FIELD_PARSERS:
                 raise InvalidConfig(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
 def _coerce(name: str, text: str):
-    hints = {f.name: f for f in fields(RunConfig)}
-    if name not in hints:
+    if name not in FIELD_PARSERS:
         raise InvalidConfig(f"unknown config key {name!r}")
     try:
-        if name == "windows":
-            return tuple(int(part) for part in text.split(",") if part.strip())
-        if name == "chart":
-            if text.lower() in ("1", "true", "yes"):
-                return True
-            if text.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if name in ("csv", "out", "model"):
-            return text
-        if name in ("dropout", "learning_rate", "beta1", "beta2", "adam_eps",
-                    "clip_norm", "svr_c", "svr_epsilon", "svr_gamma", "svr_tol",
-                    "start_price", "drift", "volatility", "quote_noise",
-                    "spread", "aux_coupling", "aux_noise"):
-            return float(text)
-        return int(text)
+        return FIELD_PARSERS[name](text)
     except ValueError as exc:
         raise InvalidConfig(f"bad value for {name}: {text!r} ({exc})") from exc
 
@@ -354,18 +353,12 @@ def stage_train(cfg: RunConfig) -> list[str]:
     return paths
 
 
-def _load_model(path: str):
-    with open(path, "rb") as f:
-        expect_magic(f, _NET_MAGIC, path)
-        read_u16(f, path)
-        tag = read_u8(f, path)
-    if tag in (TAG_BILSTM, TAG_LSTM):
-        return nets.load_network(path)
-    if tag == TAG_LINEAR:
+def _load_model(model_name: str, path: str):
+    if model_name == "lr":
         return baselines.load_linear(path)
-    if tag == TAG_SVR:
+    if model_name == "svr":
         return baselines.load_svr(path)
-    raise DataError(f"{path}: unknown model tag {tag}")
+    return nets.load_network(path)
 
 
 def _predict(model, sample_set: splitter.SampleSet) -> np.ndarray:
@@ -401,7 +394,7 @@ def stage_evaluate(cfg: RunConfig) -> str:
             "preds": {},
         }
         for model_name in cfg.models:
-            model = _load_model(_require(
+            model = _load_model(model_name, _require(
                 cfg, os.path.join("models", f"{model_name}_b{batch.index}.bin"), "train"))
             for split, sample_set in (("train", data.train_set), ("test", data.test_set)):
                 preds = _to_usd(_predict(model, sample_set), data.close_params)
@@ -410,10 +403,9 @@ def stage_evaluate(cfg: RunConfig) -> str:
                     model_name, batch.index, split, preds, actual))
                 if split == "test":
                     row_block["preds"][model_name] = preds
-        runs.append(evalreport.persistence_baseline(
-            usd, batch.train_start, batch.train_end, batch.index, "train"))
-        runs.append(evalreport.persistence_baseline(
-            usd, batch.test_start - 1, batch.test_end, batch.index, "test"))
+        for split, sample_set in (("train", data.train_set), ("test", data.test_set)):
+            runs.append(evalreport.persistence_baseline(
+                usd, sample_set.anchors, batch.index, split))
         test_rows[batch.index] = row_block
 
     path = _path(cfg, "metrics.json")

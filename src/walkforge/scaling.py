@@ -7,7 +7,6 @@ applied to every row, so test rows never leak into the fit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,25 +61,3 @@ def transform(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
 
 def inverse_transform(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
     return _check_width(matrix, params) * params.scale + params.center
-
-
-def to_json(params: ScalerParams) -> str:
-    return json.dumps(
-        {
-            "columns": list(params.columns),
-            "center": [float(v) for v in params.center],
-            "scale": [float(v) for v in params.scale],
-        }
-    )
-
-
-def from_json(text: str) -> ScalerParams:
-    try:
-        blob = json.loads(text)
-        return ScalerParams(
-            columns=tuple(blob["columns"]),
-            center=np.asarray(blob["center"], dtype=np.float64),
-            scale=np.asarray(blob["scale"], dtype=np.float64),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad scaler JSON: {exc}") from exc

@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes (0 ok, 2 config, 3 data, 4 numeric),
 printed artifact paths, and flag/config-file/environment precedence."""
 
+import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -214,3 +216,57 @@ class TestSeedPrecedence:
         assert cli.main(["synth", *flags(b)]) == 0
         capsys.readouterr()
         assert self.read_raw(a) == self.read_raw(b)
+
+
+class TestGeneratedFlags:
+    def stage_flags(self):
+        """Option strings of one subcommand's parser, minus help and --config."""
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        parser = sub.choices["train"]
+        return [s for a in parser._actions for s in a.option_strings
+                if s not in ("-h", "--help", "--config")]
+
+    def test_one_flag_per_run_config_field(self):
+        names = [f.name for f in dataclasses.fields(pipeline.RunConfig)]
+        assert sorted(self.stage_flags()) == sorted(
+            "--" + name.replace("_", "-") for name in names)
+
+    # one value of every annotation type, as text, in flag and file form
+    VALUES = {"trees": "9", "mtry": "4", "dropout": "0.375", "svr_gamma": "1e-300",
+              "model": "svr", "csv": "in.csv", "chart": "true", "windows": "5,11"}
+
+    def test_every_annotation_type_is_covered(self):
+        types = {f.type for f in dataclasses.fields(pipeline.RunConfig)}
+        covered = {f.type for f in dataclasses.fields(pipeline.RunConfig)
+                   if f.name in self.VALUES}
+        assert covered == types
+
+    def test_flag_and_config_file_give_equal_configs(self, tmp_path):
+        argv = []
+        for name, text in self.VALUES.items():
+            argv += ["--" + name.replace("_", "-"), text]
+        args = cli.build_parser().parse_args(["train", *argv])
+        flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        from_flags = pipeline.build_config({}, flag_values)
+
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{name} = {text}\n" for name, text in self.VALUES.items()))
+        from_file = pipeline.build_config(pipeline.parse_config_file(str(path)), {})
+
+        assert from_flags == from_file
+        assert from_file.windows == (5, 11) and from_file.chart is True
+        assert from_file.svr_gamma == 1e-300 and from_file.mtry == 4
+
+    def test_bare_bool_flag_means_true(self):
+        args = cli.build_parser().parse_args(["report", "--chart"])
+        assert args.chart is True
+
+
+class TestCheckpointKind:
+    def test_evaluate_over_wrong_kind_exits_3(self, ran, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(ran, out)
+        shutil.copyfile(out / "features.wffm", out / "models" / "lr_b0.bin")
+        assert cli.main(["evaluate", *flags(out)]) == 3
+        err = capsys.readouterr().err
+        assert "lr_b0.bin" in err and "expected 'linear'" in err

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from walkforge.errors import DataError, EmptyGroup, RangeTooShort, ZeroActual
+from walkforge.errors import DataError, EmptyGroup, ZeroActual
 from walkforge.evalreport import (
     PUBLISHED_REFERENCE,
     BatchMetrics,
@@ -18,7 +18,6 @@ from walkforge.evalreport import (
     metrics,
     persistence_baseline,
     render_table,
-    report_from_json,
     report_to_json,
     save_runs,
     write_chart_svg,
@@ -104,7 +103,7 @@ class TestMetrics:
 
 class TestPersistence:
     def test_constant_series_is_perfectly_persistent(self):
-        run = persistence_baseline(np.full(50, 42.0), 10, 30)
+        run = persistence_baseline(np.full(50, 42.0), np.arange(10, 29))
         assert (run.rmse, run.mae, run.mape) == (0.0, 0.0, 0.0)
         assert run.model == "persistence"
 
@@ -112,13 +111,13 @@ class TestPersistence:
         # y_{t+1} = y_t (1+g): yesterday's value misses by exactly g/(1+g).
         g = 0.03
         close = 100.0 * (1.0 + g) ** np.arange(60)
-        run = persistence_baseline(close, 5, 55)
+        run = persistence_baseline(close, np.arange(5, 54))
         assert run.mape == pytest.approx(g / (1.0 + g), rel=1e-12)
 
     def test_equals_shifted_metrics(self):
         rng = np.random.default_rng(1)
         close = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(80)))
-        run = persistence_baseline(close, 20, 60, batch=4, split="train")
+        run = persistence_baseline(close, np.arange(20, 59), batch=4, split="train")
         rmse, mae, mape = metrics(close[20:59], close[21:60])
         assert (run.rmse, run.mae, run.mape) == (rmse, mae, mape)
         assert run.batch == 4
@@ -127,16 +126,18 @@ class TestPersistence:
     def test_random_walk_mape_is_mean_abs_return(self):
         rng = np.random.default_rng(2)
         close = 100.0 * np.exp(np.cumsum(0.02 * rng.standard_normal(40)))
-        run = persistence_baseline(close, 0, 40)
+        run = persistence_baseline(close, np.arange(39))
         returns = np.abs(close[:-1] - close[1:]) / close[1:]
         assert run.mape == pytest.approx(float(returns.mean()), rel=1e-12)
 
     def test_degenerate_ranges_rejected(self):
         close = np.ones(10)
-        with pytest.raises(RangeTooShort):
-            persistence_baseline(close, 3, 4)
         with pytest.raises(DataError):
-            persistence_baseline(close, 5, 12)
+            persistence_baseline(close, np.arange(0))
+        with pytest.raises(DataError):
+            persistence_baseline(close, np.arange(5, 10))
+        with pytest.raises(DataError):
+            persistence_baseline(close, np.arange(-1, 3))
 
 
 def run_of(model, batch, split, mape):
@@ -190,12 +191,10 @@ class TestReportJson:
 
     def test_round_trip(self):
         report = self.make_report()
-        text = report_to_json(report, {"seed": 7, "epochs": 30})
-        back, config = report_from_json(text)
-        assert config == {"seed": 7, "epochs": 30}
-        assert back.mean == report.mean
-        assert back.median == report.median
-        assert back.runs == report.runs
+        blob = json.loads(report_to_json(report, {"seed": 7, "epochs": 30}))
+        assert blob["config"] == {"seed": 7, "epochs": 30}
+        assert blob["aggregates"] == {"mean": report.mean, "median": report.median}
+        assert [BatchMetrics(**r) for r in blob["runs"]] == list(report.runs)
 
     def test_reference_block_is_labeled_not_asserted(self):
         blob = json.loads(report_to_json(self.make_report(), {}))
@@ -204,21 +203,11 @@ class TestReportJson:
         proposed = blob["reference"]["mean"]["proposed"]["test"]
         assert proposed == {"rmse": 450.3816, "mae": 334.6625, "mape": 0.0316}
 
-    def test_reference_block_can_be_omitted(self):
-        blob = json.loads(report_to_json(self.make_report(), {}, reference=False))
-        assert "reference" not in blob
-
     def test_reference_constant_has_all_four_models(self):
         for block in (PUBLISHED_REFERENCE["mean"], PUBLISHED_REFERENCE["median"]):
             assert set(block) == {"lr", "svr", "lstm", "proposed"}
             for model in block.values():
                 assert set(model) == {"train", "test"}
-
-    def test_bad_payload_rejected(self):
-        with pytest.raises(DataError):
-            report_from_json("{\"runs\": 5}")
-        with pytest.raises(DataError):
-            report_from_json("not json")
 
 
 class TestRenderTable:

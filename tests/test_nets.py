@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from walkforge import nets
+from walkforge import _binio, nets
 from walkforge.errors import (
     BadArtifact,
     ConfigError,
@@ -784,7 +784,7 @@ class TestSaveLoad:
                             bidirectional=bidirectional, seed=22)
         path = tmp_path / "net.bin"
         save_network(net, str(path))
-        assert struct.unpack("<H", path.read_bytes()[4:6])[0] == 2
+        assert path.read_bytes()[:6] == _binio.MAGIC + struct.pack("<H", _binio.VERSION)
         back = load_network(str(path))
         want_params, got_params = net.param_dict(), back.param_dict()
         assert list(got_params) == list(want_params)
@@ -797,12 +797,12 @@ class TestSaveLoad:
             np.testing.assert_array_equal(got, want)
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
-        # A v1 file stored eight per-gate arrays per direction; the header
-        # alone identifies it.
+        # A v1 file stored eight per-gate arrays per direction behind the old
+        # WFNN header; the magic alone rejects it.
         path = tmp_path / "net.bin"
         header = b"WFNN" + struct.pack("<HBQQQd", 1, 2, 3, 2, 2, 0.2)
         path.write_bytes(header + np.zeros(200).tobytes())
-        with pytest.raises(BadArtifact, match="version 1"):
+        with pytest.raises(BadArtifact, match="magic"):
             load_network(str(path))
 
     def test_truncated_checkpoint_rejected(self, tmp_path):

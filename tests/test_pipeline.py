@@ -283,10 +283,9 @@ class TestStagedRun:
 
     def test_checkpoint_types_round_trip(self, staged):
         models_dir = os.path.join(staged.out, "models")
-        lr = pipeline._load_model(os.path.join(models_dir, "lr_b0.bin"))
-        svr = pipeline._load_model(os.path.join(models_dir, "svr_b0.bin"))
-        lstm = pipeline._load_model(os.path.join(models_dir, "lstm_b0.bin"))
-        prop = pipeline._load_model(os.path.join(models_dir, "proposed_b0.bin"))
+        lr, svr, lstm, prop = (
+            pipeline._load_model(model, os.path.join(models_dir, f"{model}_b0.bin"))
+            for model in ("lr", "svr", "lstm", "proposed"))
         assert isinstance(lr, baselines.LinearModel)
         assert isinstance(svr, baselines.SvrModel)
         assert isinstance(lstm, nets.BiLstmNetwork) and not lstm.bidirectional
@@ -315,13 +314,24 @@ class TestStagedRun:
     def test_persistence_matches_direct_computation(self, staged):
         matrix = indicators.load_cache(os.path.join(staged.out, "features.wffm"))
         close = matrix.usable()[:, matrix.index_of("close")]
-        expected = evalreport.persistence_baseline(close, 99, 120, 1, "test")
+        expected = evalreport.persistence_baseline(close, np.arange(99, 119), 1, "test")
         runs = evalreport.load_runs(os.path.join(staged.out, "metrics.json"))
         got = [r for r in runs
                if r.model == "persistence" and r.batch == 1 and r.split == "test"]
         assert len(got) == 1
         assert got[0].rmse == pytest.approx(expected.rmse, rel=1e-12)
         assert got[0].mape == pytest.approx(expected.mape, rel=1e-12)
+
+    def test_persistence_scores_the_model_rows(self, staged):
+        # train_len 80, lookback 3: the models score rows 3..79 of batch 0's
+        # train split (anchors 2..78), and so must persistence
+        matrix = indicators.load_cache(os.path.join(staged.out, "features.wffm"))
+        close = matrix.usable()[:, matrix.index_of("close")]
+        expected = evalreport.persistence_baseline(close, np.arange(2, 79), 0, "train")
+        runs = evalreport.load_runs(os.path.join(staged.out, "metrics.json"))
+        got = [r for r in runs
+               if r.model == "persistence" and r.batch == 0 and r.split == "train"]
+        assert got == [expected]
 
     def test_predictions_csv_layout(self, staged):
         with open(os.path.join(staged.out, "predictions.csv")) as f:

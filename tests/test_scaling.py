@@ -8,9 +8,7 @@ from walkforge.errors import ColumnMismatch, DataError, EmptyRange
 from walkforge.scaling import (
     ScalerParams,
     fit,
-    from_json,
     inverse_transform,
-    to_json,
     transform,
 )
 
@@ -109,18 +107,3 @@ class TestTransform:
         params = fit(col([1, 2, 3]), slice(None), ("x",))
         with pytest.raises(ColumnMismatch):
             transform(np.zeros((4, 2)), params)
-
-
-class TestJson:
-    def test_round_trip_is_exact(self):
-        rng = np.random.default_rng(17)
-        data = rng.normal(size=(60, 3)) * [1.0, 1e-7, 1e7]
-        params = fit(data, slice(None), ("a", "b", "c"))
-        back = from_json(to_json(params))
-        assert back.columns == params.columns
-        np.testing.assert_array_equal(back.center, params.center)
-        np.testing.assert_array_equal(back.scale, params.scale)
-
-    def test_bad_payload_rejected(self):
-        with pytest.raises(DataError):
-            from_json("{\"columns\": [\"x\"]}")
