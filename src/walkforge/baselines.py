@@ -140,34 +140,44 @@ def _pair_delta(
     along this pair.
     """
     s = beta_i + beta_j
-    lo = max(-c, s - c)
-    hi = min(c, s + c)
+    # the box [lo, hi] and the kinks of epsilon|t| and epsilon|s - t|, in order
+    if s > 0.0:
+        lo, hi, kinks = s - c, c, (0.0, s)
+    elif s < 0.0:
+        lo, hi, kinks = -c, s + c, (s, 0.0)
+    else:
+        lo, hi, kinks = -c, c, (0.0,)
     if not lo < hi:
         return None
 
-    def delta(t: float) -> float:
-        step = t - beta_i
-        return (
-            0.5 * eta * step * step
-            + gd * step
-            + epsilon * (abs(t) - abs(beta_i))
-            + epsilon * (abs(s - t) - abs(beta_j))
-        )
-
-    candidates = {lo, hi}
-    breaks = sorted({lo, hi} | {b for b in (0.0, s) if lo < b < hi})
-    if eta > 0.0:
-        for left, right in zip(breaks[:-1], breaks[1:]):
+    # the minimum lies at an end, at a kink inside the box, or at the
+    # stationary point inside one segment between them; each is listed once
+    candidates = [lo, hi]
+    left = lo
+    for right in (*kinks, hi):
+        if not left < right <= hi:  # a kink outside (lo, hi]
+            continue
+        if right < hi:
+            candidates.append(right)
+        if eta > 0.0:
             mid = (left + right) / 2.0
             sign1 = 1.0 if mid >= 0.0 else -1.0
             sign2 = 1.0 if (s - mid) >= 0.0 else -1.0
             t_star = beta_i - (gd + epsilon * (sign1 - sign2)) / eta
-            candidates.add(min(max(t_star, left), right))
-    candidates.update(b for b in (0.0, s) if lo <= b <= hi)
+            if left < t_star < right:
+                candidates.append(t_star)
+        left = right
 
+    abs_i, abs_j = abs(beta_i), abs(beta_j)
     best_t, best_d = None, -1e-14
     for t in candidates:
-        d = delta(t)
+        step = t - beta_i
+        d = (
+            0.5 * eta * step * step
+            + gd * step
+            + epsilon * (abs(t) - abs_i)
+            + epsilon * (abs(s - t) - abs_j)
+        )
         if d < best_d:
             best_t, best_d = t, d
     if best_t is None:
@@ -329,3 +339,9 @@ def save_svr(model: SvrModel, path: str) -> None:
 
 def load_svr(path: str) -> SvrModel:
     return _binio.load(path, "svr", lambda meta, arrays: SvrModel(**meta, **arrays))
+
+
+def load_svr_status(path: str) -> tuple[bool, int]:
+    """(converged, iterations) of an SVR checkpoint, read from its header."""
+    return _binio.load_meta(path, "svr", lambda meta: (bool(meta["converged"]),
+                                                       int(meta["iterations"])))

@@ -7,6 +7,13 @@ sorted values, and the winning split minimizes the size-weighted child
 variance. Importance of a feature is the bootstrap-fraction-weighted
 impurity decrease summed over the nodes that split on it, averaged over
 trees and normalized to sum to one.
+
+Splits are searched on exact integer ranks. Each column's floats are sorted
+once per fit into dense keys; each tree packs the keys of its bootstrap rows
+together with the row numbers into codes that are unique per column; and
+each node sorts the small integer codes of its rows. That order equals a
+stable sort of the node's x values, so the trees are the ones a per-node
+float sort would grow, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,17 +51,53 @@ class ForestConfig:
         return mtry
 
 
-class _TreeBuilder:
-    """Grows one tree; nodes land in parallel lists, children depth-first."""
+_BLOCK = 1 << 18  # values per column block while ranking x
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, config: ForestConfig,
-                 mtry: int, rng: np.random.Generator) -> None:
+
+def _dense_keys(x: np.ndarray) -> np.ndarray:
+    """(p, n) dense rank of every value within its column: equal values
+    (+0.0 and -0.0 included) share a key, and keys order as the values do.
+    int16 when n <= 32767, int32 otherwise."""
+    n, p = x.shape
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    keys = np.empty((p, n), dtype=dtype)
+    width = max(1, _BLOCK // n)
+    for lo in range(0, p, width):
+        block = x[:, lo:lo + width].T
+        order = np.argsort(block, axis=1)
+        ordered = np.take_along_axis(block, order, axis=1)
+        dense = np.zeros(order.shape, dtype=dtype)
+        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, dtype=dtype, out=dense[:, 1:])
+        np.put_along_axis(keys[lo:lo + width], order, dense, axis=1)
+    return keys
+
+
+class _TreeBuilder:
+    """Grows one tree on a bootstrap; nodes land in parallel lists,
+    children depth-first.
+
+    `code[j, r]` packs bootstrap row r's dense key in column j above r
+    itself, so codes are unique per column and order by value, then by row.
+    A node keeps its rows in increasing order, so sorting its codes gives
+    the order a stable sort of its x values would, without a float copy of
+    x: the row and the key come back out of each sorted code.
+    """
+
+    def __init__(self, x: np.ndarray, keys: np.ndarray, boot: np.ndarray, y: np.ndarray,
+                 config: ForestConfig, mtry: int, rng: np.random.Generator) -> None:
         self.x = x
+        self.boot = boot
         self.y = y
         self.config = config
         self.mtry = mtry
         self.rng = rng
-        self.n = len(y)
+        n = len(boot)
+        self.shift = 8 * keys.dtype.itemsize
+        dtype = np.int32 if self.shift == 16 else np.int64
+        self.code = keys[:, boot].astype(dtype)
+        self.code <<= self.shift
+        self.code |= np.arange(n, dtype=dtype)
+        self.row_mask = (1 << self.shift) - 1
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -86,13 +129,12 @@ class _TreeBuilder:
         if np.ptp(yv) == 0.0:
             return node
 
-        feats = self.rng.choice(self.x.shape[1], size=self.mtry, replace=False)
-        split = _best_split(self.x[idx][:, feats], yv, cfg.min_samples_leaf)
+        feats = self.rng.choice(self.code.shape[0], size=self.mtry, replace=False)
+        split = self._best_split(idx, feats)
         if split is None:
             return node
-        col, threshold, child_sse = split
-        j = int(feats[col])
-        go_left = self.x[idx, j] <= threshold
+        j, threshold, cut_code, child_sse = split
+        go_left = self.code[j, idx] <= cut_code
 
         node_sse = float(np.sum((yv - yv.mean()) ** 2))
         self.feature[node] = j
@@ -102,46 +144,62 @@ class _TreeBuilder:
         self.right[node] = self.grow(idx[~go_left], depth + 1)
         return node
 
+    def _best_split(self, idx: np.ndarray, feats: np.ndarray) -> tuple[int, float, int, float] | None:
+        """Minimum weighted-child-SSE split of the node's rows over feats.
 
-def _best_split(xs: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float, float] | None:
-    """Minimum weighted-child-SSE split over every candidate column.
+        Returns (feature, midpoint threshold, code of the last row sent
+        left, child SSE sum) or None when no column offers a valid cut.
+        Ties go to the lowest cut, then to the earliest column in feats.
+        """
+        m = len(idx)
+        codes = self.code[feats[:, None], idx]
+        codes.sort(axis=1)
+        sorted_y = self.y[codes & self.row_mask]
 
-    Returns (column, midpoint threshold, child SSE sum) or None when no
-    column offers a valid cut.
-    """
-    m, q = xs.shape
-    order = np.argsort(xs, axis=0, kind="stable")
-    sorted_x = np.take_along_axis(xs, order, axis=0)
-    sorted_y = y[order]
+        csum = np.cumsum(sorted_y, axis=1)
+        csq = np.cumsum(sorted_y * sorted_y, axis=1)
+        total_sum = csum[:, -1:]
+        total_sq = csq[:, -1:]
 
-    csum = np.cumsum(sorted_y, axis=0)
-    csq = np.cumsum(sorted_y * sorted_y, axis=0)
-    total_sum = csum[-1]
-    total_sq = csq[-1]
+        left_n = np.arange(1, m, dtype=np.float64)
+        right_n = m - left_n
+        left_sum = csum[:, :-1]
+        left_sq = csq[:, :-1]
+        # sse = (left_sq - left_sum * left_sum / left_n)
+        #     + ((total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n),
+        # evaluated in place, operation for operation in that order
+        sse = left_sum * left_sum
+        sse /= left_n
+        np.subtract(left_sq, sse, out=sse)
+        right = total_sum - left_sum
+        right *= right
+        right /= right_n
+        np.subtract(total_sq - left_sq, right, out=right)
+        sse += right
 
-    left_n = np.arange(1, m, dtype=np.float64)[:, None]
-    right_n = m - left_n
-    left_sum = csum[:-1]
-    left_sq = csq[:-1]
-    sse = (left_sq - left_sum * left_sum / left_n) \
-        + ((total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n)
+        keys = codes >> self.shift
+        valid = keys[:, 1:] != keys[:, :-1]
+        min_leaf = self.config.min_samples_leaf
+        if min_leaf > 1:
+            valid[:, : min_leaf - 1] = False
+            valid[:, m - min_leaf:] = False
+        sse[~valid] = np.inf
 
-    valid = sorted_x[1:] != sorted_x[:-1]
-    if min_leaf > 1:
-        valid[: min_leaf - 1] = False
-        valid[m - min_leaf:] = False
-    sse = np.where(valid, sse, np.inf)
-
-    flat = int(np.argmin(sse))
-    cut, col = divmod(flat, q)
-    best = sse[cut, col]
-    if not np.isfinite(best):
-        return None
-    threshold = float((sorted_x[cut, col] + sorted_x[cut + 1, col]) / 2.0)
-    if threshold >= sorted_x[cut + 1, col]:
-        # midpoint of two adjacent floats can round up; keep the cut exact
-        threshold = float(sorted_x[cut, col])
-    return col, threshold, float(best)
+        cuts = sse.argmin(axis=1)
+        col_best = sse[np.arange(len(feats)), cuts]
+        best = col_best.min()
+        if not np.isfinite(best):
+            return None
+        ties = np.flatnonzero(col_best == best)
+        col = int(ties[np.argmin(cuts[ties])])
+        cut = int(cuts[col])
+        j = int(feats[col])
+        lo, hi = self.x[self.boot[codes[col, cut:cut + 2] & self.row_mask], j]
+        threshold = float((lo + hi) / 2.0)
+        if threshold >= hi:
+            # midpoint of two adjacent floats can round up; keep the cut exact
+            threshold = float(lo)
+        return j, threshold, int(codes[col, cut]), float(best)
 
 
 @dataclass(frozen=True)
@@ -182,15 +240,13 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig) -> Forest:
     mtry = config.resolve_mtry(p)
 
     degenerate = bool(np.ptp(y) == 0.0)
+    keys = _dense_keys(x)
     trees = []
     for i in range(config.n_trees):
         rng = np.random.default_rng(config.seed + i)
         boot = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(x[boot], y[boot], config, mtry, rng)
-        if degenerate:
-            builder._new_node(np.arange(n))
-        else:
-            builder.grow(np.arange(n), depth=0)
+        builder = _TreeBuilder(x, keys, boot, y[boot], config, mtry, rng)
+        builder.grow(np.arange(n), depth=0)
         trees.append(
             RegressionTree(
                 feature=np.asarray(builder.feature, dtype=np.int32),

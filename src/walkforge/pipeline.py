@@ -454,9 +454,9 @@ def _fit_warnings(cfg: RunConfig, runs: list[evalreport.BatchMetrics]) -> list[s
     lines = []
     for batch in sorted({r.batch for r in runs if r.model == "svr"}):
         path = _require(cfg, os.path.join("models", f"svr_b{batch}.bin"), "train")
-        model = baselines.load_svr(path)
-        if not model.converged:
-            lines.append(f"svr batch {batch}: not converged after {model.iterations} "
+        converged, iterations = baselines.load_svr_status(path)
+        if not converged:
+            lines.append(f"svr batch {batch}: not converged after {iterations} "
                          f"iterations (max_iter {cfg.svr_max_iter}, tol {cfg.svr_tol})")
     return lines
 

@@ -278,6 +278,85 @@ class TestSvrSolver:
         assert a.bias == b.bias
 
 
+def set_based_pair_delta(beta_i, beta_j, gd, eta, epsilon, c):
+    """The pair step as first written: candidates gathered in a set, kinks
+    through a sorted list, the objective change as a closure. Returns
+    (result, every candidate that attains the result's change)."""
+    s = beta_i + beta_j
+    lo = max(-c, s - c)
+    hi = min(c, s + c)
+    if not lo < hi:
+        return None, []
+
+    def delta(t):
+        step = t - beta_i
+        return (
+            0.5 * eta * step * step
+            + gd * step
+            + epsilon * (abs(t) - abs(beta_i))
+            + epsilon * (abs(s - t) - abs(beta_j))
+        )
+
+    candidates = {lo, hi}
+    breaks = sorted({lo, hi} | {b for b in (0.0, s) if lo < b < hi})
+    if eta > 0.0:
+        for left, right in zip(breaks[:-1], breaks[1:]):
+            mid = (left + right) / 2.0
+            sign1 = 1.0 if mid >= 0.0 else -1.0
+            sign2 = 1.0 if (s - mid) >= 0.0 else -1.0
+            t_star = beta_i - (gd + epsilon * (sign1 - sign2)) / eta
+            candidates.add(min(max(t_star, left), right))
+    candidates.update(b for b in (0.0, s) if lo <= b <= hi)
+
+    best_t, best_d = None, -1e-14
+    for t in candidates:
+        d = delta(t)
+        if d < best_d:
+            best_t, best_d = t, d
+    if best_t is None:
+        return None, []
+    return (float(best_t), float(best_d)), [t for t in candidates if delta(t) == best_d]
+
+
+def pair_delta_inputs(count, seed):
+    """Random pairs inside the box, and pairs built from kinks, box ends,
+    zero curvature and zero epsilon."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        c = float(rng.choice([0.5, 1.0, 2.0, 100.0]))
+        if k % 2:
+            grid = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 50.0, -50.0, 1e-13, c, -c, c / 3]
+            beta_i, beta_j = (max(-c, min(c, float(rng.choice(grid)))) for _ in range(2))
+            gd = float(rng.choice([0.0, 0.1, -0.1, 0.2, -0.2, 1.0, -3.0]))
+            eta = float(rng.choice([0.0, 1e-12, 0.5, 1.0, 2.0]))
+            epsilon = float(rng.choice([0.0, 0.05, 0.1]))
+        else:
+            beta_i, beta_j = (float(v) for v in rng.uniform(-c, c, size=2))
+            gd = float(rng.normal() * rng.choice([0.01, 1.0, 10.0]))
+            eta = float(abs(rng.normal()) * rng.choice([0.0, 1e-6, 1.0, 2.0]))
+            epsilon = float(rng.choice([0.0, 0.1, 1.0]))
+        yield beta_i, beta_j, gd, eta, epsilon, c
+
+
+class TestPairDelta:
+    def test_matches_set_based_step(self):
+        # The result is the same (t, change) pair. Where several candidates
+        # tie on the change, the set's iteration order picked one of them,
+        # so any tied candidate is accepted there.
+        exact = tied = 0
+        for args in pair_delta_inputs(20_000, seed=0):
+            got = baselines._pair_delta(*args)
+            want, ties = set_based_pair_delta(*args)
+            if want is None or len(set(ties)) == 1:
+                assert got == want, args
+                exact += 1
+            else:
+                assert got is not None and got[1] == want[1], args
+                assert got[0] in ties, args
+                tied += 1
+        assert exact >= 19_000 and tied < 1_000
+
+
 class TestSvrBehavior:
     def test_flat_tube_needs_no_support_vectors(self):
         rng = np.random.default_rng(4)

@@ -171,3 +171,36 @@ def test_missing_field_rejected(tmp_path):
                            "arrays": [["weights", "<f8", [1]]]})
     with pytest.raises(BadArtifact, match="malformed linear"):
         baselines.load_linear(str(path))
+
+
+def test_svr_status_read_from_header(tmp_path):
+    model, path = saved(tmp_path, "svr")
+    assert baselines.load_svr_status(str(path)) == (model.converged, model.iterations)
+
+
+@pytest.mark.parametrize("damage", ["wrong_kind", "truncated_prefix", "truncated_header",
+                                    "truncated_arrays", "padded", "missing_field"])
+def test_header_reader_fails_as_load_does(tmp_path, damage):
+    _, path = saved(tmp_path, "linear" if damage == "wrong_kind" else "svr")
+    data = path.read_bytes()
+    if damage == "truncated_prefix":
+        path.write_bytes(data[:7])
+    elif damage == "truncated_header":
+        path.write_bytes(data[:12])
+    elif damage == "truncated_arrays":
+        path.write_bytes(data[:-1])
+    elif damage == "padded":
+        path.write_bytes(data + b"\0" * 8)
+    elif damage == "missing_field":
+        write_container(path, {"kind": "svr", "meta": {"converged": True},
+                               "arrays": [["dual_coef", "<f8", [1]]]})
+    messages = []
+    for loader in (baselines.load_svr, baselines.load_svr_status):
+        with pytest.raises(BadArtifact) as info:
+            loader(str(path))
+        messages.append(str(info.value))
+    if damage == "missing_field":
+        # each loader names the field its own build missed
+        assert all("malformed svr artifact" in m for m in messages)
+    else:
+        assert messages[0] == messages[1]

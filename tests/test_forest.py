@@ -49,6 +49,139 @@ def enumerate_best_sse(x, y, min_leaf):
     return best
 
 
+TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+               "right": np.int32, "value": np.float64, "n_samples": np.int64,
+               "decrease": np.float64}
+
+
+def oracle_split(xs, y, min_leaf):
+    """The per-node float search: stable argsort of every candidate column."""
+    m, q = xs.shape
+    order = np.argsort(xs, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(xs, order, axis=0)
+    sorted_y = y[order]
+    csum = np.cumsum(sorted_y, axis=0)
+    csq = np.cumsum(sorted_y * sorted_y, axis=0)
+    total_sum = csum[-1]
+    total_sq = csq[-1]
+    left_n = np.arange(1, m, dtype=np.float64)[:, None]
+    right_n = m - left_n
+    left_sum = csum[:-1]
+    left_sq = csq[:-1]
+    sse = (left_sq - left_sum * left_sum / left_n) \
+        + ((total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n)
+    valid = sorted_x[1:] != sorted_x[:-1]
+    if min_leaf > 1:
+        valid[: min_leaf - 1] = False
+        valid[m - min_leaf:] = False
+    sse = np.where(valid, sse, np.inf)
+    cut, col = divmod(int(np.argmin(sse)), q)
+    best = sse[cut, col]
+    if not np.isfinite(best):
+        return None
+    threshold = float((sorted_x[cut, col] + sorted_x[cut + 1, col]) / 2.0)
+    if threshold >= sorted_x[cut + 1, col]:
+        threshold = float(sorted_x[cut, col])
+    return col, threshold, float(best)
+
+
+def oracle_forest(x, y, config):
+    """Trees grown by the float search, as {field: array} per tree."""
+    n, p = x.shape
+    mtry = config.resolve_mtry(p)
+    trees = []
+    for i in range(config.n_trees):
+        rng = np.random.default_rng(config.seed + i)
+        boot = rng.integers(0, n, size=n)
+        xb, yb = x[boot], y[boot]
+        nodes = {name: [] for name in TREE_DTYPES}
+
+        def grow(idx, depth):
+            node = len(nodes["feature"])
+            yv = yb[idx]
+            for name, init in zip(TREE_DTYPES, (-1, 0.0, -1, -1, float(yv.mean()), len(idx), 0.0)):
+                nodes[name].append(init)
+            if len(idx) < 2 * config.min_samples_leaf or np.ptp(yv) == 0.0 or (
+                    config.max_depth is not None and depth >= config.max_depth):
+                return node
+            feats = rng.choice(p, size=mtry, replace=False)
+            split = oracle_split(xb[idx][:, feats], yv, config.min_samples_leaf)
+            if split is None:
+                return node
+            col, threshold, child_sse = split
+            j = int(feats[col])
+            go_left = xb[idx, j] <= threshold
+            node_sse = float(np.sum((yv - yv.mean()) ** 2))
+            nodes["feature"][node] = j
+            nodes["threshold"][node] = threshold
+            nodes["decrease"][node] = max(0.0, (node_sse - child_sse) / len(idx))
+            nodes["left"][node] = grow(idx[go_left], depth + 1)
+            nodes["right"][node] = grow(idx[~go_left], depth + 1)
+            return node
+
+        grow(np.arange(n), 0)
+        trees.append({name: np.asarray(nodes[name], dtype=dtype)
+                      for name, dtype in TREE_DTYPES.items()})
+    return trees
+
+
+def assert_same_trees(forest, oracle):
+    assert len(forest.trees) == len(oracle)
+    for tree, want in zip(forest.trees, oracle):
+        for name in TREE_DTYPES:
+            got = getattr(tree, name)
+            assert got.dtype == want[name].dtype, name
+            assert got.tobytes() == want[name].tobytes(), name
+
+
+class TestFloatSearchOracle:
+    """fit_forest grows, byte for byte, the trees of the per-node float search."""
+
+    @pytest.mark.parametrize("grid", ["integers", "signed_zeros", "mixed"])
+    def test_trees_byte_identical(self, grid):
+        rng = np.random.default_rng({"integers": 1, "signed_zeros": 2, "mixed": 3}[grid])
+        checked = 0
+        for case in range(60):
+            n = int(rng.integers(2, 90))
+            p = int(rng.integers(1, 6))
+            if grid == "integers":
+                x = rng.integers(0, int(rng.integers(1, 6)), size=(n, p)).astype(np.float64)
+            elif grid == "signed_zeros":
+                x = rng.choice([-0.0, 0.0, -1.5, 1.5], size=(n, p))
+            else:
+                x = rng.normal(size=(n, p))
+                x[:, 0] = np.round(x[:, 0])
+            y = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            config = ForestConfig(
+                seed=case, n_trees=int(rng.integers(1, 4)),
+                max_depth=(None, 2, 5)[case % 3],
+                min_samples_leaf=case % 5 + 1,
+                mtry=int(rng.integers(1, p + 1)),
+            )
+            forest = fit_forest(x, y, config)
+            assert_same_trees(forest, oracle_forest(x, y, config))
+            checked += sum(tree.node_count > 1 for tree in forest.trees)
+        assert checked >= 40
+
+    def test_mtry_below_p_on_real_valued_columns(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(150, 12))
+        x[:, 3] = np.round(x[:, 3], 1)
+        y = x[:, 3] - 0.5 * x[:, 7] + 0.1 * rng.normal(size=150)
+        config = ForestConfig(seed=4, n_trees=3, mtry=4, min_samples_leaf=2)
+        assert_same_trees(fit_forest(x, y, config), oracle_forest(x, y, config))
+
+    def test_int32_keys_beyond_int16_rows(self):
+        # n > 32767 switches dense keys to int32 and codes to int64
+        rng = np.random.default_rng(6)
+        n = 32800
+        x = np.column_stack([rng.integers(0, 40000, n).astype(np.float64),
+                             np.round(rng.normal(size=n), 2)])
+        y = x[:, 0] / 40000.0 + rng.normal(size=n)
+        config = ForestConfig(seed=1, n_trees=1, max_depth=2, mtry=2)
+        assert_same_trees(fit_forest(x, y, config), oracle_forest(x, y, config))
+
+
 class TestSplitOptimality:
     def test_root_split_is_variance_optimal_exhaustively(self):
         # Small nodes, every candidate cut enumerated by brute force. The

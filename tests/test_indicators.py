@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from walkforge import indicators
 from walkforge.errors import (
     BadArtifact,
     InvalidSpec,
@@ -16,7 +15,6 @@ from walkforge.errors import (
 from walkforge.indicators import (
     DEFAULT_WINDOWS,
     KINDS,
-    FeatureMatrix,
     IndicatorSpec,
     compute_indicator,
     expand_features,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from walkforge import ingest
 from walkforge.errors import (
     DuplicateDate,
     EmptyFile,

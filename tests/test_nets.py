@@ -18,7 +18,6 @@ from walkforge.errors import (
     StaleCache,
 )
 from walkforge.nets import (
-    BiLstmNetwork,
     LstmParams,
     TrainConfig,
     adam_step,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from walkforge import scaling
 from walkforge.errors import ColumnMismatch, DataError, EmptyRange
 from walkforge.scaling import (
     ScalerParams,

@@ -5,7 +5,6 @@ import pytest
 
 from walkforge.errors import ConfigError, DataError, RangeTooShort, TooShort
 from walkforge.splitter import (
-    SampleSet,
     make_batches,
     make_windows,
     plan_from_json,
