@@ -49,15 +49,12 @@ def fit_linear(x: np.ndarray, y: np.ndarray, ridge: float = 1e-8) -> LinearModel
     return LinearModel(weights=beta[:-1], bias=float(beta[-1]))
 
 
-def predict_linear(model: LinearModel, x: np.ndarray) -> np.ndarray | float:
+def predict_linear(model: LinearModel, x: np.ndarray) -> np.ndarray:
+    """One prediction per row of the 2-D x."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.shape[1] != len(model.weights):
         raise DimensionMismatch(len(model.weights), x.shape[1])
-    out = x @ model.weights + model.bias
-    return float(out[0]) if single else out
+    return x @ model.weights + model.bias
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -204,7 +201,6 @@ def fit_svr(
     gamma: float | None = None,
     tol: float = 1e-3,
     max_iter: int = 100_000,
-    seed: int = 0,
 ) -> SvrModel:
     """SMO on the precomputed RBF Gram matrix; gamma defaults to
     1 / n_features.
@@ -216,8 +212,7 @@ def fit_svr(
     when the pair gap -(min up + min dn) drops below tol, when no pair
     descends, or at max_iter. converged is then set by the full per-point
     KKT check alone. Hitting max_iter returns the best-so-far model with
-    converged=False instead of raising. The solver is deterministic: seed
-    is accepted for call compatibility and ignored.
+    converged=False instead of raising. The solver is deterministic.
     """
     x, y = _check_xy(x, y)
     if c <= 0 or epsilon < 0 or tol <= 0 or max_iter < 1:
@@ -305,16 +300,13 @@ def fit_svr(
     )
 
 
-def predict_svr(model: SvrModel, x: np.ndarray) -> np.ndarray | float:
+def predict_svr(model: SvrModel, x: np.ndarray) -> np.ndarray:
+    """One prediction per row of the 2-D x."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     p = model.support_vectors.shape[1]
     if x.shape[1] != p:
         raise DimensionMismatch(p, x.shape[1])
-    out = rbf_kernel(x, model.support_vectors, model.gamma) @ model.dual_coef + model.bias
-    return float(out[0]) if single else out
+    return rbf_kernel(x, model.support_vectors, model.gamma) @ model.dual_coef + model.bias
 
 
 def save_linear(model: LinearModel, path: str) -> None:

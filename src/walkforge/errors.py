@@ -6,9 +6,18 @@ DataError -> 3, NumericError -> 4.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class WalkforgeError(Exception):
     """Base class for every error this package raises on purpose."""
+
+    def __reduce__(self):
+        # Exception pickles as cls(*args), which feeds the formatted message
+        # back into a subclass __init__ that expects the raw fields. Rebuild
+        # from args and attributes instead, without calling __init__, so an
+        # error raised in a pool worker reaches the parent unchanged.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(WalkforgeError):

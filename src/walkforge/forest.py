@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from .errors import ConfigError, DataError, DimensionMismatch, KTooLarge
 
 
@@ -223,11 +224,13 @@ class Forest:
     n_features: int
     n_samples: int
     config: ForestConfig
-    degenerate_target: bool
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig) -> Forest:
-    """Fit config.n_trees trees; tree i draws from generator seed + i."""
+    """Fit config.n_trees trees; tree i draws from generator seed + i.
+
+    The dense keys are ranked once, before the trees fan out over the
+    worker pool, so every worker shares them."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
@@ -239,27 +242,25 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig) -> Forest:
         raise DataError("forest training data contains non-finite values")
     mtry = config.resolve_mtry(p)
 
-    degenerate = bool(np.ptp(y) == 0.0)
     keys = _dense_keys(x)
-    trees = []
-    for i in range(config.n_trees):
+
+    def grow(i: int) -> RegressionTree:
         rng = np.random.default_rng(config.seed + i)
         boot = rng.integers(0, n, size=n)
         builder = _TreeBuilder(x, keys, boot, y[boot], config, mtry, rng)
         builder.grow(np.arange(n), depth=0)
-        trees.append(
-            RegressionTree(
-                feature=np.asarray(builder.feature, dtype=np.int32),
-                threshold=np.asarray(builder.threshold, dtype=np.float64),
-                left=np.asarray(builder.left, dtype=np.int32),
-                right=np.asarray(builder.right, dtype=np.int32),
-                value=np.asarray(builder.value, dtype=np.float64),
-                n_samples=np.asarray(builder.n_samples, dtype=np.int64),
-                decrease=np.asarray(builder.decrease, dtype=np.float64),
-            )
+        return RegressionTree(
+            feature=np.asarray(builder.feature, dtype=np.int32),
+            threshold=np.asarray(builder.threshold, dtype=np.float64),
+            left=np.asarray(builder.left, dtype=np.int32),
+            right=np.asarray(builder.right, dtype=np.int32),
+            value=np.asarray(builder.value, dtype=np.float64),
+            n_samples=np.asarray(builder.n_samples, dtype=np.int64),
+            decrease=np.asarray(builder.decrease, dtype=np.float64),
         )
-    return Forest(trees=tuple(trees), n_features=p, n_samples=n,
-                  config=config, degenerate_target=degenerate)
+
+    trees = _pool.run_tasks(grow, range(config.n_trees))
+    return Forest(trees=tuple(trees), n_features=p, n_samples=n, config=config)
 
 
 @dataclass(frozen=True)
@@ -269,11 +270,9 @@ class ImportanceRanking:
     order: np.ndarray
 
 
-def importances(forest: Forest, names: tuple[str, ...] | None = None) -> ImportanceRanking:
+def importances(forest: Forest, names: tuple[str, ...]) -> ImportanceRanking:
     """Normalized impurity importances; ties rank by ascending column index."""
     p = forest.n_features
-    if names is None:
-        names = tuple(f"f{j}" for j in range(p))
     if len(names) != p:
         raise DimensionMismatch(p, len(names))
     total = np.zeros(p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import baselines, evalreport, forest, indicators, ingest, nets, scaling, splitter
+from . import _pool, baselines, evalreport, forest, indicators, ingest, nets, scaling, splitter
 from .errors import DataError, InvalidConfig
 
 MODEL_CHOICES = ("lr", "svr", "lstm", "proposed")
@@ -318,39 +318,44 @@ def _checkpoint(cfg: RunConfig, model: str, batch: int) -> str:
 
 
 def stage_train(cfg: RunConfig) -> list[str]:
+    """Fit every (batch, model) pair; the fits run on the worker pool, each
+    writing its own checkpoint and losses file."""
     _ensure_out(cfg)
     matrix = indicators.load_cache(_require(cfg, "features.wffm", "featurize"))
     selected = _load_selection(cfg)
     plan = _load_plan(cfg)
-    paths = []
-    for batch in plan.batches:
-        data = _batch_data(matrix, selected, batch, cfg.lookback)
-        train_set = data.train_set
-        for model_name in cfg.models:
-            seed = _model_seed(cfg, model_name, batch.index)
-            path = _checkpoint(cfg, model_name, batch.index)
-            if model_name == "lr":
-                model = baselines.fit_linear(train_set.flat_inputs(), train_set.targets)
-                baselines.save_linear(model, path)
-            elif model_name == "svr":
-                model = baselines.fit_svr(
-                    train_set.flat_inputs(), train_set.targets,
-                    c=cfg.svr_c, epsilon=cfg.svr_epsilon, gamma=cfg.svr_gamma,
-                    tol=cfg.svr_tol, max_iter=cfg.svr_max_iter,
-                )
-                baselines.save_svr(model, path)
-            else:
-                net = nets.build_network(
-                    train_set.inputs.shape[2], cfg.h1, cfg.h2, cfg.dropout,
-                    bidirectional=(model_name == "proposed"), seed=seed,
-                )
-                net, losses = nets.train(net, train_set.inputs, train_set.targets,
-                                         cfg.train_config(seed))
-                nets.save_network(net, path)
-                nets.save_losses(losses, _path(cfg, os.path.join(
-                    "losses", f"{model_name}_b{batch.index}.csv")))
-            paths.append(path)
-    return paths
+    train_sets = {batch.index: _batch_data(matrix, selected, batch, cfg.lookback).train_set
+                  for batch in plan.batches}
+
+    def fit(task: tuple[int, str]) -> str:
+        batch, model_name = task
+        train_set = train_sets[batch]
+        seed = _model_seed(cfg, model_name, batch)
+        path = _checkpoint(cfg, model_name, batch)
+        if model_name == "lr":
+            model = baselines.fit_linear(train_set.flat_inputs(), train_set.targets)
+            baselines.save_linear(model, path)
+        elif model_name == "svr":
+            model = baselines.fit_svr(
+                train_set.flat_inputs(), train_set.targets,
+                c=cfg.svr_c, epsilon=cfg.svr_epsilon, gamma=cfg.svr_gamma,
+                tol=cfg.svr_tol, max_iter=cfg.svr_max_iter,
+            )
+            baselines.save_svr(model, path)
+        else:
+            net = nets.build_network(
+                train_set.inputs.shape[2], cfg.h1, cfg.h2, cfg.dropout,
+                bidirectional=(model_name == "proposed"), seed=seed,
+            )
+            net, losses = nets.train(net, train_set.inputs, train_set.targets,
+                                     cfg.train_config(seed))
+            nets.save_network(net, path)
+            nets.save_losses(losses, _path(cfg, os.path.join(
+                "losses", f"{model_name}_b{batch}.csv")))
+        return path
+
+    return _pool.run_tasks(fit, [(batch.index, model_name) for batch in plan.batches
+                                 for model_name in cfg.models])
 
 
 def _load_model(model_name: str, path: str):
@@ -366,8 +371,8 @@ def _predict(model, sample_set: splitter.SampleSet) -> np.ndarray:
         preds, _ = nets.network_forward(model, sample_set.inputs, mode="eval")
         return np.asarray(preds)
     if isinstance(model, baselines.LinearModel):
-        return np.asarray(baselines.predict_linear(model, sample_set.flat_inputs()))
-    return np.asarray(baselines.predict_svr(model, sample_set.flat_inputs()))
+        return baselines.predict_linear(model, sample_set.flat_inputs())
+    return baselines.predict_svr(model, sample_set.flat_inputs())
 
 
 def _to_usd(preds_scaled: np.ndarray, close_params: scaling.ScalerParams) -> np.ndarray:

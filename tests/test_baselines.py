@@ -68,9 +68,9 @@ class TestLinear:
         grad = a.T @ (a @ beta - y) + ridge * beta
         assert np.linalg.norm(grad) <= 1e-6 * max(1.0, np.linalg.norm(a.T @ y))
 
-    def test_predict_single_row_returns_float(self):
+    def test_predict_one_row(self):
         model = LinearModel(weights=np.array([2.0]), bias=1.0)
-        assert predict_linear(model, np.array([3.0])) == pytest.approx(7.0)
+        np.testing.assert_allclose(predict_linear(model, np.array([[3.0]])), [7.0])
 
     def test_width_mismatch_rejected(self):
         model = LinearModel(weights=np.array([1.0, 2.0]), bias=0.0)
@@ -191,7 +191,7 @@ class TestSvrOptimality:
         # tol=1e-6 is the tightest the pairwise steps can certify before
         # float rounding stalls the KKT metric at the optimum itself.
         model = fit_svr(x, y, c=c, epsilon=eps, gamma=gamma,
-                        tol=1e-6, max_iter=50_000, seed=0)
+                        tol=1e-6, max_iter=50_000)
         assert model.converged
         k = rbf_kernel(x, x, gamma)
         want, beta_star = brute_force_min_dual(k, y, c, eps)
@@ -212,13 +212,13 @@ class TestSvrOptimality:
         rng = np.random.default_rng(100 + seed)
         x = rng.normal(size=(25, 3))
         y = np.sin(x[:, 0]) + 0.3 * x[:, 1]
-        model = fit_svr(x, y, c=5.0, epsilon=0.05, tol=1e-4, seed=seed)
+        model = fit_svr(x, y, c=5.0, epsilon=0.05, tol=1e-4)
         assert model.converged
         assert kkt_residuals(model, x, y).max() < 1e-3
 
     def test_stored_dual_matches_recomputation(self):
         x, y = four_point_instance(3)
-        model = fit_svr(x, y, c=10.0, epsilon=0.1, gamma=1.0, seed=0)
+        model = fit_svr(x, y, c=10.0, epsilon=0.1, gamma=1.0)
         n = len(y)
         beta = np.zeros(n)
         beta[model.support_idx] = model.dual_coef
@@ -269,13 +269,6 @@ class TestSvrSolver:
         failed = fit_svr(x, y, c=100.0, epsilon=0.1)
         assert failed.iterations == passed.iterations
         assert not failed.converged
-
-    def test_seed_is_ignored(self):
-        x, y = pipeline_shaped_instance(n=40, seed=3)
-        a = fit_svr(x, y, c=5.0, epsilon=0.05, seed=1)
-        b = fit_svr(x, y, c=5.0, epsilon=0.05, seed=2)
-        np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
-        assert a.bias == b.bias
 
 
 def set_based_pair_delta(beta_i, beta_j, gd, eta, epsilon, c):
@@ -362,7 +355,7 @@ class TestSvrBehavior:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 2))
         y = 3.0 + 0.01 * rng.normal(size=20)
-        model = fit_svr(x, y, c=10.0, epsilon=0.5, seed=0)
+        model = fit_svr(x, y, c=10.0, epsilon=0.5)
         assert model.converged
         assert len(model.dual_coef) == 0
         preds = predict_svr(model, x)
@@ -375,7 +368,7 @@ class TestSvrBehavior:
         y = np.sin(x[:, 0]) + 0.02 * rng.normal(size=30)
         eps = 0.15
         model = fit_svr(x, y, c=50.0, epsilon=eps, gamma=1.0,
-                        tol=1e-6, seed=0)
+                        tol=1e-6)
         assert model.converged
         beta = np.zeros(30)
         beta[model.support_idx] = model.dual_coef
@@ -385,19 +378,19 @@ class TestSvrBehavior:
 
     def test_coefficients_balance_to_zero(self):
         x, y = four_point_instance(6)
-        model = fit_svr(x, y, c=10.0, epsilon=0.05, gamma=1.0, seed=0)
+        model = fit_svr(x, y, c=10.0, epsilon=0.05, gamma=1.0)
         assert abs(model.dual_coef.sum()) < 1e-6
         rng = np.random.default_rng(7)
         x2 = rng.normal(size=(30, 2))
         y2 = x2[:, 0] ** 2
-        model2 = fit_svr(x2, y2, c=3.0, epsilon=0.05, seed=1)
+        model2 = fit_svr(x2, y2, c=3.0, epsilon=0.05)
         beta = np.zeros(30)
         beta[model2.support_idx] = model2.dual_coef
         assert abs(beta.sum()) < 1e-6
 
     def test_prediction_is_kernel_expansion(self):
         x, y = four_point_instance(8)
-        model = fit_svr(x, y, c=10.0, epsilon=0.05, gamma=1.0, seed=0)
+        model = fit_svr(x, y, c=10.0, epsilon=0.05, gamma=1.0)
         grid = np.linspace(-3, 3, 9)[:, None]
         want = rbf_kernel(grid, model.support_vectors, 1.0) @ model.dual_coef + model.bias
         np.testing.assert_allclose(predict_svr(model, grid), want, rtol=1e-15)
@@ -406,7 +399,7 @@ class TestSvrBehavior:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(40, 2))
         y = np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1])
-        model = fit_svr(x, y, c=100.0, epsilon=0.01, max_iter=3, seed=0)
+        model = fit_svr(x, y, c=100.0, epsilon=0.01, max_iter=3)
         assert not model.converged
         assert model.iterations == 3
         assert np.isfinite(predict_svr(model, x)).all()
@@ -415,8 +408,8 @@ class TestSvrBehavior:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(25, 2))
         y = x[:, 0] - x[:, 1] ** 2
-        a = fit_svr(x, y, c=5.0, epsilon=0.05, seed=3)
-        b = fit_svr(x, y, c=5.0, epsilon=0.05, seed=3)
+        a = fit_svr(x, y, c=5.0, epsilon=0.05)
+        b = fit_svr(x, y, c=5.0, epsilon=0.05)
         np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
         assert a.bias == b.bias
         assert a.iterations == b.iterations
@@ -424,7 +417,7 @@ class TestSvrBehavior:
     def test_gamma_defaults_to_one_over_features(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(10, 4))
-        model = fit_svr(x, rng.normal(size=10), c=1.0, epsilon=0.1, seed=0)
+        model = fit_svr(x, rng.normal(size=10), c=1.0, epsilon=0.1)
         assert model.gamma == pytest.approx(0.25)
 
     def test_bad_parameters_rejected(self):
@@ -441,7 +434,7 @@ class TestSvrBehavior:
 
     def test_save_load_round_trip(self, tmp_path):
         x, y = four_point_instance(12)
-        model = fit_svr(x, y, c=10.0, epsilon=0.05, gamma=1.0, seed=0)
+        model = fit_svr(x, y, c=10.0, epsilon=0.05, gamma=1.0)
         path = str(tmp_path / "svr.bin")
         save_svr(model, path)
         back = load_svr(path)

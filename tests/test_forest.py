@@ -14,6 +14,10 @@ from walkforge.forest import (
 )
 
 
+def names(p):
+    return tuple(f"f{j}" for j in range(p))
+
+
 def predict(forest, x):
     """Mean leaf value over the trees, walking each row down each tree."""
     out = np.zeros(len(x))
@@ -245,7 +249,7 @@ class TestImportances:
             x = rng.normal(size=(400, 21))
             y = 3.0 * x[:, 1] + 0.1 * rng.normal(size=400)
             forest = fit_forest(x, y, ForestConfig(seed=seed, n_trees=50))
-            ranking = importances(forest)
+            ranking = importances(forest, names(x.shape[1]))
             assert ranking.order[0] == 1
 
     def test_importances_sum_to_one(self):
@@ -253,7 +257,7 @@ class TestImportances:
         x = rng.normal(size=(200, 5))
         y = x[:, 0] + 2.0 * x[:, 3] + 0.1 * rng.normal(size=200)
         forest = fit_forest(x, y, ForestConfig(seed=3, n_trees=25))
-        ranking = importances(forest)
+        ranking = importances(forest, names(x.shape[1]))
         assert ranking.importance.sum() == pytest.approx(1.0, abs=1e-9)
         assert (ranking.importance >= 0).all()
 
@@ -263,7 +267,7 @@ class TestImportances:
         y = 3.0 * x[:, 1] + 0.1 * rng.normal(size=400)
         x[:, 7] = rng.permutation(x[:, 7])
         forest = fit_forest(x, y, ForestConfig(seed=5, n_trees=50))
-        ranking = importances(forest)
+        ranking = importances(forest, names(x.shape[1]))
         assert ranking.order[0] == 1
         assert ranking.order[0] != 7
 
@@ -286,11 +290,10 @@ class TestImportances:
             n_features=forest.n_features,
             n_samples=forest.n_samples,
             config=forest.config,
-            degenerate_target=forest.degenerate_target,
         )
         np.testing.assert_allclose(
-            importances(forest).importance,
-            importances(flipped).importance,
+            importances(forest, names(4)).importance,
+            importances(flipped, names(4)).importance,
             rtol=1e-12,
         )
 
@@ -327,7 +330,7 @@ class TestDeterminism:
         a = fit_forest(x, y, ForestConfig(seed=17, n_trees=10))
         b = fit_forest(x, y, ForestConfig(seed=17, n_trees=10))
         np.testing.assert_array_equal(
-            importances(a).importance, importances(b).importance
+            importances(a, names(6)).importance, importances(b, names(6)).importance
         )
         grid = rng.normal(size=(20, 6))
         np.testing.assert_array_equal(predict(a, grid), predict(b, grid))
@@ -343,19 +346,13 @@ class TestDeterminism:
 
 
 class TestDegenerateTarget:
-    def test_constant_target_flagged_with_leaf_only_trees(self):
+    def test_constant_target_grows_leaf_only_trees(self):
         x = np.random.default_rng(1).normal(size=(40, 3))
         forest = fit_forest(x, np.full(40, 7.0), ForestConfig(seed=0, n_trees=4))
-        assert forest.degenerate_target
         for tree in forest.trees:
             assert tree.node_count == 1
         np.testing.assert_allclose(predict(forest, x), 7.0)
-        np.testing.assert_allclose(importances(forest).importance, 0.0)
-
-    def test_varying_target_not_flagged(self):
-        x = np.random.default_rng(1).normal(size=(40, 3))
-        forest = fit_forest(x, x[:, 0], ForestConfig(seed=0, n_trees=2))
-        assert not forest.degenerate_target
+        np.testing.assert_allclose(importances(forest, names(3)).importance, 0.0)
 
 
 class TestConfig:
