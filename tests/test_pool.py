@@ -4,16 +4,20 @@ boundary, and byte-identical artifacts at any CPU count.
 The CPU count is faked through os.sched_getaffinity, so no test starts more
 than three worker processes."""
 
+import concurrent.futures
 import dataclasses
+import functools
 import inspect
 import os
 import pickle
+import sys
 import time
+from concurrent.futures import process
 
 import numpy as np
 import pytest
 
-from walkforge import _pool, cli, errors, nets
+from walkforge import _pool, baselines, cli, errors, nets
 from walkforge.forest import ForestConfig, fit_forest
 
 
@@ -28,10 +32,31 @@ class TestRunTasks:
 
     def test_workers_never_outnumber_tasks(self, monkeypatch):
         allow_cpus(monkeypatch, 64)
+        sizes = []
+
+        class Recording(process.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         pids = _pool.run_tasks(lambda _: os.getpid(), range(3))
+        assert sizes == [3]
         assert len(pids) == 3
-        assert len(set(pids)) <= 3
         assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("cpus, tasks, workers",
+                             [(64, 3, 3), (2, 10, 2), (1, 10, 1), (8, 1, 1), (8, 0, 1)])
+    def test_worker_count(self, monkeypatch, cpus, tasks, workers):
+        allow_cpus(monkeypatch, cpus)
+        assert _pool.worker_count(tasks) == workers
+
+    def test_serial_before_python_3_11(self, monkeypatch):
+        # older pools fork on demand while their manager thread runs
+        allow_cpus(monkeypatch, 64)
+        monkeypatch.setattr(sys, "version_info", (3, 10, 14, "final", 0))
+        assert _pool.worker_count(3) == 1
+        assert _pool.run_tasks(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
 
     def test_results_in_task_order_from_a_closure(self, monkeypatch):
         allow_cpus(monkeypatch, 2)
@@ -54,6 +79,49 @@ class TestRunTasks:
 
     def test_no_tasks(self):
         assert _pool.run_tasks(lambda i: i, []) == []
+
+
+def counting_wrapper(fn, calls):
+    """A span-tracer-style wrapper: records each call in this process."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls.append(os.getpid())
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestObservedRunsSerially:
+    """Forked work is invisible to observers of this process, so the pool
+    stands down while there is one."""
+
+    def test_wrapped_walkforge_function(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(nets, "train", counting_wrapper(nets.train, []))
+        assert _pool.worker_count(3) == 1
+        assert _pool.run_tasks(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+
+    def test_wrapper_from_outside_walkforge_is_ignored(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(nets, "np_sort", functools.lru_cache()(np.sort), raising=False)
+        assert _pool.worker_count(3) == 2
+
+    def test_profile_hook(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            count = _pool.worker_count(3)
+        finally:
+            sys.setprofile(None)
+        assert count == 1
+        assert _pool.worker_count(3) == 2
+
+    def test_wrapper_sees_every_fit_of_a_run(self, tmp_path, monkeypatch, capsys):
+        allow_cpus(monkeypatch, 2)
+        calls = []
+        monkeypatch.setattr(baselines, "fit_svr", counting_wrapper(baselines.fit_svr, calls))
+        assert cli.main(["pipeline", *run_flags(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert calls == [os.getpid()] * 2  # one SVR fit per batch, both seen here
 
 
 def sample_errors():
