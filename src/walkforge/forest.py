@@ -213,10 +213,6 @@ class RegressionTree:
     n_samples: np.ndarray
     decrease: np.ndarray
 
-    @property
-    def node_count(self) -> int:
-        return len(self.feature)
-
 
 @dataclass(frozen=True)
 class Forest:

@@ -172,10 +172,6 @@ class FeatureMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)

@@ -92,21 +92,6 @@ class RawSeries:
             raise MissingColumn(name) from None
 
 
-@dataclass(frozen=True)
-class CleanPolicy:
-    """fill="forward-fill" repairs runs up to max_consecutive_fill missing
-    days per column; fill="reject" turns any missing value into an error."""
-
-    fill: str = "forward-fill"
-    max_consecutive_fill: int = 3
-
-    def __post_init__(self) -> None:
-        if self.fill not in ("forward-fill", "reject"):
-            raise InvalidConfig(f"unknown fill policy {self.fill!r}")
-        if self.max_consecutive_fill < 0:
-            raise InvalidConfig("max_consecutive_fill must be >= 0")
-
-
 def _parse_cell(text: str) -> float:
     text = text.strip()
     if not text:
@@ -185,21 +170,23 @@ def _fill_column(col: np.ndarray, dates: np.ndarray, name: str, cap: int) -> np.
     return col[last_valid]
 
 
-def clean(series: RawSeries, policy: CleanPolicy = CleanPolicy()) -> RawSeries:
-    """Insert missing calendar days, forward-fill short gaps, re-check prices.
+def clean(series: RawSeries, fill_cap: int) -> RawSeries:
+    """Insert missing calendar days, forward-fill runs of up to fill_cap
+    missing days per column (0 rejects any hole), re-check prices.
 
     Idempotent: cleaning a cleaned series returns an identical one.
     """
+    if fill_cap < 0:
+        raise InvalidConfig(f"fill cap must be >= 0, got {fill_cap}")
     if series.n == 0:
         raise DataError("cannot clean an empty series")
     full_dates = np.arange(series.dates[0], series.dates[-1] + 1, dtype=np.int64)
     values = np.full((len(full_dates), len(series.columns)), np.nan)
     values[series.dates - series.dates[0]] = series.values
 
-    cap = policy.max_consecutive_fill if policy.fill == "forward-fill" else 0
     filled = np.empty_like(values)
     for j, name in enumerate(series.columns):
-        filled[:, j] = _fill_column(values[:, j], full_dates, name, cap)
+        filled[:, j] = _fill_column(values[:, j], full_dates, name, fill_cap)
 
     out = RawSeries(dates=full_dates, values=filled, columns=series.columns)
     _check_ohlc(out)

@@ -147,65 +147,62 @@ def lstm_layer_backward(
     return d_seq, grads
 
 
-def bilstm_forward(
-    fwd: LstmParams, bwd: LstmParams, seq: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    """output[t] = concat(forward[t], backward-on-reversed-input re-reversed [t])."""
-    out_f, cache_f = lstm_layer_forward(fwd, seq)
-    out_b_rev, cache_b = lstm_layer_forward(bwd, seq[:, ::-1, :])
-    out = np.concatenate([out_f, out_b_rev[:, ::-1, :]], axis=2)
-    return out, {"fwd": cache_f, "bwd": cache_b}
+# Each direction of a layer: its parameter-name tag and the order in which
+# it reads the time axis. The backward direction reads the sequence reversed.
+_DIRECTIONS = (("f", 1), ("b", -1))
 
 
-def bilstm_backward(
-    fwd: LstmParams, bwd: LstmParams, cache: dict, d_out: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    h = fwd.hidden
-    d_seq_f, grads_f = lstm_layer_backward(fwd, cache["fwd"], d_out[:, :, :h])
-    d_seq_b, grads_b = lstm_layer_backward(bwd, cache["bwd"], d_out[:, ::-1, h:])
-    return d_seq_f + d_seq_b[:, ::-1, :], grads_f, grads_b
+def layer_forward(
+    layer: tuple[LstmParams, ...], seq: np.ndarray
+) -> tuple[np.ndarray, list[dict]]:
+    """Run every direction of one layer over seq (m, L, d).
+
+    output[t] concatenates each direction's output at step t: the backward
+    direction runs on the reversed sequence and its output is re-reversed.
+    A one-direction layer returns its output view without a copy."""
+    outs, caches = [], []
+    for params, (_, step) in zip(layer, _DIRECTIONS):
+        out, cache = lstm_layer_forward(params, seq[:, ::step, :])
+        outs.append(out[:, ::step, :])
+        caches.append(cache)
+    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), caches
+
+
+def layer_backward(
+    layer: tuple[LstmParams, ...], caches: list[dict], d_out: np.ndarray
+) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+    """Backpropagate one layer: each direction takes its own feature block
+    of d_out in its own time order. The input gradient is the forward
+    direction's part plus the re-reversed backward part."""
+    h = layer[0].hidden
+    parts, grads = [], []
+    for k, (params, cache, (_, step)) in enumerate(zip(layer, caches, _DIRECTIONS)):
+        d_part, g = lstm_layer_backward(params, cache, d_out[:, ::step, k * h: (k + 1) * h])
+        parts.append(d_part[:, ::step, :])
+        grads.append(g)
+    return (parts[0] if len(parts) == 1 else parts[0] + parts[1]), grads
 
 
 @dataclass
 class BiLstmNetwork:
     """Two recurrent layers with ReLU + dropout between, affine head on the
-    last time step. layer*_bwd is None for the unidirectional variant."""
+    last time step. Each layer is a tuple of directions: (forward,) for the
+    unidirectional LSTM, (forward, backward) for the Bi-LSTM."""
 
-    layer1_fwd: LstmParams
-    layer1_bwd: LstmParams | None
-    layer2_fwd: LstmParams
-    layer2_bwd: LstmParams | None
+    layers: tuple[tuple[LstmParams, ...], ...]
     dense_w: np.ndarray
     dense_b: np.ndarray
     dropout_rate: float
 
-    @property
-    def bidirectional(self) -> bool:
-        return self.layer1_bwd is not None
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer1_fwd.input_dim
-
-    @property
-    def hidden1(self) -> int:
-        return self.layer1_fwd.hidden
-
-    @property
-    def hidden2(self) -> int:
-        return self.layer2_fwd.hidden
-
     def param_dict(self) -> dict[str, np.ndarray]:
-        """Live references in a fixed order; the optimizer mutates in place."""
-        cells = [("l1f", self.layer1_fwd), ("l1b", self.layer1_bwd),
-                 ("l2f", self.layer2_fwd), ("l2b", self.layer2_bwd)]
+        """Live references in a fixed order (l1f, l1b, l2f, l2b, dense);
+        the optimizer mutates in place."""
         out: dict[str, np.ndarray] = {}
-        for prefix, cell in cells:
-            if cell is None:
-                continue
-            out[f"{prefix}.w_x"] = cell.w_x
-            out[f"{prefix}.w_a"] = cell.w_a
-            out[f"{prefix}.b"] = cell.b
+        for i, layer in enumerate(self.layers, 1):
+            for cell, (tag, _) in zip(layer, _DIRECTIONS):
+                out[f"l{i}{tag}.w_x"] = cell.w_x
+                out[f"l{i}{tag}.w_a"] = cell.w_a
+                out[f"l{i}{tag}.b"] = cell.b
         out["dense.w"] = self.dense_w
         out["dense.b"] = self.dense_b
         return out
@@ -219,6 +216,7 @@ def build_network(
     bidirectional: bool = True,
     seed: int = 0,
 ) -> BiLstmNetwork:
+    """Draw l1f, l1b, l2f, l2b, then the head, from one seeded generator."""
     if input_dim < 1 or hidden1 < 1 or hidden2 < 1:
         raise ConfigError(
             f"widths must be positive, got input={input_dim}, h1={hidden1}, h2={hidden2}"
@@ -226,31 +224,18 @@ def build_network(
     if not (0.0 <= dropout_rate < 1.0):
         raise ConfigError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
     rng = np.random.default_rng(seed)
-    width1 = 2 * hidden1 if bidirectional else hidden1
-    dense_in = 2 * hidden2 if bidirectional else hidden2
-    layer1_fwd = init_lstm_params(hidden1, input_dim, rng)
-    layer1_bwd = init_lstm_params(hidden1, input_dim, rng) if bidirectional else None
-    layer2_fwd = init_lstm_params(hidden2, width1, rng)
-    layer2_bwd = init_lstm_params(hidden2, width1, rng) if bidirectional else None
-    bound = 1.0 / math.sqrt(dense_in)
+    directions = 2 if bidirectional else 1
+    layers, width = [], input_dim
+    for hidden in (hidden1, hidden2):
+        layers.append(tuple(init_lstm_params(hidden, width, rng) for _ in range(directions)))
+        width = directions * hidden
+    bound = 1.0 / math.sqrt(width)
     return BiLstmNetwork(
-        layer1_fwd=layer1_fwd,
-        layer1_bwd=layer1_bwd,
-        layer2_fwd=layer2_fwd,
-        layer2_bwd=layer2_bwd,
-        dense_w=rng.uniform(-bound, bound, size=dense_in),
+        layers=tuple(layers),
+        dense_w=rng.uniform(-bound, bound, size=width),
         dense_b=np.zeros(1),
         dropout_rate=dropout_rate,
     )
-
-
-def _layer_pass(net: BiLstmNetwork, which: int, seq: np.ndarray) -> tuple[np.ndarray, dict]:
-    fwd = net.layer1_fwd if which == 1 else net.layer2_fwd
-    bwd = net.layer1_bwd if which == 1 else net.layer2_bwd
-    if bwd is None:
-        out, cache = lstm_layer_forward(fwd, seq)
-        return out, {"fwd": cache, "bwd": None}
-    return bilstm_forward(fwd, bwd, seq)
 
 
 def network_forward(
@@ -258,79 +243,51 @@ def network_forward(
     inputs: np.ndarray,
     mode: str = "eval",
     seed: int | None = None,
-) -> tuple[np.ndarray | float, dict]:
-    """Predict in scaled space. mode="train" applies inverted-scaling dropout
-    from a generator seeded with `seed`; mode="eval" is deterministic."""
+) -> tuple[np.ndarray, dict]:
+    """Predict in scaled space for windows (m, L, F). mode="train" applies
+    inverted-scaling dropout after each layer from a generator seeded with
+    `seed`; mode="eval" is deterministic."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     inputs = np.asarray(inputs, dtype=np.float64)
-    single = inputs.ndim == 2
-    if single:
-        inputs = inputs[None, :, :]
-    if inputs.ndim != 3 or inputs.shape[2] != net.input_dim:
-        raise ShapeMismatch(
-            f"inputs must be (m, L, {net.input_dim}), got {inputs.shape}"
-        )
+    width = net.layers[0][0].input_dim
+    if inputs.ndim != 3 or inputs.shape[2] != width:
+        raise ShapeMismatch(f"inputs must be (m, L, {width}), got {inputs.shape}")
     if not np.isfinite(inputs).all():
         raise NonFiniteActivation("network inputs")
 
     rate = net.dropout_rate if mode == "train" else 0.0
     rng = np.random.default_rng(seed) if rate > 0.0 else None
+    cache: dict = {"mode": mode, "dirs": [], "relu": [], "drop": []}
+    act = inputs
+    for layer in net.layers:
+        out, dir_caches = layer_forward(layer, act)
+        relu = out > 0.0
+        act = out * relu
+        keep = None
+        if rng is not None:
+            keep = (rng.random(act.shape) >= rate) / (1.0 - rate)
+            act = act * keep
+        cache["dirs"].append(dir_caches)
+        cache["relu"].append(relu)
+        cache["drop"].append(keep)
 
-    def dropout(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        if rng is None:
-            return arr, None
-        keep = (rng.random(arr.shape) >= rate) / (1.0 - rate)
-        return arr * keep, keep
-
-    out1, cache1 = _layer_pass(net, 1, inputs)
-    relu1 = out1 > 0.0
-    act1, drop1 = dropout(out1 * relu1)
-
-    out2, cache2 = _layer_pass(net, 2, act1)
-    relu2 = out2 > 0.0
-    act2, drop2 = dropout(out2 * relu2)
-
-    last = act2[:, -1, :]
+    last = act[:, -1, :]
     preds = last @ net.dense_w + net.dense_b[0]
     if not np.isfinite(preds).all():
         raise NonFiniteActivation("dense head")
-    cache = {
-        "mode": mode, "l1": cache1, "l2": cache2,
-        "relu1": relu1, "relu2": relu2, "drop1": drop1, "drop2": drop2,
-        "last": last, "m_l_k": act2.shape,
-    }
-    return (float(preds[0]) if single else preds), cache
-
-
-def _layer_back(
-    net: BiLstmNetwork, which: int, cache: dict, d_out: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> np.ndarray:
-    fwd = net.layer1_fwd if which == 1 else net.layer2_fwd
-    bwd = net.layer1_bwd if which == 1 else net.layer2_bwd
-    prefix = f"l{which}"
-    if bwd is None:
-        d_seq, g_f = lstm_layer_backward(fwd, cache["fwd"], d_out)
-        g_b = None
-    else:
-        d_seq, g_f, g_b = bilstm_backward(fwd, bwd, cache, d_out)
-    for gate, arr in g_f.items():
-        grads[f"{prefix}f.{gate}"] = arr
-    if g_b is not None:
-        for gate, arr in g_b.items():
-            grads[f"{prefix}b.{gate}"] = arr
-    return d_seq
+    cache["last"], cache["m_l_k"] = last, act.shape
+    return preds, cache
 
 
 def network_backward(
-    net: BiLstmNetwork, cache: dict, d_preds: np.ndarray | float
+    net: BiLstmNetwork, cache: dict, d_preds: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Gradients of the scalar loss for every parameter, keyed like
     param_dict. Needs a cache produced by a train-mode forward pass."""
     if cache.get("mode") != "train":
         raise StaleCache()
-    d_preds = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
+    d_preds = np.asarray(d_preds, dtype=np.float64)
     m, length, k = cache["m_l_k"]
     if d_preds.shape != (m,):
         raise ShapeMismatch(f"upstream gradient must be ({m},), got {d_preds.shape}")
@@ -339,20 +296,18 @@ def network_backward(
     grads["dense.w"] = cache["last"].T @ d_preds
     grads["dense.b"] = np.array([d_preds.sum()])
 
-    d_act2 = np.zeros((m, length, k))
-    d_act2[:, -1, :] = np.outer(d_preds, net.dense_w)
-    if cache["drop2"] is not None:
-        d_act2 = d_act2 * cache["drop2"]
-    d_out2 = d_act2 * cache["relu2"]
+    d_act = np.zeros((m, length, k))
+    d_act[:, -1, :] = np.outer(d_preds, net.dense_w)
+    for i in reversed(range(len(net.layers))):
+        if cache["drop"][i] is not None:
+            d_act = d_act * cache["drop"][i]
+        d_act, layer_grads = layer_backward(net.layers[i], cache["dirs"][i],
+                                            d_act * cache["relu"][i])
+        for g, (tag, _) in zip(layer_grads, _DIRECTIONS):
+            for name, arr in g.items():
+                grads[f"l{i + 1}{tag}.{name}"] = arr
 
-    d_act1 = _layer_back(net, 2, cache["l2"], d_out2, grads)
-    if cache["drop1"] is not None:
-        d_act1 = d_act1 * cache["drop1"]
-    d_out1 = d_act1 * cache["relu1"]
-    _layer_back(net, 1, cache["l1"], d_out1, grads)
-
-    ordered = net.param_dict()
-    return {name: grads[name] for name in ordered}
+    return {name: grads[name] for name in net.param_dict()}
 
 
 def logcosh_loss(preds: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -420,8 +375,9 @@ def adam_step(
     """One bias-corrected Adam update after global-norm clipping.
 
     Parameters, moments and gradients are all updated in place: each
-    gradient array is overwritten with its step. The arithmetic, operation
-    for operation, is
+    gradient array is overwritten with its step, and every temporary,
+    the squares summed for the global norm included, lives in one work
+    buffer kept across steps. The arithmetic, operation for operation, is
 
         g = grad * factor
         m = beta1 * m + (1 - beta1) * g
@@ -430,13 +386,18 @@ def adam_step(
     """
     if set(params) != set(grads):
         raise ShapeMismatch("parameter and gradient key sets differ")
+    largest = max((arr.size for arr in params.values()), default=0)
+    if state.work is None or state.work.size < largest:
+        state.work = np.empty(largest)
     sq = 0.0
     for name, arr in params.items():
         if arr.shape != grads[name].shape:
             raise ShapeMismatch(
                 f"{name}: parameter {arr.shape} vs gradient {grads[name].shape}"
             )
-        sq += float(np.sum(grads[name] * grads[name]))
+        tmp = state.work[: arr.size].reshape(arr.shape)
+        np.multiply(grads[name], grads[name], out=tmp)
+        sq += float(np.sum(tmp))
     norm = math.sqrt(sq)
     factor = 1.0
     if config.clip_norm > 0.0 and norm > config.clip_norm:
@@ -446,9 +407,6 @@ def adam_step(
     t = state.step
     m_corr = 1.0 - config.beta1 ** t
     v_corr = 1.0 - config.beta2 ** t
-    largest = max((arr.size for arr in params.values()), default=0)
-    if state.work is None or state.work.size < largest:
-        state.work = np.empty(largest)
     for name, arr in params.items():
         m, v = state.m[name], state.v[name]
         g = grads[name]
@@ -500,9 +458,10 @@ def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
             preds, cache = network_forward(net, inputs[chunk], "train", step_seed)
             loss, d_preds = logcosh_loss(preds, targets[chunk])
             grads = network_backward(net, cache, d_preds)
+            del cache  # the Adam step needs only the gradients
             adam_step(params, grads, state, config)
             total += loss * len(chunk)
-            del cache, grads  # so the next step does not hold two sets
+            del grads  # so the next step does not hold two sets
         epoch_loss = total / m
         if not math.isfinite(epoch_loss):
             raise DivergedLoss(epoch)
@@ -526,19 +485,14 @@ def load_network(path: str) -> BiLstmNetwork:
     network's parameters, so no initial weights are drawn."""
 
     def build(meta: dict, params: dict[str, np.ndarray]) -> BiLstmNetwork:
-        def cell(prefix: str) -> LstmParams:
-            return LstmParams(w_x=params[f"{prefix}.w_x"], w_a=params[f"{prefix}.w_a"],
-                              b=params[f"{prefix}.b"])
-
-        bidirectional = "l1b.b" in params
-        return BiLstmNetwork(
-            layer1_fwd=cell("l1f"),
-            layer1_bwd=cell("l1b") if bidirectional else None,
-            layer2_fwd=cell("l2f"),
-            layer2_bwd=cell("l2b") if bidirectional else None,
-            dense_w=params["dense.w"],
-            dense_b=params["dense.b"],
-            dropout_rate=float(meta["dropout_rate"]),
+        directions = _DIRECTIONS if "l1b.b" in params else _DIRECTIONS[:1]
+        layers = tuple(
+            tuple(LstmParams(w_x=params[f"l{i}{tag}.w_x"], w_a=params[f"l{i}{tag}.w_a"],
+                             b=params[f"l{i}{tag}.b"]) for tag, _ in directions)
+            for i in (1, 2)
         )
+        return BiLstmNetwork(layers=layers, dense_w=params["dense.w"],
+                             dense_b=params["dense.b"],
+                             dropout_rate=float(meta["dropout_rate"]))
 
     return _binio.load(path, "network", build)

@@ -221,7 +221,7 @@ def _load_raw(cfg: RunConfig) -> ingest.RawSeries:
 
 def stage_featurize(cfg: RunConfig) -> str:
     _ensure_out(cfg)
-    raw = ingest.clean(_load_raw(cfg), ingest.CleanPolicy(max_consecutive_fill=cfg.fill_cap))
+    raw = ingest.clean(_load_raw(cfg), cfg.fill_cap)
     matrix = indicators.expand_features(raw, cfg.windows)
     path = _path(cfg, "features.wffm")
     indicators.save_cache(matrix, path)

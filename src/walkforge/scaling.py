@@ -33,8 +33,6 @@ def fit(matrix: np.ndarray, rows: np.ndarray | range | slice, columns: tuple[str
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != len(columns):
         raise ColumnMismatch(f"matrix has {matrix.shape} shape for {len(columns)} columns")
-    if isinstance(rows, range):
-        rows = slice(rows.start, rows.stop, rows.step)
     sub = matrix[rows]
     if sub.shape[0] == 0:
         raise EmptyRange()

@@ -24,14 +24,6 @@ class Batch:
     test_start: int
     test_end: int
 
-    @property
-    def train(self) -> tuple[int, int]:
-        return (self.train_start, self.train_end)
-
-    @property
-    def test(self) -> tuple[int, int]:
-        return (self.test_start, self.test_end)
-
 
 @dataclass(frozen=True)
 class WalkForwardPlan:
@@ -74,10 +66,6 @@ class SampleSet:
     @property
     def m(self) -> int:
         return len(self.targets)
-
-    @property
-    def lookback(self) -> int:
-        return self.inputs.shape[1]
 
     def flat_inputs(self) -> np.ndarray:
         """Lookback windows flattened to (m, L*F) for the non-sequence models."""

@@ -188,7 +188,7 @@ def test_criterion_04_forest_signal_recovery_and_split_optimality():
         best = _enumerated_best_sse(xb, yb, 1)
         if np.ptp(y) == 0.0 or best is None:
             continue
-        if tree.node_count == 1:
+        if len(tree.feature) == 1:
             continue
         checked += 1
         if not np.isclose(_root_split_sse(xb, yb, tree), best, rtol=1e-9, atol=1e-9):

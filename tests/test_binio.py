@@ -18,6 +18,10 @@ def assert_same_bits(a, b):
     if dataclasses.is_dataclass(a):
         for field in dataclasses.fields(a):
             assert_same_bits(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bits(x, y)
     elif isinstance(a, np.ndarray):
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert a.tobytes() == b.tobytes()

@@ -123,6 +123,13 @@ class TestConfigExitCode:
         assert cli.main(["synth", *flags(tmp_path / "o")[:-10], "--config", str(cfg)]) == 2
         assert "unknown model" in capsys.readouterr().err
 
+    def test_negative_fill_cap(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["synth", *flags(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["featurize", *flags(out), "--fill-cap", "-1"]) == 2
+        assert "fill cap" in capsys.readouterr().err
+
     def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WALKFORGE_SEED", "xyz")
         argv = [a for a in flags(tmp_path / "o")]

@@ -164,7 +164,7 @@ class TestFloatSearchOracle:
             )
             forest = fit_forest(x, y, config)
             assert_same_trees(forest, oracle_forest(x, y, config))
-            checked += sum(tree.node_count > 1 for tree in forest.trees)
+            checked += sum(len(tree.feature) > 1 for tree in forest.trees)
         assert checked >= 40
 
     def test_mtry_below_p_on_real_valued_columns(self):
@@ -350,7 +350,7 @@ class TestDegenerateTarget:
         x = np.random.default_rng(1).normal(size=(40, 3))
         forest = fit_forest(x, np.full(40, 7.0), ForestConfig(seed=0, n_trees=4))
         for tree in forest.trees:
-            assert tree.node_count == 1
+            assert len(tree.feature) == 1
         np.testing.assert_allclose(predict(forest, x), 7.0)
         np.testing.assert_allclose(importances(forest, names(3)).importance, 0.0)
 

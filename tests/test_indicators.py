@@ -233,7 +233,7 @@ class TestExpansion:
     def test_851_features_and_warmup_floor(self):
         raw = synthesize(200, seed=0)
         matrix = expand_features(raw, DEFAULT_WINDOWS)
-        assert matrix.p == 851
+        assert matrix.values.shape[1] == 851
         assert len(matrix.names) == 851
         assert matrix.usable_from == 179
         assert np.isfinite(matrix.usable()).all()

@@ -16,7 +16,6 @@ from walkforge.ingest import (
     AUX_COLUMNS,
     PRICE_COLUMNS,
     SCHEMA,
-    CleanPolicy,
     RawSeries,
     SynthConfig,
     clean,
@@ -126,24 +125,19 @@ class TestCsvRoundTrip:
             load_csv(str(path))
 
 
-class TestCleanPolicy:
-    def test_unknown_fill_mode_rejected(self):
-        with pytest.raises(InvalidConfig):
-            CleanPolicy(fill="interpolate")
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(InvalidConfig):
-            CleanPolicy(max_consecutive_fill=-1)
-
-
 class TestClean:
+    def test_negative_cap_rejected(self):
+        series = make_series([0], [ohlc_row(10.0)])
+        with pytest.raises(InvalidConfig):
+            clean(series, -1)
+
     def test_single_gap_forward_filled(self):
         # close = [1, missing, 3] with cap 1: the hole takes the prior value.
         series = make_series(
             [0, 1, 2],
             [[1.0, 1.0, 1.1, 0.9], [2.0, np.nan, 2.1, 0.9], [3.0, 3.0, 3.1, 0.9]],
         )
-        out = clean(series, CleanPolicy(max_consecutive_fill=1))
+        out = clean(series, 1)
         np.testing.assert_allclose(out.column("close"), [1.0, 1.0, 3.0])
 
     def test_two_day_gap_exceeds_cap_one(self):
@@ -158,7 +152,7 @@ class TestClean:
             ],
         )
         with pytest.raises(GapTooLong) as err:
-            clean(series, CleanPolicy(max_consecutive_fill=1))
+            clean(series, 1)
         assert err.value.column == "close"
         assert err.value.length == 2
         assert err.value.cap == 1
@@ -167,16 +161,17 @@ class TestClean:
         # Rows for Jan 1 and Jan 3 only: Jan 2 appears, copied from Jan 1.
         jan1, jan3 = parse_date("2020-01-01"), parse_date("2020-01-03")
         series = make_series([jan1, jan3], [ohlc_row(10.0), ohlc_row(12.0)])
-        out = clean(series, CleanPolicy(max_consecutive_fill=1))
+        out = clean(series, 1)
         assert out.n == 3
         assert format_date(out.dates[1]) == "2020-01-02"
         np.testing.assert_allclose(out.values[1], out.values[0])
 
     def test_reject_mode_errors_on_any_hole(self):
+        # A fill cap of 0 rejects every missing value.
         jan1, jan3 = parse_date("2020-01-01"), parse_date("2020-01-03")
         series = make_series([jan1, jan3], [ohlc_row(10.0), ohlc_row(12.0)])
         with pytest.raises(GapTooLong):
-            clean(series, CleanPolicy(fill="reject"))
+            clean(series, 0)
 
     def test_leading_hole_cannot_be_filled(self):
         series = make_series(
@@ -184,24 +179,24 @@ class TestClean:
             [[np.nan, 1.0, 1.1, 0.9], [2.0, 2.0, 2.1, 1.9]],
         )
         with pytest.raises(LeadingNaN) as err:
-            clean(series, CleanPolicy(max_consecutive_fill=3))
+            clean(series, 3)
         assert err.value.column == "open"
 
     def test_price_bracket_violation_rejected(self):
         # high below the open/close body.
         series = make_series([0], [[10.0, 10.0, 9.0, 8.0]])
         with pytest.raises(OhlcViolation):
-            clean(series)
+            clean(series, 3)
 
     def test_nonpositive_low_rejected(self):
         series = make_series([0], [[10.0, 10.0, 11.0, 0.0]])
         with pytest.raises(OhlcViolation):
-            clean(series)
+            clean(series, 3)
 
     def test_clean_is_idempotent(self):
         series = synthesize(40, seed=11)
-        once = clean(series)
-        twice = clean(once)
+        once = clean(series, 3)
+        twice = clean(once, 3)
         np.testing.assert_array_equal(once.dates, twice.dates)
         np.testing.assert_array_equal(once.values, twice.values)
 
@@ -234,7 +229,7 @@ class TestSynthesize:
 
     def test_output_survives_clean_unchanged(self):
         series = synthesize(200, seed=9)
-        out = clean(series)
+        out = clean(series, 3)
         np.testing.assert_array_equal(out.values, series.values)
 
     def test_opens_are_prior_closes(self):

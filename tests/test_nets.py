@@ -21,10 +21,10 @@ from walkforge.nets import (
     LstmParams,
     TrainConfig,
     adam_step,
-    bilstm_forward,
     build_network,
     init_adam_state,
     init_lstm_params,
+    layer_forward,
     load_network,
     logcosh_loss,
     lstm_layer_backward,
@@ -133,18 +133,11 @@ def relu(row):
 
 def oracle_network(net, sample):
     """One sample (L, F) through both layers, ReLU between, affine head."""
-    seq = [list(row) for row in sample]
-    if net.bidirectional:
-        out1 = oracle_bilayer(net.layer1_fwd, net.layer1_bwd, seq)
-    else:
-        out1 = oracle_layer(net.layer1_fwd, seq)
-    act1 = [relu(row) for row in out1]
-    if net.bidirectional:
-        out2 = oracle_bilayer(net.layer2_fwd, net.layer2_bwd, act1)
-    else:
-        out2 = oracle_layer(net.layer2_fwd, act1)
-    last = relu(out2[-1])
-    return sum(w * v for w, v in zip(net.dense_w, last)) + net.dense_b[0]
+    act = [list(row) for row in sample]
+    for layer in net.layers:
+        out = oracle_bilayer(*layer, act) if len(layer) == 2 else oracle_layer(layer[0], act)
+        act = [relu(row) for row in out]
+    return sum(w * v for w, v in zip(net.dense_w, act[-1])) + net.dense_b[0]
 
 
 def zero_params(hidden, input_dim):
@@ -335,8 +328,8 @@ class TestBidirectional:
         fwd = init_lstm_params(3, 2, rng)
         bwd = init_lstm_params(3, 2, rng)
         seq = rng.normal(size=(2, 5, 2))
-        a, _ = bilstm_forward(fwd, bwd, seq)
-        b, _ = bilstm_forward(bwd, fwd, seq[:, ::-1, :])
+        a, _ = layer_forward((fwd, bwd), seq)
+        b, _ = layer_forward((bwd, fwd), seq[:, ::-1, :])
         swapped = np.concatenate([b[:, :, 3:], b[:, :, :3]], axis=2)
         np.testing.assert_array_equal(a, swapped[:, ::-1, :])
 
@@ -345,11 +338,20 @@ class TestBidirectional:
         fwd = init_lstm_params(2, 3, rng)
         bwd = init_lstm_params(2, 3, rng)
         seq = rng.normal(size=(1, 4, 3))
-        out, _ = bilstm_forward(fwd, bwd, seq)
+        out, _ = layer_forward((fwd, bwd), seq)
         front, _ = lstm_layer_forward(fwd, seq)
         back, _ = lstm_layer_forward(bwd, seq[:, ::-1, :])
         np.testing.assert_array_equal(out[:, :, :2], front)
         np.testing.assert_array_equal(out[:, :, 2:], back[:, ::-1, :])
+
+    def test_one_direction_layer_returns_its_output_uncopied(self):
+        rng = np.random.default_rng(6)
+        fwd = init_lstm_params(2, 3, rng)
+        seq = rng.normal(size=(2, 4, 3))
+        out, caches = layer_forward((fwd,), seq)
+        alone, _ = lstm_layer_forward(fwd, seq)
+        np.testing.assert_array_equal(out, alone)
+        assert np.shares_memory(out, caches[0]["a"])
 
 
 class TestNetworkForward:
@@ -371,11 +373,6 @@ class TestNetworkForward:
         preds, _ = network_forward(net, np.random.default_rng(0).normal(size=(4, 5, 3)))
         np.testing.assert_allclose(preds, -1.75)
 
-    def test_single_window_returns_scalar(self):
-        net = build_network(2, hidden1=2, hidden2=2, dropout_rate=0.0, seed=1)
-        out, _ = network_forward(net, np.zeros((3, 2)))
-        assert isinstance(out, float)
-
     def test_eval_mode_is_deterministic(self):
         net = build_network(2, hidden1=3, hidden2=3, dropout_rate=0.5, seed=2)
         x = np.random.default_rng(1).normal(size=(4, 3, 2))
@@ -393,15 +390,15 @@ class TestNetworkForward:
         bi = build_network(f, hidden1=h1, hidden2=h2, dropout_rate=0.0,
                            bidirectional=True, seed=4)
         for name in ("w_x", "w_a", "b"):
-            getattr(bi.layer1_fwd, name)[...] = getattr(uni.layer1_fwd, name)
-            getattr(bi.layer1_bwd, name)[...] = 0.0
-            getattr(bi.layer2_bwd, name)[...] = 0.0
+            getattr(bi.layers[0][0], name)[...] = getattr(uni.layers[0][0], name)
+            getattr(bi.layers[0][1], name)[...] = 0.0
+            getattr(bi.layers[1][1], name)[...] = 0.0
         # Layer-2 forward sees [fwd_half | bwd_half]; copy the uni input
         # weights over fwd_half and zero the bwd_half columns.
-        bi.layer2_fwd.w_x[...] = 0.0
-        bi.layer2_fwd.w_x[:, :h1] = uni.layer2_fwd.w_x
-        bi.layer2_fwd.w_a[...] = uni.layer2_fwd.w_a
-        bi.layer2_fwd.b[...] = uni.layer2_fwd.b
+        bi.layers[1][0].w_x[...] = 0.0
+        bi.layers[1][0].w_x[:, :h1] = uni.layers[1][0].w_x
+        bi.layers[1][0].w_a[...] = uni.layers[1][0].w_a
+        bi.layers[1][0].b[...] = uni.layers[1][0].b
         bi.dense_w[...] = 0.0
         bi.dense_w[:h2] = uni.dense_w
         bi.dense_b[...] = uni.dense_b
@@ -451,6 +448,37 @@ class TestInitialization:
             rows = slice(k * hidden, (k + 1) * hidden)
             np.testing.assert_array_equal(params.w_a[rows], block[:, :hidden])
             np.testing.assert_array_equal(params.w_x[rows], block[:, hidden:])
+
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_param_names_and_order_are_the_checkpoint_layout(self, bidirectional):
+        net = build_network(3, hidden1=4, hidden2=5, bidirectional=bidirectional, seed=0)
+        cells = ["l1f", "l1b", "l2f", "l2b"] if bidirectional else ["l1f", "l2f"]
+        want = [f"{cell}.{name}" for cell in cells for name in ("w_x", "w_a", "b")]
+        assert list(net.param_dict()) == want + ["dense.w", "dense.b"]
+
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_draws_l1f_l1b_l2f_l2b_then_the_head(self, bidirectional):
+        # A replay of the draw order the checkpoints were made with: one
+        # generator, each direction of layer 1, each of layer 2, the head.
+        f, h1, h2, seed = 3, 4, 5, 17
+        net = build_network(f, hidden1=h1, hidden2=h2, bidirectional=bidirectional, seed=seed)
+        dirs = 2 if bidirectional else 1
+        rng = np.random.default_rng(seed)
+        want = {}
+        for prefix, hidden, width in (("l1f", h1, f), ("l1b", h1, f),
+                                      ("l2f", h2, dirs * h1), ("l2b", h2, dirs * h1)):
+            if prefix.endswith("b") and not bidirectional:
+                continue
+            cell = init_lstm_params(hidden, width, rng)
+            for name in ("w_x", "w_a", "b"):
+                want[f"{prefix}.{name}"] = getattr(cell, name)
+        bound = 1.0 / math.sqrt(dirs * h2)
+        want["dense.w"] = rng.uniform(-bound, bound, size=dirs * h2)
+        want["dense.b"] = np.zeros(1)
+        got = net.param_dict()
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(got[name], arr, err_msg=name)
 
     def test_same_seed_same_network(self):
         a = build_network(3, hidden1=4, hidden2=4, seed=9)
@@ -646,13 +674,13 @@ class TestDropout:
         train_preds, cache = network_forward(net, x, "train", seed=123)
         eval_preds, _ = network_forward(net, x, "eval")
         np.testing.assert_array_equal(train_preds, eval_preds)
-        assert cache["drop1"] is None and cache["drop2"] is None
+        assert cache["drop"] == [None, None]
 
     def test_masks_use_inverted_scaling(self):
         net = build_network(2, hidden1=2, hidden2=2, dropout_rate=0.2, seed=7)
         x = np.random.default_rng(4).normal(size=(3, 3, 2))
         _, cache = network_forward(net, x, "train", seed=99)
-        mask = cache["drop2"]
+        mask = cache["drop"][1]
         assert mask is not None
         values = np.unique(mask)
         assert set(np.round(values, 12)) <= {0.0, round(1.0 / 0.8, 12)}
@@ -665,8 +693,8 @@ class TestDropout:
         total, count = 0.0, 0
         for seed in range(200):
             _, cache = network_forward(net, x, "train", seed=seed)
-            total += cache["drop1"].sum()
-            count += cache["drop1"].size
+            total += cache["drop"][0].sum()
+            count += cache["drop"][0].size
         assert total / count == pytest.approx(1.0, abs=0.02)
 
     def test_same_seed_same_mask(self):
@@ -675,7 +703,7 @@ class TestDropout:
         a, ca = network_forward(net, x, "train", seed=41)
         b, cb = network_forward(net, x, "train", seed=41)
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(ca["drop1"], cb["drop1"])
+        np.testing.assert_array_equal(ca["drop"][0], cb["drop"][0])
 
 
 class TestTrain:
@@ -770,7 +798,7 @@ class TestSaveLoad:
         path = str(tmp_path / "net.bin")
         save_network(net, path)
         back = load_network(path)
-        assert back.bidirectional == bidirectional
+        assert [len(layer) for layer in back.layers] == [1 + bidirectional] * 2
         assert back.dropout_rate == 0.15
         x = np.random.default_rng(8).normal(size=(4, 3, 3))
         want, _ = network_forward(net, x)

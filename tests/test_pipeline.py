@@ -288,8 +288,10 @@ class TestStagedRun:
             for model in ("lr", "svr", "lstm", "proposed"))
         assert isinstance(lr, baselines.LinearModel)
         assert isinstance(svr, baselines.SvrModel)
-        assert isinstance(lstm, nets.BiLstmNetwork) and not lstm.bidirectional
-        assert isinstance(prop, nets.BiLstmNetwork) and prop.bidirectional
+        assert isinstance(lstm, nets.BiLstmNetwork)
+        assert isinstance(prop, nets.BiLstmNetwork)
+        assert [len(layer) for layer in lstm.layers] == [1, 1]
+        assert [len(layer) for layer in prop.layers] == [2, 2]
 
     def test_loss_curves_written_for_nets_only(self, staged):
         losses_dir = os.path.join(staged.out, "losses")

@@ -28,16 +28,16 @@ class TestMakeBatches:
     def test_eleven_hundred_rows_give_six_batches(self):
         plan = make_batches(1100)
         assert len(plan.batches) == 6
-        assert plan.batches[0].train == (0, 500)
-        assert plan.batches[0].test == (500, 600)
-        assert plan.batches[-1].train == (500, 1000)
-        assert plan.batches[-1].test == (1000, 1100)
+        assert (plan.batches[0].train_start, plan.batches[0].train_end) == (0, 500)
+        assert (plan.batches[0].test_start, plan.batches[0].test_end) == (500, 600)
+        assert (plan.batches[-1].train_start, plan.batches[-1].train_end) == (500, 1000)
+        assert (plan.batches[-1].test_start, plan.batches[-1].test_end) == (1000, 1100)
 
     def test_exact_minimum_gives_one_batch(self):
         plan = make_batches(600)
         assert len(plan.batches) == 1
-        assert plan.batches[0].train == (0, 500)
-        assert plan.batches[0].test == (500, 600)
+        assert (plan.batches[0].train_start, plan.batches[0].train_end) == (0, 500)
+        assert (plan.batches[0].test_start, plan.batches[0].test_end) == (500, 600)
 
     def test_one_row_short_is_rejected(self):
         with pytest.raises(TooShort) as err:
@@ -70,7 +70,7 @@ class TestMakeBatches:
 
     def test_default_stride_tiles_the_test_span_contiguously(self):
         plan = make_batches(1100)
-        spans = [b.test for b in plan.batches]
+        spans = [(b.test_start, b.test_end) for b in plan.batches]
         assert spans[0][0] == 500
         for (_, prev_end), (start, _) in zip(spans, spans[1:]):
             assert start == prev_end
@@ -114,7 +114,7 @@ class TestMakeWindows:
         close = np.arange(10, dtype=np.float64) * 10.0
         got = make_windows(features, close, 0, 10, lookback=3)
         assert got.m == 7
-        assert got.lookback == 3
+        assert got.inputs.shape[1] == 3
         np.testing.assert_array_equal(got.anchors, [2, 3, 4, 5, 6, 7, 8])
         np.testing.assert_array_equal(got.inputs[0], features[0:3])
         assert got.targets[0] == close[3]
