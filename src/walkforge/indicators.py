@@ -1,10 +1,12 @@
 """Technical-indicator feature expansion.
 
-Each of the 12 indicator kinds is computed per input column per window.
-With the 23-column schema and windows (7, 30, 90) the expanded matrix has
-23 + 23*12*3 = 851 columns. Entries before a column's valid_from row are
-NaN; usable_from floors the matrix-wide warm-up at 2*max(window) - 1 so the
-double-smoothed kinds have settled before any row is consumed downstream.
+Each of the 12 indicator kinds is computed per window over every input
+column at once: one call on a (column, row) stack, windows on the
+contiguous time axis. With the 23-column schema and windows (7, 30, 90) the
+expanded matrix has 23 + 23*12*3 = 851 columns. Entries before a column's
+valid_from row are NaN; usable_from floors the matrix-wide warm-up at
+2*max(window) - 1 so the double-smoothed kinds have settled before any row
+is consumed downstream.
 """
 
 from __future__ import annotations
@@ -53,49 +55,66 @@ class IndicatorSpec:
 
 
 def _nan_pad(tail: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(n, np.nan)
-    if tail.size:
-        out[n - tail.size:] = tail
+    out = np.full(tail.shape[:-1] + (n,), np.nan)
+    out[..., n - tail.shape[-1]:] = tail
     return out
 
 
 def _sma(x: np.ndarray, w: int) -> np.ndarray:
-    if len(x) < w:
-        return np.full(len(x), np.nan)
-    return _nan_pad(sliding_window_view(x, w).mean(axis=1), len(x))
+    if x.shape[-1] < w:
+        return np.full(x.shape, np.nan)
+    return _nan_pad(sliding_window_view(x, w, axis=-1).mean(axis=-1), x.shape[-1])
 
 
 def _wma(x: np.ndarray, w: int) -> np.ndarray:
-    if len(x) < w:
-        return np.full(len(x), np.nan)
+    if x.shape[-1] < w:
+        return np.full(x.shape, np.nan)
     weights = np.arange(1, w + 1, dtype=np.float64)
-    tail = sliding_window_view(x, w) @ weights / (w * (w + 1) / 2.0)
-    return _nan_pad(tail, len(x))
+    tail = sliding_window_view(x, w, axis=-1) @ weights / (w * (w + 1) / 2.0)
+    return _nan_pad(tail, x.shape[-1])
 
 
 def _ema(x: np.ndarray, w: int) -> np.ndarray:
+    """out[t] = alpha*x[t] + (1 - alpha)*out[t-1], run time-major so each
+    step is two ufunc calls over every series at once; the two roundings
+    per step are those of the scalar recursion."""
     alpha = 2.0 / (w + 1.0)
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for t in range(1, len(x)):
-        out[t] = alpha * x[t] + (1.0 - alpha) * out[t - 1]
-    return out
+    scaled = np.moveaxis(x * alpha, -1, 0).copy()  # (n, ...) time-major
+    out = np.empty_like(scaled)
+    out[0, ...] = x[..., 0]
+    carry = np.empty_like(out[0, ...])
+    for t in range(1, len(out)):
+        np.multiply(out[t - 1, ...], 1.0 - alpha, out=carry)
+        np.add(scaled[t, ...], carry, out=out[t, ...])
+    return np.moveaxis(out, 0, -1)
+
+
+# Elements of the (series, window start, offset) temporary that std makes
+# in one call: 2 MiB, so a stack costs no more memory than a few series.
+_STD_BLOCK = 1 << 18
 
 
 def _rolling_std(x: np.ndarray, w: int) -> np.ndarray:
-    if len(x) < w:
-        return np.full(len(x), np.nan)
-    return _nan_pad(sliding_window_view(x, w).std(axis=1, ddof=1), len(x))
+    n = x.shape[-1]
+    if n < w:
+        return np.full(x.shape, np.nan)
+    series = x.reshape(-1, n)
+    tail = np.empty((len(series), n - w + 1))
+    step = max(1, _STD_BLOCK // (tail.shape[1] * w))
+    for lo in range(0, len(series), step):
+        block = sliding_window_view(series[lo: lo + step], w, axis=-1)
+        tail[lo: lo + step] = block.std(axis=-1, ddof=1)
+    return _nan_pad(tail.reshape(x.shape[:-1] + tail.shape[-1:]), n)
 
 
 def _rsi(x: np.ndarray, w: int) -> np.ndarray:
-    n = len(x)
-    out = np.full(n, np.nan)
+    n = x.shape[-1]
+    out = np.full(x.shape, np.nan)
     if n < w + 1:
         return out
-    diffs = np.diff(x)
-    gains = sliding_window_view(np.maximum(diffs, 0.0), w).mean(axis=1)
-    losses = sliding_window_view(np.maximum(-diffs, 0.0), w).mean(axis=1)
+    diffs = np.diff(x, axis=-1)
+    gains = sliding_window_view(np.maximum(diffs, 0.0), w, axis=-1).mean(axis=-1)
+    losses = sliding_window_view(np.maximum(-diffs, 0.0), w, axis=-1).mean(axis=-1)
     tail = np.empty_like(gains)
     flat = (gains == 0.0) & (losses == 0.0)
     up_only = (losses == 0.0) & ~flat
@@ -104,28 +123,30 @@ def _rsi(x: np.ndarray, w: int) -> np.ndarray:
     tail[up_only] = 100.0
     with np.errstate(divide="ignore"):
         tail[rest] = 100.0 - 100.0 / (1.0 + gains[rest] / losses[rest])
-    out[w:] = tail
+    out[..., w:] = tail
     return out
 
 
 def _roc(x: np.ndarray, w: int) -> np.ndarray:
-    n = len(x)
-    out = np.full(n, np.nan)
+    n = x.shape[-1]
+    out = np.full(x.shape, np.nan)
     if n < w + 1:
         return out
-    base = x[: n - w]
-    zeros = np.nonzero(base == 0.0)[0]
+    base = x[..., : n - w]
+    zeros = np.argwhere(base == 0.0)  # row-major: lowest series, then earliest row
     if zeros.size:
-        raise ZeroDenominator(int(zeros[0]) + w)
-    out[w:] = 100.0 * (x[w:] - base) / base
+        raise ZeroDenominator(int(zeros[0, -1]) + w)
+    out[..., w:] = 100.0 * (x[..., w:] - base) / base
     return out
 
 
 def compute_indicator(x: np.ndarray, spec: IndicatorSpec) -> tuple[np.ndarray, int]:
-    """Return (values, valid_from); values[t] is NaN for t < valid_from."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 1:
-        raise DataError("indicator input must be a non-empty 1-D array")
+    """Return (values, valid_from) for one series (n,) or a stack of series
+    (k, n), time on the last axis; values[..., t] is NaN for t < valid_from.
+    Each series of a stack gets the bits it gets alone."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.size < 1:
+        raise DataError("indicator input must be a non-empty series (n,) or stack (k, n)")
     w = spec.window
     kind = spec.kind
     if kind == "sma":
@@ -224,15 +245,17 @@ def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) 
     valid_from = np.zeros(p, dtype=np.int64)
     values[:, : len(raw.columns)] = raw.values
 
-    j = len(raw.columns)
-    for c, column in enumerate(raw.columns):
-        x = raw.values[:, c]
-        for kind in KINDS:
-            for w in windows:
-                col, vf = compute_indicator(x, IndicatorSpec(kind, w))
-                values[:, j] = col
-                valid_from[j] = vf
-                j += 1
+    # one call per (kind, window) over every column; the derived block is
+    # viewed as (row, column, kind, window), the order of feature_names
+    k = len(raw.columns)
+    stack = raw.values.T  # (k, n): each column's series on the last axis
+    derived = values[:, k:].reshape(n, k, len(KINDS), len(windows))
+    derived_from = valid_from[k:].reshape(k, len(KINDS), len(windows))
+    for i, kind in enumerate(KINDS):
+        for j, w in enumerate(windows):
+            block, vf = compute_indicator(stack, IndicatorSpec(kind, w))
+            derived[:, :, i, j] = block.T
+            derived_from[:, i, j] = vf
 
     usable_from = int(max(2 * max(windows) - 1, valid_from.max()))
     matrix = FeatureMatrix(

@@ -246,7 +246,8 @@ def network_forward(
 ) -> tuple[np.ndarray, dict]:
     """Predict in scaled space for windows (m, L, F). mode="train" applies
     inverted-scaling dropout after each layer from a generator seeded with
-    `seed`; mode="eval" is deterministic."""
+    `seed` and keeps every layer's cache for network_backward; mode="eval"
+    is deterministic and keeps only the activation between layers."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -264,13 +265,15 @@ def network_forward(
         out, dir_caches = layer_forward(layer, act)
         relu = out > 0.0
         act = out * relu
-        keep = None
-        if rng is not None:
-            keep = (rng.random(act.shape) >= rate) / (1.0 - rate)
-            act = act * keep
-        cache["dirs"].append(dir_caches)
-        cache["relu"].append(relu)
-        cache["drop"].append(keep)
+        if mode == "train":
+            keep = None
+            if rng is not None:
+                keep = (rng.random(act.shape) >= rate) / (1.0 - rate)
+                act = act * keep
+            cache["dirs"].append(dir_caches)
+            cache["relu"].append(relu)
+            cache["drop"].append(keep)
+        del out, dir_caches, relu  # an eval pass frees them before the next layer
 
     last = act[:, -1, :]
     preds = last @ net.dense_w + net.dense_b[0]
@@ -356,7 +359,7 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    work: np.ndarray | None = None  # buffer reused across parameters and steps
+    work: np.ndarray | None = None  # one chunk, reused across parameters and steps
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
@@ -364,6 +367,25 @@ def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
         m={name: np.zeros_like(arr) for name, arr in params.items()},
         v={name: np.zeros_like(arr) for name, arr in params.items()},
     )
+
+
+# Adam works through each array in pieces of this many elements (256 KiB of
+# float64), so a piece stays in cache across all of its operations.
+_CHUNK = 32768
+
+
+def _sum_squares(g: np.ndarray, work: np.ndarray) -> float:
+    """float(np.sum(g * g)) for a flat g, bit for bit, squaring at most one
+    chunk at a time: the halves are split where numpy's pairwise summation
+    splits them (a multiple of 8 at or below n // 2), down to pieces that
+    fit in work, and np.sum adds each piece's squares as it would in place."""
+    n = g.size
+    if n <= len(work):
+        np.multiply(g, g, out=work[:n])
+        return float(np.sum(work[:n]))
+    half = n // 2
+    half -= half % 8
+    return _sum_squares(g[:half], work) + _sum_squares(g[half:], work)
 
 
 def adam_step(
@@ -374,10 +396,11 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update after global-norm clipping.
 
-    Parameters, moments and gradients are all updated in place: each
-    gradient array is overwritten with its step, and every temporary,
-    the squares summed for the global norm included, lives in one work
-    buffer kept across steps. The arithmetic, operation for operation, is
+    Parameters, moments and gradients (all C-contiguous) are updated in
+    place: each gradient array is overwritten with its step, and every
+    temporary lives in one chunk-sized work buffer kept across steps. Each
+    chunk of an array runs all of its operations before the next chunk; the
+    arithmetic, operation for operation, is
 
         g = grad * factor
         m = beta1 * m + (1 - beta1) * g
@@ -386,18 +409,17 @@ def adam_step(
     """
     if set(params) != set(grads):
         raise ShapeMismatch("parameter and gradient key sets differ")
-    largest = max((arr.size for arr in params.values()), default=0)
-    if state.work is None or state.work.size < largest:
-        state.work = np.empty(largest)
+    if state.work is None:
+        state.work = np.empty(_CHUNK)
     sq = 0.0
     for name, arr in params.items():
         if arr.shape != grads[name].shape:
             raise ShapeMismatch(
                 f"{name}: parameter {arr.shape} vs gradient {grads[name].shape}"
             )
-        tmp = state.work[: arr.size].reshape(arr.shape)
-        np.multiply(grads[name], grads[name], out=tmp)
-        sq += float(np.sum(tmp))
+        if not (arr.flags.c_contiguous and grads[name].flags.c_contiguous):
+            raise ShapeMismatch(f"{name}: parameter and gradient must be C-contiguous")
+        sq += _sum_squares(grads[name].reshape(-1), state.work)
     norm = math.sqrt(sq)
     factor = 1.0
     if config.clip_norm > 0.0 and norm > config.clip_norm:
@@ -408,24 +430,26 @@ def adam_step(
     m_corr = 1.0 - config.beta1 ** t
     v_corr = 1.0 - config.beta2 ** t
     for name, arr in params.items():
-        m, v = state.m[name], state.v[name]
-        g = grads[name]
-        tmp = state.work[: arr.size].reshape(arr.shape)
-        g *= factor
-        np.multiply(g, 1.0 - config.beta1, out=tmp)
-        m *= config.beta1
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - config.beta2
-        v *= config.beta2
-        v += tmp
-        np.divide(v, v_corr, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += config.eps
-        np.divide(m, m_corr, out=g)
-        g *= config.learning_rate
-        g /= tmp
-        arr -= g
+        flats = (arr.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1),
+                 grads[name].reshape(-1))
+        for lo in range(0, arr.size, _CHUNK):
+            p, m, v, g = (flat[lo: lo + _CHUNK] for flat in flats)
+            tmp = state.work[: g.size]
+            g *= factor
+            np.multiply(g, 1.0 - config.beta1, out=tmp)
+            m *= config.beta1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - config.beta2
+            v *= config.beta2
+            v += tmp
+            np.divide(v, v_corr, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += config.eps
+            np.divide(m, m_corr, out=g)
+            g *= config.learning_rate
+            g /= tmp
+            p -= g
     return params, state
 
 

@@ -317,6 +317,11 @@ def _checkpoint(cfg: RunConfig, model: str, batch: int) -> str:
     return _path(cfg, os.path.join("models", f"{model}_b{batch}.bin"))
 
 
+def _fit_tasks(cfg: RunConfig, plan: splitter.WalkForwardPlan) -> list[tuple[int, str]]:
+    """Every (batch, model) pair, in the order reports list them."""
+    return [(batch.index, model_name) for batch in plan.batches for model_name in cfg.models]
+
+
 def stage_train(cfg: RunConfig) -> list[str]:
     """Fit every (batch, model) pair; the fits run on the worker pool, each
     writing its own checkpoint and losses file."""
@@ -354,8 +359,7 @@ def stage_train(cfg: RunConfig) -> list[str]:
                 "losses", f"{model_name}_b{batch}.csv")))
         return path
 
-    return _pool.run_tasks(fit, [(batch.index, model_name) for batch in plan.batches
-                                 for model_name in cfg.models])
+    return _pool.run_tasks(fit, _fit_tasks(cfg, plan))
 
 
 def _load_model(model_name: str, path: str):
@@ -381,34 +385,46 @@ def _to_usd(preds_scaled: np.ndarray, close_params: scaling.ScalerParams) -> np.
 
 
 def stage_evaluate(cfg: RunConfig) -> str:
+    """Score every (batch, model) checkpoint and persistence on each batch's
+    train and test windows; the predictions run on the worker pool."""
     _ensure_out(cfg)
     matrix = indicators.load_cache(_require(cfg, "features.wffm", "featurize"))
     selected = _load_selection(cfg)
     plan = _load_plan(cfg)
+    data = {batch.index: _batch_data(matrix, selected, batch, cfg.lookback)
+            for batch in plan.batches}
+
+    def predict(task: tuple[int, str]) -> tuple[np.ndarray, np.ndarray]:
+        """The model's train and test predictions in USD."""
+        batch, model_name = task
+        model = _load_model(model_name, _require(
+            cfg, os.path.join("models", f"{model_name}_b{batch}.bin"), "train"))
+        return tuple(_to_usd(_predict(model, sample_set), data[batch].close_params)
+                     for sample_set in (data[batch].train_set, data[batch].test_set))
+
+    tasks = _fit_tasks(cfg, plan)
+    preds = dict(zip(tasks, _pool.run_tasks(predict, tasks)))
 
     runs: list[evalreport.BatchMetrics] = []
     test_rows: dict[int, dict] = {}
     for batch in plan.batches:
-        data = _batch_data(matrix, selected, batch, cfg.lookback)
-        usd = data.close_usd
-        test_actual = usd[data.test_set.anchors + 1]
+        batch_data = data[batch.index]
+        usd = batch_data.close_usd
+        splits = (("train", batch_data.train_set), ("test", batch_data.test_set))
+        test_anchors = batch_data.test_set.anchors
         row_block = {
-            "rows": data.test_set.anchors + 1,
-            "dates": matrix.dates[matrix.usable_from:][data.test_set.anchors + 1],
-            "actual": test_actual,
+            "rows": test_anchors + 1,
+            "dates": matrix.dates[matrix.usable_from:][test_anchors + 1],
+            "actual": usd[test_anchors + 1],
             "preds": {},
         }
         for model_name in cfg.models:
-            model = _load_model(model_name, _require(
-                cfg, os.path.join("models", f"{model_name}_b{batch.index}.bin"), "train"))
-            for split, sample_set in (("train", data.train_set), ("test", data.test_set)):
-                preds = _to_usd(_predict(model, sample_set), data.close_params)
-                actual = usd[sample_set.anchors + 1]
+            model_preds = preds[(batch.index, model_name)]
+            for (split, sample_set), split_preds in zip(splits, model_preds):
                 runs.append(evalreport.batch_metrics(
-                    model_name, batch.index, split, preds, actual))
-                if split == "test":
-                    row_block["preds"][model_name] = preds
-        for split, sample_set in (("train", data.train_set), ("test", data.test_set)):
+                    model_name, batch.index, split, split_preds, usd[sample_set.anchors + 1]))
+            row_block["preds"][model_name] = model_preds[1]
+        for split, sample_set in splits:
             runs.append(evalreport.persistence_baseline(
                 usd, sample_set.anchors, batch.index, split))
         test_rows[batch.index] = row_block

@@ -8,6 +8,7 @@ import pytest
 
 from walkforge.errors import (
     BadArtifact,
+    DataError,
     InvalidSpec,
     SeriesTooShort,
     ZeroDenominator,
@@ -15,6 +16,7 @@ from walkforge.errors import (
 from walkforge.indicators import (
     DEFAULT_WINDOWS,
     KINDS,
+    FeatureMatrix,
     IndicatorSpec,
     compute_indicator,
     expand_features,
@@ -23,7 +25,7 @@ from walkforge.indicators import (
     save_cache,
     warmup_rows,
 )
-from walkforge.ingest import synthesize
+from walkforge.ingest import RawSeries, clean, synthesize
 
 # --- independent oracle: direct formulas, one value at a time ---------------
 
@@ -213,6 +215,119 @@ class TestFrozenExamples:
         np.testing.assert_allclose(
             part[vf:], full[s + vf:], rtol=1e-12, atol=1e-12
         )
+
+
+class TestStacks:
+    """A (k, n) stack of series gives each series the bits it gets alone."""
+
+    @staticmethod
+    def stack(n, seed=21):
+        rng = np.random.default_rng(seed)
+        x = 50.0 + np.cumsum(rng.standard_normal((4, n)), axis=1)
+        x[1] *= 1e6  # scales a shared reduction order would mix up
+        x[2] = np.abs(x[2]) * 1e-4
+        x[3, : n // 2] = x[3, 0]  # a flat stretch: rsi's 50 and zero std
+        return x
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("window", [2, 7, 30, 90])
+    @pytest.mark.parametrize("n", [1, 60, 95, 260])
+    def test_stack_matches_one_series_at_a_time(self, kind, window, n):
+        # n = 1 and 60 are shorter than the larger windows: the NaN path
+        x = self.stack(n)
+        spec = IndicatorSpec(kind, window)
+        values, valid_from = compute_indicator(x, spec)
+        assert values.shape == x.shape
+        for c in range(len(x)):
+            want, want_from = compute_indicator(x[c], spec)
+            assert valid_from == want_from
+            assert values[c].tobytes() == want.tobytes(), f"series {c}"
+
+    def test_strided_columns_match_contiguous_series(self):
+        x = self.stack(120)
+        for kind in KINDS:
+            strided, _ = compute_indicator(x.T.copy().T, IndicatorSpec(kind, 7))
+            direct, _ = compute_indicator(x, IndicatorSpec(kind, 7))
+            assert strided.tobytes() == direct.tobytes()
+
+    def test_roc_zero_reports_first_zero_of_lowest_series(self):
+        x = self.stack(40)
+        x[3, 4] = 0.0
+        x[1, 12] = 0.0
+        x[1, 20] = 0.0
+        with pytest.raises(ZeroDenominator) as err:
+            compute_indicator(x, IndicatorSpec("roc", 5))
+        assert err.value.index == 12 + 5
+        with pytest.raises(ZeroDenominator) as alone:
+            compute_indicator(x[1], IndicatorSpec("roc", 5))
+        assert alone.value.index == err.value.index
+
+    def test_roc_zero_past_the_last_base_row_is_not_a_denominator(self):
+        x = self.stack(40)
+        x[0, 38] = 0.0  # only ever a numerator at window 5
+        values, _ = compute_indicator(x, IndicatorSpec("roc", 5))
+        assert values[0, 38] == pytest.approx(-100.0)
+
+    @pytest.mark.parametrize("bad", [np.zeros(0), np.zeros((0, 5)), np.zeros((2, 3, 4))])
+    def test_empty_or_three_dimensional_input_rejected(self, bad):
+        with pytest.raises(DataError):
+            compute_indicator(bad, IndicatorSpec("sma", 2))
+
+
+def per_column_expansion(raw, windows):
+    """The expansion as one compute_indicator call per (column, kind,
+    window), column by column: the reference the stacked calls must match."""
+    names = feature_names(raw.columns, tuple(windows))
+    values = np.empty((raw.n, len(names)))
+    valid_from = np.zeros(len(names), dtype=np.int64)
+    values[:, : len(raw.columns)] = raw.values
+    j = len(raw.columns)
+    for c in range(len(raw.columns)):
+        for kind in KINDS:
+            for w in windows:
+                values[:, j], valid_from[j] = compute_indicator(
+                    raw.values[:, c], IndicatorSpec(kind, w))
+                j += 1
+    usable_from = int(max(2 * max(windows) - 1, valid_from.max()))
+    return FeatureMatrix(names=names, dates=raw.dates.copy(), values=values,
+                         valid_from=valid_from, usable_from=usable_from)
+
+
+def gap_filled(n, seed):
+    """A synthetic series with a few one- to three-day holes, forward-filled."""
+    raw = synthesize(n, seed=seed)
+    keep = np.ones(n, dtype=bool)
+    keep[[20, 21, 55, 130, 131, 132, n - 9]] = False
+    return clean(RawSeries(dates=raw.dates[keep], values=raw.values[keep],
+                           columns=raw.columns), 3)
+
+
+class TestStackedExpansion:
+    @pytest.mark.parametrize("windows", [DEFAULT_WINDOWS, (30, 7), (2, 5, 11, 40)])
+    def test_matches_per_column_loop_byte_for_byte(self, windows):
+        raw = gap_filled(260, seed=9)
+        want = per_column_expansion(raw, windows)
+        got = expand_features(raw, windows)
+        assert got.names == want.names
+        assert got.usable_from == want.usable_from
+        assert got.dates.tobytes() == want.dates.tobytes()
+        assert got.valid_from.tobytes() == want.valid_from.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_one_call_per_kind_and_window(self, monkeypatch):
+        from walkforge import indicators
+
+        calls = []
+
+        def counting(x, spec):
+            calls.append((np.shape(x), spec))
+            return compute_indicator(x, spec)
+
+        monkeypatch.setattr(indicators, "compute_indicator", counting)
+        raw = synthesize(200, seed=4)
+        expand_features(raw, DEFAULT_WINDOWS)
+        assert len(calls) == len(KINDS) * len(DEFAULT_WINDOWS)
+        assert {shape for shape, _ in calls} == {(len(raw.columns), raw.n)}
 
 
 class TestSpecValidation:

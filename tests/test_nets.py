@@ -543,6 +543,18 @@ class TestGradients:
         with pytest.raises(StaleCache):
             network_backward(net, cache, np.zeros(2))
 
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_eval_pass_keeps_no_layer_cache(self, bidirectional):
+        net = build_network(2, hidden1=3, hidden2=4, dropout_rate=0.3,
+                            bidirectional=bidirectional, seed=2)
+        x = np.random.default_rng(5).normal(size=(4, 3, 2))
+        preds, cache = network_forward(net, x, "eval")
+        assert cache["dirs"] == cache["relu"] == cache["drop"] == []
+        _, train_cache = network_forward(net, x, "train", seed=1)
+        assert len(train_cache["dirs"]) == len(train_cache["relu"]) == 2
+        with pytest.raises(StaleCache):
+            network_backward(net, cache, np.zeros(4))
+
     def test_upstream_gradient_shape_checked(self):
         net = build_network(2, hidden1=2, hidden2=2, dropout_rate=0.0, seed=0)
         _, cache = network_forward(net, np.zeros((2, 3, 2)), "train", seed=0)
@@ -665,6 +677,64 @@ class TestAdam:
             adam_step(params, {"b": np.zeros(2)}, state, TrainConfig())
         with pytest.raises(ShapeMismatch):
             adam_step(params, {"a": np.zeros(3)}, state, TrainConfig())
+
+    def test_non_contiguous_arrays_rejected(self):
+        params = {"a": np.zeros((3, 2))}
+        state = init_adam_state(params)
+        with pytest.raises(ShapeMismatch):
+            adam_step(params, {"a": np.zeros((2, 3)).T}, state, TrainConfig())
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 129, nets._CHUNK - 1, nets._CHUNK + 1,
+                                   2 * nets._CHUNK + 8, 4_000_001])
+    def test_sum_of_squares_is_numpys_sum_bit_for_bit(self, n):
+        # The helper follows numpy's pairwise split; if a numpy release moves
+        # the split, this fails here rather than drifting the weights' bits.
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=n) * rng.uniform(0.0, 5.0, size=n)
+        work = np.empty(nets._CHUNK)
+        assert nets._sum_squares(g, work).hex() == float(np.sum(g * g)).hex()
+
+    @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
+    def test_chunked_step_matches_whole_array_step_byte_for_byte(self, clip_norm):
+        shapes = {"w": (3 * nets._CHUNK // 8 + 5, 8), "b": (40,)}  # w spans four chunks
+        rng = np.random.default_rng(61)
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        want = {k: arr.copy() for k, arr in params.items()}
+        m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        state = init_adam_state(params)
+        config = TrainConfig(learning_rate=3e-3, clip_norm=clip_norm)
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+            step = {k: g.copy() for k, g in grads.items()}
+            # the whole-array arithmetic, one operation at a time
+            sq = 0.0
+            for g in grads.values():
+                sq += float(np.sum(g * g))
+            norm = math.sqrt(sq)
+            factor = clip_norm / norm if 0.0 < clip_norm < norm else 1.0
+            for k in shapes:
+                g = grads[k]
+                g *= factor
+                tmp = g * (1.0 - config.beta1)
+                m[k] *= config.beta1
+                m[k] += tmp
+                tmp = g * g
+                tmp *= 1.0 - config.beta2
+                v[k] *= config.beta2
+                v[k] += tmp
+                tmp = np.sqrt(v[k] / (1.0 - config.beta2 ** t))
+                tmp += config.eps
+                g = m[k] / (1.0 - config.beta1 ** t)
+                g *= config.learning_rate
+                g /= tmp
+                want[k] -= g
+            adam_step(params, step, state, config)
+            for k in shapes:
+                assert params[k].tobytes() == want[k].tobytes()
+                assert state.m[k].tobytes() == m[k].tobytes()
+                assert state.v[k].tobytes() == v[k].tobytes()
+        assert state.work.size == nets._CHUNK
 
 
 class TestDropout:

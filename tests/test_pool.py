@@ -17,7 +17,7 @@ from concurrent.futures import process
 import numpy as np
 import pytest
 
-from walkforge import _pool, baselines, cli, errors, nets
+from walkforge import _pool, baselines, cli, errors, nets, pipeline
 from walkforge.forest import ForestConfig, fit_forest
 
 
@@ -219,3 +219,51 @@ class TestPipelineWorkers:
                 "predictions.csv"} <= names
         assert sum(n.startswith("models") for n in names) == 8
         assert sum(n.startswith("losses") for n in names) == 4
+
+
+class TestEvaluateWorkers:
+    """evaluate's (batch, model) predictions run on the pool."""
+
+    def test_scores_byte_identical_and_predicted_in_workers(self, tmp_path, monkeypatch,
+                                                             capsys):
+        out = tmp_path / "out"
+        allow_cpus(monkeypatch, 1)
+        assert cli.main(["pipeline", *run_flags(out)]) == 0
+        pids_file = tmp_path / "pids"
+        predict = pipeline._predict
+
+        def recording(model, sample_set):  # not functools.wraps: no observer
+            with open(pids_file, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return predict(model, sample_set)
+
+        monkeypatch.setattr(pipeline, "_predict", recording)
+        scores, pids = [], []
+        for cpus in (1, 2):
+            allow_cpus(monkeypatch, cpus)
+            pids_file.write_text("")
+            assert cli.main(["evaluate", *run_flags(out)]) == 0
+            scores.append({name: (out / name).read_bytes()
+                           for name in ("metrics.json", "predictions.csv")})
+            pids.append(set(pids_file.read_text().split()))
+        capsys.readouterr()
+        assert scores[0] == scores[1]
+        assert pids[0] == {str(os.getpid())}
+        assert pids[1] and str(os.getpid()) not in pids[1]
+
+    def test_missing_checkpoint_fails_alike_on_one_and_two_cpus(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        out = tmp_path / "out"
+        allow_cpus(monkeypatch, 1)
+        assert cli.main(["pipeline", *run_flags(out)]) == 0
+        (out / "models" / "svr_b1.bin").unlink()
+        (out / "models" / "lstm_b1.bin").unlink()
+        capsys.readouterr()
+        seen = []
+        for cpus in (1, 2):
+            allow_cpus(monkeypatch, cpus)
+            code = cli.main(["evaluate", *run_flags(out)])
+            seen.append((code, capsys.readouterr().err))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 3
+        assert "svr_b1.bin" in seen[0][1]  # the first missing one in task order
