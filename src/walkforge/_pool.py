@@ -15,12 +15,21 @@ walkforge's calls: a profile or trace hook (`sys.setprofile`,
 `sys.settrace`: cProfile, debuggers, coverage) or a wrapper put over a
 walkforge function, as span tracers do. Such an observer records into this
 process's memory, and a forked worker's records die with the worker.
+
+`run_blocks(fn, n, work)` splits one large computation instead: it calls
+`fn(lo, hi)` over contiguous blocks of `range(n)`, the first block in the
+calling thread and each other block in a thread of its own, and joins them
+all before it returns. numpy releases the interpreter lock inside BLAS
+calls and ufunc loops, so the blocks run at once. The block count is
+measured too: the allowed CPUs over the threads each BLAS call already
+uses (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`).
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -92,3 +101,73 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         return list(pool.map(_call, tasks))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+# The least work (multiply-adds, or element operations) a block is given.
+# Starting and joining a thread costs 100-200 us, about the time of 2^21
+# multiply-adds on one core. And OpenBLAS computes products of under about
+# 10^6 multiply-adds with its small-matrix kernels, which round differently:
+# a block of a larger product must not fall under that size.
+_BLOCK_WORK = 1 << 23
+
+
+def _blas_threads() -> int:
+    """Threads one BLAS call uses, from the BLAS's own variables; 0 when
+    neither is set (or readable): OpenBLAS then runs a thread per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var)
+        if value is not None:
+            try:
+                return max(int(value), 0)
+            except ValueError:
+                return 0
+    return 0
+
+
+def _block_count(n: int, work: int) -> int:
+    most = work // _BLOCK_WORK
+    if most < 2 or _task is not None:  # _task is set in pool workers only
+        return 1
+    per_call = _blas_threads()
+    if per_call == 0:
+        return 1
+    # a one-row block would take numpy's matrix-vector path, whose sums
+    # round differently from the matrix-matrix kernel's
+    return max(1, min(_cpu_count() // per_call, n // 2, most))
+
+
+def run_blocks(fn: Callable[[int, int], None], n: int, work: int) -> None:
+    """fn(lo, hi) over contiguous blocks of range(n) that together cover it,
+    at once when the CPUs allow. `work` is the multiply-adds of the product
+    whose rows are split, or the element operations of elementwise work;
+    each block gets at least 2^23 of it and at least two rows. So a call
+    under 2^24 runs as the single block fn(0, n), as does every call inside
+    a run_tasks worker, which already holds one of the pool's CPUs. The
+    first block to fail, in block order, raises its exception here once
+    every block has finished."""
+    count = _block_count(n, work)
+    if count == 1:
+        fn(0, n)
+        return
+    bounds = [n * i // count for i in range(count + 1)]
+    failures: list[BaseException | None] = [None] * count
+
+    def block(i: int) -> None:
+        try:
+            fn(bounds[i], bounds[i + 1])
+        except BaseException as exc:  # re-raised below, after the joins
+            failures[i] = exc
+
+    started = []
+    try:
+        for i in range(1, count):
+            thread = threading.Thread(target=block, args=(i,))
+            thread.start()
+            started.append(thread)
+        block(0)
+    finally:  # also when a thread fails to start: none outlives the call
+        for thread in started:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc

@@ -1,12 +1,13 @@
 """Technical-indicator feature expansion.
 
-Each of the 12 indicator kinds is computed per window over every input
-column at once: one call on a (column, row) stack, windows on the
-contiguous time axis. With the 23-column schema and windows (7, 30, 90) the
-expanded matrix has 23 + 23*12*3 = 851 columns. Entries before a column's
-valid_from row are NaN; usable_from floors the matrix-wide warm-up at
-2*max(window) - 1 so the double-smoothed kinds have settled before any row
-is consumed downstream.
+All 12 indicator kinds of one window are computed in one call over every
+input column at once: a (column, row) stack, windows on the contiguous
+time axis, each shared intermediate (rolling mean and std, the EMA and the
+EMA of the EMA) computed once. With the 23-column schema and windows
+(7, 30, 90) the expanded matrix has 23 + 23*12*3 = 851 columns. Entries
+before a column's valid_from row are NaN; usable_from floors the
+matrix-wide warm-up at 2*max(window) - 1 so the double-smoothed kinds have
+settled before any row is consumed downstream.
 """
 
 from __future__ import annotations
@@ -36,22 +37,6 @@ KINDS = (
 )
 
 DEFAULT_WINDOWS = (7, 30, 90)
-
-
-@dataclass(frozen=True)
-class IndicatorSpec:
-    kind: str
-    window: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InvalidSpec(f"unknown indicator kind {self.kind!r}")
-        if self.window < 2:
-            raise InvalidSpec(f"window must be >= 2, got {self.window}")
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}_{self.window}"
 
 
 def _nan_pad(tail: np.ndarray, n: int) -> np.ndarray:
@@ -140,43 +125,36 @@ def _roc(x: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def compute_indicator(x: np.ndarray, spec: IndicatorSpec) -> tuple[np.ndarray, int]:
-    """Return (values, valid_from) for one series (n,) or a stack of series
-    (k, n), time on the last axis; values[..., t] is NaN for t < valid_from.
-    Each series of a stack gets the bits it gets alone."""
+def compute_indicator(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every kind at one window, for one series (n,) or a stack of series
+    (k, n), time on the last axis. Returns (values, valid_from): values[i]
+    holds kind KINDS[i] in x's shape, NaN before column valid_from[i]. Each
+    series of a stack gets the bits it gets alone."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size < 1:
         raise DataError("indicator input must be a non-empty series (n,) or stack (k, n)")
-    w = spec.window
-    kind = spec.kind
-    if kind == "sma":
-        return _sma(x, w), w - 1
-    if kind == "wma":
-        return _wma(x, w), w - 1
-    if kind == "ema":
-        return _ema(x, w), 0
-    if kind == "dema":
-        e = _ema(x, w)
-        return 2.0 * e - _ema(e, w), 0
-    if kind == "tema":
-        e = _ema(x, w)
-        ee = _ema(e, w)
-        return 3.0 * e - 3.0 * ee + _ema(ee, w), 0
-    if kind == "std":
-        return _rolling_std(x, w), w - 1
-    if kind == "var":
-        return _rolling_std(x, w) ** 2, w - 1
-    if kind == "rsi":
-        return _rsi(x, w), w
-    if kind == "roc":
-        return _roc(x, w), w
-    if kind == "boll_up":
-        return _sma(x, w) + 2.0 * _rolling_std(x, w), w - 1
-    if kind == "boll_lo":
-        return _sma(x, w) - 2.0 * _rolling_std(x, w), w - 1
-    if kind == "macd":
-        return _ema(x, w) - _ema(x, 2 * w), 0
-    raise InvalidSpec(f"unknown indicator kind {kind!r}")  # unreachable
+    w = window
+    if w < 2:
+        raise InvalidSpec(f"window must be >= 2, got {w}")
+    sma, std = _sma(x, w), _rolling_std(x, w)
+    e = _ema(x, w)
+    ee = _ema(e, w)
+    kinds = {
+        "sma": (sma, w - 1),
+        "wma": (_wma(x, w), w - 1),
+        "ema": (e, 0),
+        "dema": (2.0 * e - ee, 0),
+        "tema": (3.0 * e - 3.0 * ee + _ema(ee, w), 0),
+        "std": (std, w - 1),
+        "var": (std ** 2, w - 1),
+        "rsi": (_rsi(x, w), w),
+        "roc": (_roc(x, w), w),
+        "boll_up": (sma + 2.0 * std, w - 1),
+        "boll_lo": (sma - 2.0 * std, w - 1),
+        "macd": (e - _ema(x, 2 * w), 0),
+    }
+    return (np.stack([kinds[kind][0] for kind in KINDS]),
+            np.array([kinds[kind][1] for kind in KINDS]))
 
 
 @dataclass(frozen=True)
@@ -245,17 +223,16 @@ def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) 
     valid_from = np.zeros(p, dtype=np.int64)
     values[:, : len(raw.columns)] = raw.values
 
-    # one call per (kind, window) over every column; the derived block is
-    # viewed as (row, column, kind, window), the order of feature_names
+    # one call per window over every column; the derived block is viewed as
+    # (row, column, kind, window), the order of feature_names
     k = len(raw.columns)
     stack = raw.values.T  # (k, n): each column's series on the last axis
     derived = values[:, k:].reshape(n, k, len(KINDS), len(windows))
     derived_from = valid_from[k:].reshape(k, len(KINDS), len(windows))
-    for i, kind in enumerate(KINDS):
-        for j, w in enumerate(windows):
-            block, vf = compute_indicator(stack, IndicatorSpec(kind, w))
-            derived[:, :, i, j] = block.T
-            derived_from[:, i, j] = vf
+    for j, w in enumerate(windows):
+        block, vf = compute_indicator(stack, w)  # (kind, column, row)
+        derived[:, :, :, j] = block.transpose(2, 1, 0)
+        derived_from[:, :, j] = vf
 
     usable_from = int(max(2 * max(windows) - 1, valid_from.max()))
     matrix = FeatureMatrix(

@@ -11,6 +11,10 @@ Backpropagation runs through both the hidden-state and cell-state
 recurrences of every layer. All training randomness (shuffling, dropout
 masks) comes from one seeded generator, so a training run is a pure
 function of (initial network, samples, config).
+
+Large products, the time loops and the Adam update are split by rows over
+threads (`_pool.run_blocks`), with the same bits as the whole computation
+(see `_row_split_work`).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _binio
+from . import _binio, _pool
 from .errors import (
     ConfigError,
     DataError,
@@ -68,38 +72,67 @@ def init_lstm_params(hidden: int, input_dim: int, rng: np.random.Generator) -> L
     return LstmParams(w_x=w_x, w_a=w_a, b=b)
 
 
+def _row_split_work(m: int, k: int, n: int) -> int:
+    """The work run_blocks weighs to split the rows of an (m, k) @ (k, n)
+    product: m*k*n, or 0, which keeps it whole, when n is not a multiple
+    of 8. Each output row keeps its whole sum, so a block of rows gets the
+    bits the whole product gives those rows, with three exceptions: a
+    one-row block (numpy's matrix-vector path) and a block under about 10^6
+    multiply-adds (OpenBLAS's small-matrix kernels), which run_blocks never
+    makes, and the last n % 8 columns, whose bits OpenBLAS's kernel makes
+    depend on the number of rows (measured: every one of 300 random shapes
+    with n a multiple of 8 matched, most others did not)."""
+    return m * k * n if n % 8 == 0 else 0
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, its rows split over threads when the product is large."""
+    out = np.empty((a.shape[0], b.shape[1]))
+
+    def rows(lo: int, hi: int) -> None:
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+
+    _pool.run_blocks(rows, a.shape[0], _row_split_work(*a.shape, b.shape[1]))
+    return out
+
+
 def lstm_layer_forward(params: LstmParams, seq: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run the layer across seq (m, L, d) from zero initial state.
 
     The input projection of all L steps is one GEMM before the time loop,
     so each step makes one recurrent GEMM. Work is time-major: the (m, L, h)
-    output is a view of (L, m, h) storage."""
+    output is a view of (L, m, h) storage. Samples are independent, so each
+    block of samples runs the whole time loop on its own."""
     m, length, d = seq.shape
     h = params.hidden
     if d != params.input_dim:
         raise ShapeMismatch(f"layer expects input width {params.input_dim}, got {d}")
     xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, d)
-    gates = (xs @ params.w_x.T).reshape(length, m, 4 * h)
-    gates += params.b
+    gates = _matmul(xs, params.w_x.T).reshape(length, m, 4 * h)
     c_all = np.empty((length, m, h))
     tc = np.empty((length, m, h))
     out = np.empty((length, m, h))
-    for t in range(length):
-        g = gates[t]
-        if t:
-            g += out[t - 1] @ params.w_a.T
-        np.tanh(g[:, :h], out=g[:, :h])
-        sig = g[:, h:]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
-        sig *= 0.5
-        np.tanh(sig, out=sig)
-        sig += 1.0
-        sig *= 0.5
-        c = c_all[t]
-        np.multiply(g[:, h: 2 * h], g[:, :h], out=c)
-        if t:
-            c += g[:, 2 * h: 3 * h] * c_all[t - 1]
-        np.tanh(c, out=tc[t])
-        np.multiply(g[:, 3 * h:], tc[t], out=out[t])
+
+    def steps(lo: int, hi: int) -> None:
+        for t in range(length):
+            g = gates[t, lo:hi]
+            g += params.b
+            if t:
+                g += out[t - 1, lo:hi] @ params.w_a.T
+            np.tanh(g[:, :h], out=g[:, :h])
+            sig = g[:, h:]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
+            sig *= 0.5
+            np.tanh(sig, out=sig)
+            sig += 1.0
+            sig *= 0.5
+            c = c_all[t, lo:hi]
+            np.multiply(g[:, h: 2 * h], g[:, :h], out=c)
+            if t:
+                c += g[:, 2 * h: 3 * h] * c_all[t - 1, lo:hi]
+            np.tanh(c, out=tc[t, lo:hi])
+            np.multiply(g[:, 3 * h:], tc[t, lo:hi], out=out[t, lo:hi])
+
+    _pool.run_blocks(steps, m, _row_split_work(m, h, 4 * h))  # each step's product
     if not np.isfinite(out).all():
         raise NonFiniteActivation("lstm layer")
     cache = {"xs": xs, "gates": gates, "c": c_all, "tc": tc, "a": out}
@@ -107,43 +140,50 @@ def lstm_layer_forward(params: LstmParams, seq: np.ndarray) -> tuple[np.ndarray,
 
 
 def lstm_layer_backward(
-    params: LstmParams, cache: dict, d_out: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    params: LstmParams, cache: dict, d_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
     """Backpropagate through time, through both the a and c recurrences.
 
-    The loop carries only the recurrent gradients; each step's gate
-    pre-activation gradients land in one (L, m, 4h) buffer, from which the
-    weight, bias and input gradients each take one GEMM or reduction over
-    all L*m rows."""
+    The loop carries only the recurrent gradients, one block of samples at
+    a time; each step's gate pre-activation gradients land in one
+    (L, m, 4h) buffer, from which the weight, bias and input gradients each
+    take one GEMM or reduction over all L*m rows. With input_grad=False the
+    input gradient is not computed and None comes back in its place."""
     gates, c_all, tc = cache["gates"], cache["c"], cache["tc"]
     length, m, h4 = gates.shape
     h = h4 // 4
     d_gates = np.empty_like(gates)
-    da = np.zeros((m, h))
-    dc = np.zeros((m, h))
-    for t in range(length - 1, -1, -1):
-        g, dg = gates[t], d_gates[t]
-        cand, gu, gf, go = g[:, :h], g[:, h: 2 * h], g[:, 2 * h: 3 * h], g[:, 3 * h:]
-        da += d_out[:, t, :]
-        dc += da * go * (1.0 - tc[t] * tc[t])
-        dg[:, :h] = dc * gu * (1.0 - cand * cand)
-        np.subtract(1.0, g[:, h:], out=dg[:, h:])
-        dg[:, h:] *= g[:, h:]  # sigmoid slopes of u, f, o
-        dg[:, h: 2 * h] *= dc * cand
-        dg[:, 3 * h:] *= da * tc[t]
-        if t:
-            dg[:, 2 * h: 3 * h] *= dc * c_all[t - 1]
-            dc *= gf
-            da = dg @ params.w_a
-        else:
-            dg[:, 2 * h: 3 * h] = 0.0
+
+    def steps(lo: int, hi: int) -> None:
+        da = np.zeros((hi - lo, h))
+        dc = np.zeros((hi - lo, h))
+        for t in range(length - 1, -1, -1):
+            g, dg = gates[t, lo:hi], d_gates[t, lo:hi]
+            cand, gu, gf, go = g[:, :h], g[:, h: 2 * h], g[:, 2 * h: 3 * h], g[:, 3 * h:]
+            da += d_out[lo:hi, t, :]
+            dc += da * go * (1.0 - tc[t, lo:hi] * tc[t, lo:hi])
+            dg[:, :h] = dc * gu * (1.0 - cand * cand)
+            np.subtract(1.0, g[:, h:], out=dg[:, h:])
+            dg[:, h:] *= g[:, h:]  # sigmoid slopes of u, f, o
+            dg[:, h: 2 * h] *= dc * cand
+            dg[:, 3 * h:] *= da * tc[t, lo:hi]
+            if t:
+                dg[:, 2 * h: 3 * h] *= dc * c_all[t - 1, lo:hi]
+                dc *= gf
+                da = dg @ params.w_a
+            else:
+                dg[:, 2 * h: 3 * h] = 0.0
+
+    _pool.run_blocks(steps, m, _row_split_work(m, h4, h))
     rows = d_gates.reshape(length * m, h4)
     grads = {
-        "w_x": rows.T @ cache["xs"],
-        "w_a": rows[m:].T @ cache["a"][:-1].reshape(-1, h),
+        "w_x": _matmul(rows.T, cache["xs"]),
+        "w_a": _matmul(rows[m:].T, cache["a"][:-1].reshape(-1, h)),
         "b": rows.sum(axis=0),
     }
-    d_seq = (rows @ params.w_x).reshape(length, m, -1).transpose(1, 0, 2)
+    if not input_grad:
+        return None, grads
+    d_seq = _matmul(rows, params.w_x).reshape(length, m, -1).transpose(1, 0, 2)
     return d_seq, grads
 
 
@@ -169,17 +209,21 @@ def layer_forward(
 
 
 def layer_backward(
-    layer: tuple[LstmParams, ...], caches: list[dict], d_out: np.ndarray
-) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+    layer: tuple[LstmParams, ...], caches: list[dict], d_out: np.ndarray, input_grad: bool
+) -> tuple[np.ndarray | None, list[dict[str, np.ndarray]]]:
     """Backpropagate one layer: each direction takes its own feature block
-    of d_out in its own time order. The input gradient is the forward
-    direction's part plus the re-reversed backward part."""
+    of d_out in its own time order. The input gradient, when asked for, is
+    the forward direction's part plus the re-reversed backward part."""
     h = layer[0].hidden
     parts, grads = [], []
     for k, (params, cache, (_, step)) in enumerate(zip(layer, caches, _DIRECTIONS)):
-        d_part, g = lstm_layer_backward(params, cache, d_out[:, ::step, k * h: (k + 1) * h])
-        parts.append(d_part[:, ::step, :])
+        d_part, g = lstm_layer_backward(params, cache, d_out[:, ::step, k * h: (k + 1) * h],
+                                        input_grad)
         grads.append(g)
+        if input_grad:
+            parts.append(d_part[:, ::step, :])
+    if not input_grad:
+        return None, grads
     return (parts[0] if len(parts) == 1 else parts[0] + parts[1]), grads
 
 
@@ -304,8 +348,9 @@ def network_backward(
     for i in reversed(range(len(net.layers))):
         if cache["drop"][i] is not None:
             d_act = d_act * cache["drop"][i]
+        # nothing needs the gradient with respect to the network's inputs
         d_act, layer_grads = layer_backward(net.layers[i], cache["dirs"][i],
-                                            d_act * cache["relu"][i])
+                                            d_act * cache["relu"][i], input_grad=i > 0)
         for g, (tag, _) in zip(layer_grads, _DIRECTIONS):
             for name, arr in g.items():
                 grads[f"l{i + 1}{tag}.{name}"] = arr
@@ -359,7 +404,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    work: np.ndarray | None = None  # one chunk, reused across parameters and steps
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
@@ -369,23 +413,26 @@ def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
     )
 
 
-# Adam works through each array in pieces of this many elements (256 KiB of
-# float64), so a piece stays in cache across all of its operations.
+# Adam works through each array in pieces of at most this many elements
+# (256 KiB of float64), so a piece stays in cache across all of its operations.
 _CHUNK = 32768
 
+# Element operations per parameter in one Adam step, as the work run_blocks
+# weighs: the update makes 15 passes over the chunk and the norm one more.
+_ADAM_OPS = 16
 
-def _sum_squares(g: np.ndarray, work: np.ndarray) -> float:
-    """float(np.sum(g * g)) for a flat g, bit for bit, squaring at most one
-    chunk at a time: the halves are split where numpy's pairwise summation
-    splits them (a multiple of 8 at or below n // 2), down to pieces that
-    fit in work, and np.sum adds each piece's squares as it would in place."""
-    n = g.size
-    if n <= len(work):
-        np.multiply(g, g, out=work[:n])
-        return float(np.sum(work[:n]))
-    half = n // 2
+
+def _pairwise(lo: int, hi: int, leaf):
+    """leaf(a, b) over the pieces numpy's pairwise summation splits [lo, hi)
+    into (halves split at a multiple of 8 at or below half the length), down
+    to pieces of at most _CHUNK, joined with + in that tree's order. So a
+    leaf returning [(a, b)] lists the pieces, and a leaf returning the
+    piece's np.sum gives the np.sum of the whole range, bit for bit."""
+    if hi - lo <= _CHUNK:
+        return leaf(lo, hi)
+    half = (hi - lo) // 2
     half -= half % 8
-    return _sum_squares(g[:half], work) + _sum_squares(g[half:], work)
+    return _pairwise(lo, lo + half, leaf) + _pairwise(lo + half, hi, leaf)
 
 
 def adam_step(
@@ -397,10 +444,14 @@ def adam_step(
     """One bias-corrected Adam update after global-norm clipping.
 
     Parameters, moments and gradients (all C-contiguous) are updated in
-    place: each gradient array is overwritten with its step, and every
-    temporary lives in one chunk-sized work buffer kept across steps. Each
-    chunk of an array runs all of its operations before the next chunk; the
-    arithmetic, operation for operation, is
+    place: each gradient array is overwritten with its step. Both passes,
+    the squares for the global norm and the update, go through the arrays'
+    pieces (`_pairwise`), split over threads by run_blocks; each block keeps
+    its temporaries in a one-chunk work buffer of its own, and each piece
+    runs all of its operations before the next. Each array's squares add up
+    in numpy's pairwise order and the arrays' sums in parameter order, as
+    np.sum(g * g) per array would. The arithmetic, operation for operation,
+    is
 
         g = grad * factor
         m = beta1 * m + (1 - beta1) * g
@@ -409,9 +460,6 @@ def adam_step(
     """
     if set(params) != set(grads):
         raise ShapeMismatch("parameter and gradient key sets differ")
-    if state.work is None:
-        state.work = np.empty(_CHUNK)
-    sq = 0.0
     for name, arr in params.items():
         if arr.shape != grads[name].shape:
             raise ShapeMismatch(
@@ -419,7 +467,26 @@ def adam_step(
             )
         if not (arr.flags.c_contiguous and grads[name].flags.c_contiguous):
             raise ShapeMismatch(f"{name}: parameter and gradient must be C-contiguous")
-        sq += _sum_squares(grads[name].reshape(-1), state.work)
+    flats = {name: (arr.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1),
+                    grads[name].reshape(-1)) for name, arr in params.items()}
+    pieces = [(name, lo, hi) for name, arr in params.items()
+              for lo, hi in _pairwise(0, arr.size, lambda lo, hi: [(lo, hi)])]
+    ops = _ADAM_OPS * sum(arr.size for arr in params.values())
+    squares = np.empty(len(pieces))
+
+    def square_sums(first: int, last: int) -> None:
+        buf = np.empty(_CHUNK)
+        for j in range(first, last):
+            name, lo, hi = pieces[j]
+            g = flats[name][3][lo:hi]
+            np.multiply(g, g, out=buf[: hi - lo])
+            squares[j] = np.sum(buf[: hi - lo])
+
+    _pool.run_blocks(square_sums, len(pieces), ops)
+    piece_sums = iter(squares.tolist())
+    sq = 0.0
+    for arr in params.values():
+        sq += _pairwise(0, arr.size, lambda lo, hi: next(piece_sums))
     norm = math.sqrt(sq)
     factor = 1.0
     if config.clip_norm > 0.0 and norm > config.clip_norm:
@@ -429,12 +496,13 @@ def adam_step(
     t = state.step
     m_corr = 1.0 - config.beta1 ** t
     v_corr = 1.0 - config.beta2 ** t
-    for name, arr in params.items():
-        flats = (arr.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1),
-                 grads[name].reshape(-1))
-        for lo in range(0, arr.size, _CHUNK):
-            p, m, v, g = (flat[lo: lo + _CHUNK] for flat in flats)
-            tmp = state.work[: g.size]
+
+    def update(first: int, last: int) -> None:
+        buf = np.empty(_CHUNK)
+        for j in range(first, last):
+            name, lo, hi = pieces[j]
+            p, m, v, g = (flat[lo:hi] for flat in flats[name])
+            tmp = buf[: hi - lo]
             g *= factor
             np.multiply(g, 1.0 - config.beta1, out=tmp)
             m *= config.beta1
@@ -450,6 +518,8 @@ def adam_step(
             g *= config.learning_rate
             g /= tmp
             p -= g
+
+    _pool.run_blocks(update, len(pieces), ops)
     return params, state
 
 

@@ -80,9 +80,8 @@ def test_criterion_01_indicators_match_brute_force_oracle():
         x = 100.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal(300))
         w = (5, 14, 30)[seed % 3]
         oracle = _oracle_all_kinds(list(x), w)
-        for kind in indicators.KINDS:
-            got, valid_from = indicators.compute_indicator(
-                x, indicators.IndicatorSpec(kind, w))
+        values, starts = indicators.compute_indicator(x, w)
+        for kind, got, valid_from in zip(indicators.KINDS, values, starts):
             want = np.array(oracle[kind])
             assert np.isnan(got[:valid_from]).all()
             scale = np.maximum(np.abs(want[valid_from:]), 1.0)

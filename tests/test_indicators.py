@@ -17,7 +17,6 @@ from walkforge.indicators import (
     DEFAULT_WINDOWS,
     KINDS,
     FeatureMatrix,
-    IndicatorSpec,
     compute_indicator,
     expand_features,
     feature_names,
@@ -26,6 +25,15 @@ from walkforge.indicators import (
     warmup_rows,
 )
 from walkforge.ingest import RawSeries, clean, synthesize
+
+
+def one_kind(x, kind, window):
+    """One kind's (values, valid_from), out of the call that computes all of
+    them at that window."""
+    values, valid_from = compute_indicator(x, window)
+    i = KINDS.index(kind)
+    return values[i], valid_from[i]
+
 
 # --- independent oracle: direct formulas, one value at a time ---------------
 
@@ -122,7 +130,7 @@ class TestAgainstOracle:
     def test_every_kind_matches_plain_loop(self, kind, window):
         rng = np.random.default_rng(hash((kind, window)) % 2**32)
         x = 50.0 + np.cumsum(rng.standard_normal(80))
-        values, valid_from = compute_indicator(x, IndicatorSpec(kind, window))
+        values, valid_from = one_kind(x, kind, window)
         xs = list(x)
         for t in range(len(x)):
             want = oracle_value(xs, kind, window, t)
@@ -136,61 +144,55 @@ class TestAgainstOracle:
 
 class TestFrozenExamples:
     def test_sma_of_one_to_five(self):
-        values, valid_from = compute_indicator(
-            np.array([1.0, 2.0, 3.0, 4.0, 5.0]), IndicatorSpec("sma", 3)
-        )
+        values, valid_from = one_kind(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), "sma", 3)
         assert valid_from == 2
         assert np.isnan(values[:2]).all()
         np.testing.assert_allclose(values[2:], [2.0, 3.0, 4.0])
 
     def test_wma_of_one_to_three(self):
-        values, _ = compute_indicator(
-            np.array([1.0, 2.0, 3.0]), IndicatorSpec("wma", 3)
-        )
+        values, _ = one_kind(np.array([1.0, 2.0, 3.0]), "wma", 3)
         assert values[2] == pytest.approx(14.0 / 6.0)
 
     def test_ema_half_alpha(self):
         # w=3 gives alpha=0.5: [1, 1.5, 2.25].
-        values, valid_from = compute_indicator(
-            np.array([1.0, 2.0, 3.0]), IndicatorSpec("ema", 3)
-        )
+        values, valid_from = one_kind(np.array([1.0, 2.0, 3.0]), "ema", 3)
         assert valid_from == 0
         np.testing.assert_allclose(values, [1.0, 1.5, 2.25])
 
     @pytest.mark.parametrize("kind", ["sma", "wma", "ema", "dema", "tema"])
     def test_averages_of_constant_series_are_constant(self, kind):
         x = np.full(30, 42.5)
-        values, valid_from = compute_indicator(x, IndicatorSpec(kind, 5))
+        values, valid_from = one_kind(x, kind, 5)
         np.testing.assert_allclose(values[valid_from:], 42.5, rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["std", "var", "macd"])
     def test_dispersion_of_constant_series_is_zero(self, kind):
         x = np.full(30, 42.5)
-        values, valid_from = compute_indicator(x, IndicatorSpec(kind, 5))
+        values, valid_from = one_kind(x, kind, 5)
         np.testing.assert_allclose(values[valid_from:], 0.0, atol=1e-12)
 
     def test_bands_collapse_onto_constant_series(self):
         x = np.full(30, 42.5)
-        up, vf = compute_indicator(x, IndicatorSpec("boll_up", 5))
-        lo, _ = compute_indicator(x, IndicatorSpec("boll_lo", 5))
+        up, vf = one_kind(x, "boll_up", 5)
+        lo, _ = one_kind(x, "boll_lo", 5)
         np.testing.assert_allclose(up[vf:], 42.5, rtol=1e-12)
         np.testing.assert_allclose(lo[vf:], 42.5, rtol=1e-12)
 
     def test_rsi_extremes(self):
         up = np.arange(1.0, 31.0)
-        values, vf = compute_indicator(up, IndicatorSpec("rsi", 7))
+        values, vf = one_kind(up, "rsi", 7)
         np.testing.assert_allclose(values[vf:], 100.0)
-        values, vf = compute_indicator(up[::-1].copy(), IndicatorSpec("rsi", 7))
+        values, vf = one_kind(up[::-1].copy(), "rsi", 7)
         np.testing.assert_allclose(values[vf:], 0.0)
-        values, vf = compute_indicator(np.full(30, 5.0), IndicatorSpec("rsi", 7))
+        values, vf = one_kind(np.full(30, 5.0), "rsi", 7)
         np.testing.assert_allclose(values[vf:], 50.0)
 
     def test_band_width_is_four_sigma(self):
         rng = np.random.default_rng(7)
         x = 100.0 + np.cumsum(rng.standard_normal(60))
-        up, vf = compute_indicator(x, IndicatorSpec("boll_up", 9))
-        lo, _ = compute_indicator(x, IndicatorSpec("boll_lo", 9))
-        std, _ = compute_indicator(x, IndicatorSpec("std", 9))
+        up, vf = one_kind(x, "boll_up", 9)
+        lo, _ = one_kind(x, "boll_lo", 9)
+        std, _ = one_kind(x, "std", 9)
         np.testing.assert_allclose(
             up[vf:] - lo[vf:], 4.0 * std[vf:], rtol=0, atol=1e-12
         )
@@ -198,7 +200,7 @@ class TestFrozenExamples:
     def test_roc_zero_base_rejected(self):
         x = np.array([1.0, 0.0, 2.0, 3.0, 4.0])
         with pytest.raises(ZeroDenominator) as err:
-            compute_indicator(x, IndicatorSpec("roc", 2))
+            one_kind(x, "roc", 2)
         assert err.value.index == 3
 
     @pytest.mark.parametrize(
@@ -210,8 +212,8 @@ class TestFrozenExamples:
         rng = np.random.default_rng(13)
         x = 50.0 + np.cumsum(rng.standard_normal(60))
         w, s = 6, 17
-        full, vf = compute_indicator(x, IndicatorSpec(kind, w))
-        part, _ = compute_indicator(x[s:], IndicatorSpec(kind, w))
+        full, vf = one_kind(x, kind, w)
+        part, _ = one_kind(x[s:], kind, w)
         np.testing.assert_allclose(
             part[vf:], full[s + vf:], rtol=1e-12, atol=1e-12
         )
@@ -235,20 +237,18 @@ class TestStacks:
     def test_stack_matches_one_series_at_a_time(self, kind, window, n):
         # n = 1 and 60 are shorter than the larger windows: the NaN path
         x = self.stack(n)
-        spec = IndicatorSpec(kind, window)
-        values, valid_from = compute_indicator(x, spec)
+        values, valid_from = one_kind(x, kind, window)
         assert values.shape == x.shape
         for c in range(len(x)):
-            want, want_from = compute_indicator(x[c], spec)
+            want, want_from = one_kind(x[c], kind, window)
             assert valid_from == want_from
             assert values[c].tobytes() == want.tobytes(), f"series {c}"
 
     def test_strided_columns_match_contiguous_series(self):
         x = self.stack(120)
-        for kind in KINDS:
-            strided, _ = compute_indicator(x.T.copy().T, IndicatorSpec(kind, 7))
-            direct, _ = compute_indicator(x, IndicatorSpec(kind, 7))
-            assert strided.tobytes() == direct.tobytes()
+        strided, _ = compute_indicator(x.T.copy().T, 7)
+        direct, _ = compute_indicator(x, 7)
+        assert strided.tobytes() == direct.tobytes()
 
     def test_roc_zero_reports_first_zero_of_lowest_series(self):
         x = self.stack(40)
@@ -256,22 +256,22 @@ class TestStacks:
         x[1, 12] = 0.0
         x[1, 20] = 0.0
         with pytest.raises(ZeroDenominator) as err:
-            compute_indicator(x, IndicatorSpec("roc", 5))
+            one_kind(x, "roc", 5)
         assert err.value.index == 12 + 5
         with pytest.raises(ZeroDenominator) as alone:
-            compute_indicator(x[1], IndicatorSpec("roc", 5))
+            one_kind(x[1], "roc", 5)
         assert alone.value.index == err.value.index
 
     def test_roc_zero_past_the_last_base_row_is_not_a_denominator(self):
         x = self.stack(40)
         x[0, 38] = 0.0  # only ever a numerator at window 5
-        values, _ = compute_indicator(x, IndicatorSpec("roc", 5))
+        values, _ = one_kind(x, "roc", 5)
         assert values[0, 38] == pytest.approx(-100.0)
 
     @pytest.mark.parametrize("bad", [np.zeros(0), np.zeros((0, 5)), np.zeros((2, 3, 4))])
     def test_empty_or_three_dimensional_input_rejected(self, bad):
         with pytest.raises(DataError):
-            compute_indicator(bad, IndicatorSpec("sma", 2))
+            compute_indicator(bad, 2)
 
 
 def per_column_expansion(raw, windows):
@@ -285,8 +285,7 @@ def per_column_expansion(raw, windows):
     for c in range(len(raw.columns)):
         for kind in KINDS:
             for w in windows:
-                values[:, j], valid_from[j] = compute_indicator(
-                    raw.values[:, c], IndicatorSpec(kind, w))
+                values[:, j], valid_from[j] = one_kind(raw.values[:, c], kind, w)
                 j += 1
     usable_from = int(max(2 * max(windows) - 1, valid_from.max()))
     return FeatureMatrix(names=names, dates=raw.dates.copy(), values=values,
@@ -314,30 +313,39 @@ class TestStackedExpansion:
         assert got.valid_from.tobytes() == want.valid_from.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
 
-    def test_one_call_per_kind_and_window(self, monkeypatch):
+    def test_one_call_per_window(self, monkeypatch):
         from walkforge import indicators
 
         calls = []
 
-        def counting(x, spec):
-            calls.append((np.shape(x), spec))
-            return compute_indicator(x, spec)
+        def counting(x, window):
+            calls.append((np.shape(x), window))
+            return compute_indicator(x, window)
 
         monkeypatch.setattr(indicators, "compute_indicator", counting)
         raw = synthesize(200, seed=4)
         expand_features(raw, DEFAULT_WINDOWS)
-        assert len(calls) == len(KINDS) * len(DEFAULT_WINDOWS)
-        assert {shape for shape, _ in calls} == {(len(raw.columns), raw.n)}
+        assert calls == [((len(raw.columns), raw.n), w) for w in DEFAULT_WINDOWS]
+
+    def test_each_intermediate_once_per_window(self, monkeypatch):
+        from walkforge import indicators
+
+        calls = []
+        for name in ("_sma", "_rolling_std", "_ema"):
+            def counting(x, w, _name=name, _fn=getattr(indicators, name)):
+                calls.append((_name, w))
+                return _fn(x, w)
+            monkeypatch.setattr(indicators, name, counting)
+        compute_indicator(TestStacks.stack(60), 7)
+        # the EMA, the EMA of the EMA, its EMA for tema, and the slow EMA for macd
+        assert sorted(calls) == sorted([("_sma", 7), ("_rolling_std", 7), ("_ema", 7),
+                                        ("_ema", 7), ("_ema", 7), ("_ema", 14)])
 
 
 class TestSpecValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidSpec):
-            IndicatorSpec("hull", 5)
-
     def test_window_one_rejected(self):
         with pytest.raises(InvalidSpec):
-            IndicatorSpec("sma", 1)
+            compute_indicator(np.ones(5), 1)
 
     def test_twelve_kinds(self):
         assert len(KINDS) == 12
@@ -374,7 +382,7 @@ class TestExpansion:
         x = raw.column("close")
         for kind, w in (("sma", 7), ("rsi", 30), ("macd", 90)):
             j = matrix.index_of(f"close_{kind}_{w}")
-            want, vf = compute_indicator(x, IndicatorSpec(kind, w))
+            want, vf = one_kind(x, kind, w)
             assert matrix.valid_from[j] == vf
             np.testing.assert_array_equal(matrix.values[vf:, j], want[vf:])
 

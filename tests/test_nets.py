@@ -2,12 +2,13 @@
 optimizer, dropout, and training behavior."""
 
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from walkforge import _binio, nets
+from walkforge import _binio, _pool, nets
 from walkforge.errors import (
     BadArtifact,
     ConfigError,
@@ -501,6 +502,25 @@ def bptt_grads(net, inputs, targets):
 
 class TestGradients:
     @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_only_the_second_layer_computes_an_input_gradient(self, monkeypatch,
+                                                              bidirectional):
+        # layer 2's input gradient feeds layer 1; layer 1's would feed nothing
+        asked = []
+        backward = nets.lstm_layer_backward
+
+        def recording(params, cache, d_out, input_grad=True):
+            d_seq, grads = backward(params, cache, d_out, input_grad)
+            asked.append((input_grad, d_seq is None))
+            return d_seq, grads
+
+        monkeypatch.setattr(nets, "lstm_layer_backward", recording)
+        rng = np.random.default_rng(33)
+        net = build_network(2, hidden1=3, hidden2=2, bidirectional=bidirectional, seed=4)
+        bptt_grads(net, rng.normal(size=(3, 4, 2)), rng.normal(size=3))
+        directions = 2 if bidirectional else 1
+        assert asked == [(True, False)] * directions + [(False, True)] * directions
+
+    @pytest.mark.parametrize("bidirectional", [True, False])
     def test_bptt_matches_finite_differences(self, bidirectional):
         rng = np.random.default_rng(31 if bidirectional else 32)
         net = build_network(2, hidden1=3, hidden2=2, dropout_rate=0.0,
@@ -687,12 +707,16 @@ class TestAdam:
     @pytest.mark.parametrize("n", [1, 7, 8, 129, nets._CHUNK - 1, nets._CHUNK + 1,
                                    2 * nets._CHUNK + 8, 4_000_001])
     def test_sum_of_squares_is_numpys_sum_bit_for_bit(self, n):
-        # The helper follows numpy's pairwise split; if a numpy release moves
+        # The pieces follow numpy's pairwise split; if a numpy release moves
         # the split, this fails here rather than drifting the weights' bits.
         rng = np.random.default_rng(n)
         g = rng.normal(size=n) * rng.uniform(0.0, 5.0, size=n)
-        work = np.empty(nets._CHUNK)
-        assert nets._sum_squares(g, work).hex() == float(np.sum(g * g)).hex()
+        pieces = nets._pairwise(0, n, lambda lo, hi: [(lo, hi)])
+        assert pieces[0][0] == 0 and pieces[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+        assert max(hi - lo for lo, hi in pieces) <= nets._CHUNK
+        total = nets._pairwise(0, n, lambda lo, hi: float(np.sum(g[lo:hi] * g[lo:hi])))
+        assert total.hex() == float(np.sum(g * g)).hex()
 
     @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
     def test_chunked_step_matches_whole_array_step_byte_for_byte(self, clip_norm):
@@ -734,7 +758,101 @@ class TestAdam:
                 assert params[k].tobytes() == want[k].tobytes()
                 assert state.m[k].tobytes() == m[k].tobytes()
                 assert state.v[k].tobytes() == v[k].tobytes()
-        assert state.work.size == nets._CHUNK
+
+
+def split_on(monkeypatch, cpus):
+    """Fake `cpus` allowed CPUs and one BLAS thread per call; returns the
+    list each run_blocks call appends its block count to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    counts = []
+    block_count = _pool._block_count
+
+    def recording(n, work):
+        counts.append(block_count(n, work))
+        return counts[-1]
+
+    monkeypatch.setattr(_pool, "_block_count", recording)
+    return counts
+
+
+# Every product of the paper-width `recurrent_paper` fit (10 inputs, widths
+# 800 and 1000, 7 steps): batches of 32 and a last batch of 15 in training,
+# 143 and 50 windows in evaluation. (m, k, n, form): "a.T" takes rows of a
+# transposed operand, as the weight gradients do, "b.T" a transposed weight.
+RECURRENT_PAPER_PRODUCTS = [
+    (224, 10, 3200, "b.T"), (224, 800, 4000, "b.T"), (105, 800, 4000, "b.T"),  # inputs
+    (32, 800, 3200, "b.T"), (32, 1000, 4000, "b.T"), (15, 1000, 4000, "b.T"),  # recurrent
+    (32, 3200, 800, "ab"), (32, 4000, 1000, "ab"), (15, 4000, 1000, "ab"),  # backward steps
+    (4000, 224, 800, "a.T"), (4000, 192, 1000, "a.T"),  # weight gradients
+    (4000, 90, 1000, "a.T"),
+    (224, 4000, 800, "ab"), (105, 4000, 800, "ab"),  # layer 2's input gradient
+    (1001, 10, 3200, "b.T"), (1001, 800, 4000, "b.T"), (350, 800, 4000, "b.T"),  # eval
+    (143, 800, 3200, "b.T"), (143, 1000, 4000, "b.T"), (50, 1000, 4000, "b.T"),
+]
+
+
+class TestThreadedSplit:
+    """Row blocks on threads give the bits of the whole computation."""
+
+    @pytest.mark.parametrize("m, k, n, form", RECURRENT_PAPER_PRODUCTS)
+    def test_split_product_is_byte_equal_at_recurrent_paper_shapes(self, monkeypatch,
+                                                                   m, k, n, form):
+        rng = np.random.default_rng(m * k + n)
+        a = rng.normal(size=(k, m)).T if form == "a.T" else rng.normal(size=(m, k))
+        b = rng.normal(size=(n, k)).T if form == "b.T" else rng.normal(size=(k, n))
+        counts = split_on(monkeypatch, 2)
+        monkeypatch.setattr(_pool, "_BLOCK_WORK", 1)  # split the small ones too
+        assert nets._matmul(a, b).tobytes() == (a @ b).tobytes()
+        assert counts == [2]
+
+    def test_columns_not_a_multiple_of_8_stay_whole(self, monkeypatch):
+        # OpenBLAS gives the last 500 % 8 columns other bits in 16 rows
+        # than in 32
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(32, 2000)), rng.normal(size=(2000, 500))
+        assert (a[:16] @ b).tobytes() != (a @ b)[:16].tobytes()
+        counts = split_on(monkeypatch, 2)
+        assert nets._matmul(a, b).tobytes() == (a @ b).tobytes()
+        assert counts == [1]
+
+    # a step's recurrent product, m x h x 4h, is above 2^24; at h = 700 the
+    # backward step's product (m, 4h) @ (4h, h) has 700 % 8 = 4 and stays whole
+    @pytest.mark.parametrize("m, h", [(32, 600), (15, 600), (32, 700)])
+    def test_layer_passes_byte_identical_on_one_and_two_cpus(self, monkeypatch, m, h):
+        rng = np.random.default_rng(m)
+        params = init_lstm_params(h, 24, rng)
+        seq = rng.normal(size=(m, 7, 24))
+        d_out = rng.normal(size=(m, 7, h))
+        runs = []
+        for cpus in (1, 2):
+            counts = split_on(monkeypatch, cpus)
+            out, cache = lstm_layer_forward(params, seq)
+            d_seq, grads = lstm_layer_backward(params, cache, d_out)
+            runs.append([out.tobytes(), d_seq.tobytes()] + [g.tobytes() for g in grads.values()])
+            assert max(counts) == cpus
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
+    def test_multi_chunk_adam_step_byte_identical_on_one_and_two_cpus(self, monkeypatch,
+                                                                       clip_norm):
+        shapes = {"w": (5 * nets._CHUNK // 8 + 3, 8), "b": (40,), "u": (nets._CHUNK + 9,)}
+        rng = np.random.default_rng(62)
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        steps = [{k: rng.normal(size=shape) for k, shape in shapes.items()} for _ in range(3)]
+        config = TrainConfig(learning_rate=3e-3, clip_norm=clip_norm)
+        runs = []
+        for cpus in (1, 2):
+            counts = split_on(monkeypatch, cpus)
+            monkeypatch.setattr(_pool, "_BLOCK_WORK", 1)
+            params = {k: arr.copy() for k, arr in start.items()}
+            state = init_adam_state(params)
+            for grads in steps:
+                adam_step(params, {k: g.copy() for k, g in grads.items()}, state, config)
+            runs.append([arr.tobytes() for group in (params, state.m, state.v)
+                         for arr in group.values()])
+            assert counts == [cpus] * 6  # the norm and the update of each step
+        assert runs[0] == runs[1]
 
 
 class TestDropout:

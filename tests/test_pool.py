@@ -1,8 +1,9 @@
 """Worker pool: result order, worker count, errors across the process
-boundary, and byte-identical artifacts at any CPU count.
+boundary, and byte-identical artifacts at any CPU count; and the row
+blocks that split one large computation over threads.
 
 The CPU count is faked through os.sched_getaffinity, so no test starts more
-than three worker processes."""
+than three worker processes or four threads."""
 
 import concurrent.futures
 import dataclasses
@@ -11,6 +12,7 @@ import inspect
 import os
 import pickle
 import sys
+import threading
 import time
 from concurrent.futures import process
 
@@ -23,6 +25,111 @@ from walkforge.forest import ForestConfig, fit_forest
 
 def allow_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def blas_threads(monkeypatch, openblas=None, omp=None):
+    """Set or clear the BLAS thread variables that run_blocks reads."""
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+
+BIG = 1 << 30  # work well above the split threshold
+
+
+def blocks_of(n, work=BIG):
+    """The (lo, hi, thread) of each block run_blocks runs, in block order."""
+    seen = []
+    lock = threading.Lock()
+
+    def record(lo, hi):
+        with lock:
+            seen.append((lo, hi, threading.get_ident()))
+
+    _pool.run_blocks(record, n, work)
+    return sorted(seen)
+
+
+class TestRunBlocks:
+    def test_blocks_cover_the_range_one_per_cpu(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        blas_threads(monkeypatch, openblas="1")
+        seen = blocks_of(10)
+        assert [(lo, hi) for lo, hi, _ in seen] == [(0, 5), (5, 10)]
+        assert seen[0][2] == threading.get_ident()  # the first block runs here
+        assert seen[1][2] != threading.get_ident()
+
+    @pytest.mark.parametrize("cpus, openblas, omp, blocks", [
+        (1, "1", None, 1),     # one CPU
+        (2, None, None, 1),    # unset: OpenBLAS already runs a thread per CPU
+        (2, "2", None, 1),     # each BLAS call already takes both CPUs
+        (2, "0", None, 1),     # 0 means OpenBLAS's default, a thread per CPU
+        (2, "x", None, 1),     # unreadable counts as unset
+        (2, None, "1", 2),     # OMP_NUM_THREADS when OPENBLAS_NUM_THREADS is unset
+        (2, "2", "1", 1),      # OPENBLAS_NUM_THREADS wins
+        (4, "2", None, 2),
+        (3, "1", None, 3),
+    ])
+    def test_block_count_is_cpus_over_blas_threads(self, monkeypatch, cpus, openblas, omp,
+                                                  blocks):
+        allow_cpus(monkeypatch, cpus)
+        blas_threads(monkeypatch, openblas, omp)
+        assert len(blocks_of(12)) == blocks
+
+    def test_each_block_gets_at_least_2_to_the_23_of_work(self, monkeypatch):
+        # a thread must pay for itself, and no block of a product may fall
+        # under OpenBLAS's small-matrix size
+        allow_cpus(monkeypatch, 8)
+        blas_threads(monkeypatch, openblas="1")
+        assert len(blocks_of(12, work=(1 << 24) - 1)) == 1
+        assert len(blocks_of(12, work=1 << 24)) == 2
+        assert len(blocks_of(12, work=3 << 23)) == 3
+        assert len(blocks_of(12, work=BIG)) == 6
+
+    @pytest.mark.parametrize("n, blocks", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (8, 4)])
+    def test_no_block_holds_one_row(self, monkeypatch, n, blocks):
+        allow_cpus(monkeypatch, 4)
+        blas_threads(monkeypatch, openblas="1")
+        seen = blocks_of(n)
+        assert len(seen) == blocks
+        assert blocks == 1 or all(hi - lo >= 2 for lo, hi, _ in seen)
+
+    def test_one_block_inside_a_run_tasks_worker(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        blas_threads(monkeypatch, openblas="1")
+        inside = _pool.run_tasks(lambda _: [(lo, hi) for lo, hi, _ in blocks_of(10)], range(2))
+        assert inside == [[(0, 10)], [(0, 10)]]
+        assert len(blocks_of(10)) == 2  # the same call splits in the main process
+
+    def test_first_failure_in_block_order_is_raised_after_every_block(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        blas_threads(monkeypatch, openblas="1")
+        finished = []
+
+        def fn(lo, hi):
+            if lo == 4:  # block 2
+                time.sleep(0.1)  # block 3 fails first in time
+                raise errors.DivergedLoss(2)
+            if lo == 8:
+                raise errors.DivergedLoss(3)
+            time.sleep(0.2)
+            finished.append(lo)
+
+        before = threading.active_count()
+        with pytest.raises(errors.DivergedLoss) as caught:
+            _pool.run_blocks(fn, 12, BIG)
+        assert caught.value.epoch == 2
+        assert finished == [0]
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        allow_cpus(monkeypatch, 4)
+        blas_threads(monkeypatch, openblas="1")
+        before = threading.active_count()
+        assert len(blocks_of(40)) == 4
+        assert threading.active_count() == before
 
 
 class TestRunTasks:
@@ -219,6 +326,40 @@ class TestPipelineWorkers:
                 "predictions.csv"} <= names
         assert sum(n.startswith("models") for n in names) == 8
         assert sum(n.startswith("losses") for n in names) == 4
+
+
+class TestSplitFits:
+    """A one-batch net run has one fit, so the pool has one task; at these
+    widths that fit splits its products, time loops and Adam over threads
+    (a step's recurrent product, 32 x 512 x 2048, is above 2^24)."""
+
+    @pytest.mark.parametrize("model", ["lstm", "proposed"])
+    def test_artifacts_byte_identical_on_one_and_two_cpus(self, tmp_path, monkeypatch,
+                                                           capsys, model):
+        blas_threads(monkeypatch, openblas="1")
+        counts = []
+        block_count = _pool._block_count
+
+        def recording(n, work):  # not functools.wraps: no observer
+            counts.append(block_count(n, work))
+            return counts[-1]
+
+        monkeypatch.setattr(_pool, "_block_count", recording)
+        runs = []
+        for cpus in (1, 2):
+            allow_cpus(monkeypatch, cpus)
+            counts.clear()
+            out = tmp_path / f"cpus{cpus}"
+            assert cli.main(["pipeline", "--out", str(out), "--seed", "5",
+                             "--synthetic", "200", "--windows", "3,7", "--trees", "2",
+                             "--k", "4", "--train-len", "60", "--test-len", "20",
+                             "--stride", "200", "--lookback", "7", "--model", model,
+                             "--epochs", "1", "--h1", "512", "--h2", "512"]) == 0
+            runs.append({name: (out / name).read_bytes() for name in
+                         (f"models/{model}_b0.bin", "metrics.json", "report.json")})
+            assert max(counts) == cpus
+        capsys.readouterr()
+        assert runs[0] == runs[1]
 
 
 class TestEvaluateWorkers:
