@@ -80,8 +80,8 @@ def _row_split_work(m: int, k: int, n: int) -> int:
     one-row block (numpy's matrix-vector path) and a block under about 10^6
     multiply-adds (OpenBLAS's small-matrix kernels), which run_blocks never
     makes, and the last n % 8 columns, whose bits OpenBLAS's kernel makes
-    depend on the number of rows (measured: every one of 300 random shapes
-    with n a multiple of 8 matched, most others did not)."""
+    depend on the number of rows (measured: all of 318 random shapes with n
+    a multiple of 8 matched, 93 of 102 others did not)."""
     return m * k * n if n % 8 == 0 else 0
 
 
