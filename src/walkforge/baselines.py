@@ -38,13 +38,15 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def fit_linear(x: np.ndarray, y: np.ndarray, ridge: float = 1e-8) -> LinearModel:
-    """Normal equations on [x, 1] with a ridge jitter for rank safety."""
+# The ridge jitter fit_linear adds to the Gram diagonal, for rank safety.
+RIDGE = 1e-8
+
+
+def fit_linear(x: np.ndarray, y: np.ndarray) -> LinearModel:
+    """Normal equations on [x, 1] with the RIDGE jitter."""
     x, y = _check_xy(x, y)
-    if ridge < 0:
-        raise ConfigError(f"ridge must be non-negative, got {ridge}")
     a = np.hstack([x, np.ones((len(x), 1))])
-    gram = a.T @ a + ridge * np.eye(a.shape[1])
+    gram = a.T @ a + RIDGE * np.eye(a.shape[1])
     beta = np.linalg.solve(gram, a.T @ y)
     return LinearModel(weights=beta[:-1], bias=float(beta[-1]))
 

@@ -12,7 +12,7 @@ are documentation for the report reader, never assertions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -158,11 +158,7 @@ def report_to_json(report: EvaluationReport, config: dict) -> str:
     labeled published reference values."""
     blob: dict = {
         "config": config,
-        "runs": [
-            {"model": r.model, "batch": r.batch, "split": r.split,
-             "rmse": r.rmse, "mae": r.mae, "mape": r.mape}
-            for r in report.runs
-        ],
+        "runs": [asdict(r) for r in report.runs],
         "aggregates": {"mean": report.mean, "median": report.median},
         "reference": PUBLISHED_REFERENCE,
     }
@@ -200,7 +196,6 @@ def write_chart_svg(
     actual: np.ndarray,
     predictions: dict[str, np.ndarray],
     boundaries: list[int],
-    title: str = "Predicted vs actual close",
 ) -> None:
     """Static line chart of the concatenated test rows; vertical rules mark
     batch boundaries."""
@@ -227,7 +222,8 @@ def write_chart_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{pad}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{pad}" y="24" font-family="sans-serif" font-size="15">'
+        'Predicted vs actual close</text>',
     ]
     for b in boundaries:
         x = f"{sx(b):.2f}"
@@ -247,24 +243,14 @@ def write_chart_svg(
 
 def save_runs(runs: list[BatchMetrics], path: str) -> None:
     with open(path, "w") as f:
-        f.write(json.dumps(
-            {"runs": [
-                {"model": r.model, "batch": r.batch, "split": r.split,
-                 "rmse": r.rmse, "mae": r.mae, "mape": r.mape}
-                for r in runs
-            ]},
-            indent=2,
-        ))
+        f.write(json.dumps({"runs": [asdict(r) for r in runs]}, indent=2))
 
 
 def load_runs(path: str) -> list[BatchMetrics]:
     with open(path) as f:
         try:
             blob = json.load(f)
-            return [
-                BatchMetrics(model=r["model"], batch=r["batch"], split=r["split"],
-                             rmse=r["rmse"], mae=r["mae"], mape=r["mape"])
-                for r in blob["runs"]
-            ]
+            return [BatchMetrics(**{f.name: r[f.name] for f in fields(BatchMetrics)})
+                    for r in blob["runs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad metrics JSON in {path}: {exc}") from exc

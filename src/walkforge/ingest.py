@@ -103,8 +103,8 @@ def _parse_cell(text: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def load_csv(path: str, schema: tuple[str, ...] = SCHEMA) -> RawSeries:
-    """Read a daily CSV with a `date` column plus every schema column.
+def load_csv(path: str) -> RawSeries:
+    """Read a daily CSV with a `date` column plus every SCHEMA column.
 
     Rows come back sorted by date; unparsable numeric cells become NaN.
     """
@@ -116,11 +116,11 @@ def load_csv(path: str, schema: tuple[str, ...] = SCHEMA) -> RawSeries:
             raise EmptyFile(path) from None
         header = [h.strip() for h in header]
         positions = {name: i for i, name in enumerate(header)}
-        for required in ("date",) + schema:
+        for required in ("date",) + SCHEMA:
             if required not in positions:
                 raise MissingColumn(required)
         date_pos = positions["date"]
-        col_pos = [positions[name] for name in schema]
+        col_pos = [positions[name] for name in SCHEMA]
 
         days: list[int] = []
         rows: list[list[float]] = []
@@ -140,7 +140,7 @@ def load_csv(path: str, schema: tuple[str, ...] = SCHEMA) -> RawSeries:
     if dupes.size:
         raise DuplicateDate(format_date(dates[dupes[0]]))
     values = np.asarray(rows, dtype=np.float64)[order]
-    return RawSeries(dates=dates, values=values, columns=schema)
+    return RawSeries(dates=dates, values=values, columns=SCHEMA)
 
 
 def write_csv(series: RawSeries, path: str) -> None:

@@ -140,15 +140,14 @@ def lstm_layer_forward(params: LstmParams, seq: np.ndarray) -> tuple[np.ndarray,
 
 
 def lstm_layer_backward(
-    params: LstmParams, cache: dict, d_out: np.ndarray, input_grad: bool = True
-) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+    params: LstmParams, cache: dict, d_out: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Backpropagate through time, through both the a and c recurrences.
 
     The loop carries only the recurrent gradients, one block of samples at
     a time; each step's gate pre-activation gradients land in one
     (L, m, 4h) buffer, from which the weight, bias and input gradients each
-    take one GEMM or reduction over all L*m rows. With input_grad=False the
-    input gradient is not computed and None comes back in its place."""
+    take one GEMM or reduction over all L*m rows."""
     gates, c_all, tc = cache["gates"], cache["c"], cache["tc"]
     length, m, h4 = gates.shape
     h = h4 // 4
@@ -181,8 +180,6 @@ def lstm_layer_backward(
         "w_a": _matmul(rows[m:].T, cache["a"][:-1].reshape(-1, h)),
         "b": rows.sum(axis=0),
     }
-    if not input_grad:
-        return None, grads
     d_seq = _matmul(rows, params.w_x).reshape(length, m, -1).transpose(1, 0, 2)
     return d_seq, grads
 
@@ -209,21 +206,17 @@ def layer_forward(
 
 
 def layer_backward(
-    layer: tuple[LstmParams, ...], caches: list[dict], d_out: np.ndarray, input_grad: bool
-) -> tuple[np.ndarray | None, list[dict[str, np.ndarray]]]:
+    layer: tuple[LstmParams, ...], caches: list[dict], d_out: np.ndarray
+) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     """Backpropagate one layer: each direction takes its own feature block
-    of d_out in its own time order. The input gradient, when asked for, is
-    the forward direction's part plus the re-reversed backward part."""
+    of d_out in its own time order. The input gradient is the forward
+    direction's part plus the re-reversed backward part."""
     h = layer[0].hidden
     parts, grads = [], []
     for k, (params, cache, (_, step)) in enumerate(zip(layer, caches, _DIRECTIONS)):
-        d_part, g = lstm_layer_backward(params, cache, d_out[:, ::step, k * h: (k + 1) * h],
-                                        input_grad)
+        d_part, g = lstm_layer_backward(params, cache, d_out[:, ::step, k * h: (k + 1) * h])
         grads.append(g)
-        if input_grad:
-            parts.append(d_part[:, ::step, :])
-    if not input_grad:
-        return None, grads
+        parts.append(d_part[:, ::step, :])
     return (parts[0] if len(parts) == 1 else parts[0] + parts[1]), grads
 
 
@@ -348,9 +341,9 @@ def network_backward(
     for i in reversed(range(len(net.layers))):
         if cache["drop"][i] is not None:
             d_act = d_act * cache["drop"][i]
-        # nothing needs the gradient with respect to the network's inputs
+        # layer 1's input gradient, with respect to the network's inputs, goes unused
         d_act, layer_grads = layer_backward(net.layers[i], cache["dirs"][i],
-                                            d_act * cache["relu"][i], input_grad=i > 0)
+                                            d_act * cache["relu"][i])
         for g, (tag, _) in zip(layer_grads, _DIRECTIONS):
             for name, arr in g.items():
                 grads[f"l{i + 1}{tag}.{name}"] = arr
@@ -407,9 +400,10 @@ class AdamState:
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
+    """Zero moments, left untouched so the first (threaded) step writes their pages."""
     return AdamState(
-        m={name: np.zeros_like(arr) for name, arr in params.items()},
-        v={name: np.zeros_like(arr) for name, arr in params.items()},
+        m={name: np.zeros(arr.shape) for name, arr in params.items()},
+        v={name: np.zeros(arr.shape) for name, arr in params.items()},
     )
 
 
@@ -420,19 +414,6 @@ _CHUNK = 32768
 # Element operations per parameter in one Adam step, as the work run_blocks
 # weighs: the update makes 15 passes over the chunk and the norm one more.
 _ADAM_OPS = 16
-
-
-def _pairwise(lo: int, hi: int, leaf):
-    """leaf(a, b) over the pieces numpy's pairwise summation splits [lo, hi)
-    into (halves split at a multiple of 8 at or below half the length), down
-    to pieces of at most _CHUNK, joined with + in that tree's order. So a
-    leaf returning [(a, b)] lists the pieces, and a leaf returning the
-    piece's np.sum gives the np.sum of the whole range, bit for bit."""
-    if hi - lo <= _CHUNK:
-        return leaf(lo, hi)
-    half = (hi - lo) // 2
-    half -= half % 8
-    return _pairwise(lo, lo + half, leaf) + _pairwise(lo + half, hi, leaf)
 
 
 def adam_step(
@@ -446,12 +427,12 @@ def adam_step(
     Parameters, moments and gradients (all C-contiguous) are updated in
     place: each gradient array is overwritten with its step. Both passes,
     the squares for the global norm and the update, go through the arrays'
-    pieces (`_pairwise`), split over threads by run_blocks; each block keeps
-    its temporaries in a one-chunk work buffer of its own, and each piece
-    runs all of its operations before the next. Each array's squares add up
-    in numpy's pairwise order and the arrays' sums in parameter order, as
-    np.sum(g * g) per array would. The arithmetic, operation for operation,
-    is
+    pieces of _CHUNK elements, split over threads by run_blocks; each block
+    keeps its temporaries in a one-chunk work buffer of its own, and each
+    piece runs all of its operations before the next. The squared norm is
+    the sum of each piece's np.sum(g * g), in parameter order and then piece
+    order, so it does not depend on the thread count; for an array of one
+    piece that is np.sum(g * g). The arithmetic, operation for operation, is
 
         g = grad * factor
         m = beta1 * m + (1 - beta1) * g
@@ -469,8 +450,8 @@ def adam_step(
             raise ShapeMismatch(f"{name}: parameter and gradient must be C-contiguous")
     flats = {name: (arr.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1),
                     grads[name].reshape(-1)) for name, arr in params.items()}
-    pieces = [(name, lo, hi) for name, arr in params.items()
-              for lo, hi in _pairwise(0, arr.size, lambda lo, hi: [(lo, hi)])]
+    pieces = [(name, lo, min(lo + _CHUNK, arr.size)) for name, arr in params.items()
+              for lo in range(0, arr.size, _CHUNK)]
     ops = _ADAM_OPS * sum(arr.size for arr in params.values())
     squares = np.empty(len(pieces))
 
@@ -483,10 +464,9 @@ def adam_step(
             squares[j] = np.sum(buf[: hi - lo])
 
     _pool.run_blocks(square_sums, len(pieces), ops)
-    piece_sums = iter(squares.tolist())
     sq = 0.0
-    for arr in params.values():
-        sq += _pairwise(0, arr.size, lambda lo, hi: next(piece_sums))
+    for piece_sum in squares.tolist():  # not sum(), which compensates from Python 3.12
+        sq += piece_sum
     norm = math.sqrt(sq)
     factor = 1.0
     if config.clip_norm > 0.0 and norm > config.clip_norm:

@@ -20,7 +20,6 @@ from .errors import DataError, InvalidConfig
 
 MODEL_CHOICES = ("lr", "svr", "lstm", "proposed")
 _SEED_STRIDE = 1009  # distinct deterministic seeds per (model, batch)
-_MODEL_OFFSET = {"lr": 1, "svr": 2, "lstm": 3, "proposed": 4}
 
 
 @dataclass(frozen=True)
@@ -192,10 +191,20 @@ def _require(cfg: RunConfig, name: str, producer: str) -> str:
     return path
 
 
+# Each fit's files: its directory under out/ -> the file suffix there.
+_FIT_FILES = {"models": "bin", "losses": "csv"}
+
+
+def _fit_file(directory: str, model: str, batch: int) -> str:
+    """One fit's checkpoint (under models/) or per-epoch losses (under
+    losses/), relative to out/."""
+    return os.path.join(directory, f"{model}_b{batch}.{_FIT_FILES[directory]}")
+
+
 def _ensure_out(cfg: RunConfig) -> None:
     os.makedirs(cfg.out, exist_ok=True)
-    os.makedirs(_path(cfg, "models"), exist_ok=True)
-    os.makedirs(_path(cfg, "losses"), exist_ok=True)
+    for directory in _FIT_FILES:
+        os.makedirs(_path(cfg, directory), exist_ok=True)
 
 
 # --- stages ----------------------------------------------------------------
@@ -310,11 +319,7 @@ def _batch_data(matrix: indicators.FeatureMatrix, selected: list[str],
 
 
 def _model_seed(cfg: RunConfig, model: str, batch: int) -> int:
-    return cfg.seed + _SEED_STRIDE * batch + _MODEL_OFFSET[model]
-
-
-def _checkpoint(cfg: RunConfig, model: str, batch: int) -> str:
-    return _path(cfg, os.path.join("models", f"{model}_b{batch}.bin"))
+    return cfg.seed + _SEED_STRIDE * batch + MODEL_CHOICES.index(model) + 1
 
 
 def _fit_tasks(cfg: RunConfig, plan: splitter.WalkForwardPlan) -> list[tuple[int, str]]:
@@ -336,7 +341,7 @@ def stage_train(cfg: RunConfig) -> list[str]:
         batch, model_name = task
         train_set = train_sets[batch]
         seed = _model_seed(cfg, model_name, batch)
-        path = _checkpoint(cfg, model_name, batch)
+        path = _path(cfg, _fit_file("models", model_name, batch))
         if model_name == "lr":
             model = baselines.fit_linear(train_set.flat_inputs(), train_set.targets)
             baselines.save_linear(model, path)
@@ -355,8 +360,7 @@ def stage_train(cfg: RunConfig) -> list[str]:
             net, losses = nets.train(net, train_set.inputs, train_set.targets,
                                      cfg.train_config(seed))
             nets.save_network(net, path)
-            nets.save_losses(losses, _path(cfg, os.path.join(
-                "losses", f"{model_name}_b{batch}.csv")))
+            nets.save_losses(losses, _path(cfg, _fit_file("losses", model_name, batch)))
         return path
 
     return _pool.run_tasks(fit, _fit_tasks(cfg, plan))
@@ -398,7 +402,7 @@ def stage_evaluate(cfg: RunConfig) -> str:
         """The model's train and test predictions in USD."""
         batch, model_name = task
         model = _load_model(model_name, _require(
-            cfg, os.path.join("models", f"{model_name}_b{batch}.bin"), "train"))
+            cfg, _fit_file("models", model_name, batch), "train"))
         return tuple(_to_usd(_predict(model, sample_set), data[batch].close_params)
                      for sample_set in (data[batch].train_set, data[batch].test_set))
 
@@ -474,7 +478,7 @@ def _fit_warnings(cfg: RunConfig, runs: list[evalreport.BatchMetrics]) -> list[s
     """One line per evaluated SVR checkpoint that stopped unconverged."""
     lines = []
     for batch in sorted({r.batch for r in runs if r.model == "svr"}):
-        path = _require(cfg, os.path.join("models", f"svr_b{batch}.bin"), "train")
+        path = _require(cfg, _fit_file("models", "svr", batch), "train")
         converged, iterations = baselines.load_svr_status(path)
         if not converged:
             lines.append(f"svr batch {batch}: not converged after {iterations} "

