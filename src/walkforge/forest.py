@@ -77,8 +77,9 @@ class _TreeBuilder:
     """Grows one tree on a bootstrap; nodes land in parallel lists,
     children depth-first.
 
-    `code[j, r]` packs bootstrap row r's dense key in column j above r
+    `code[r, j]` packs bootstrap row r's dense key in column j above r
     itself, so codes are unique per column and order by value, then by row.
+    Rows are contiguous, so a node gathers its rows' codes row by row.
     A node keeps its rows in increasing order, so sorting its codes gives
     the order a stable sort of its x values would, without a float copy of
     x: the row and the key come back out of each sorted code.
@@ -95,9 +96,9 @@ class _TreeBuilder:
         n = len(boot)
         self.shift = 8 * keys.dtype.itemsize
         dtype = np.int32 if self.shift == 16 else np.int64
-        self.code = keys[:, boot].astype(dtype)
+        self.code = keys.T[boot].astype(dtype)
         self.code <<= self.shift
-        self.code |= np.arange(n, dtype=dtype)
+        self.code |= np.arange(n, dtype=dtype)[:, None]
         self.row_mask = (1 << self.shift) - 1
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -130,12 +131,12 @@ class _TreeBuilder:
         if np.ptp(yv) == 0.0:
             return node
 
-        feats = self.rng.choice(self.code.shape[0], size=self.mtry, replace=False)
+        feats = self.rng.choice(self.code.shape[1], size=self.mtry, replace=False)
         split = self._best_split(idx, feats)
         if split is None:
             return node
         j, threshold, cut_code, child_sse = split
-        go_left = self.code[j, idx] <= cut_code
+        go_left = self.code[idx, j] <= cut_code
 
         node_sse = float(np.sum((yv - yv.mean()) ** 2))
         self.feature[node] = j
@@ -153,7 +154,7 @@ class _TreeBuilder:
         Ties go to the lowest cut, then to the earliest column in feats.
         """
         m = len(idx)
-        codes = self.code[feats[:, None], idx]
+        codes = np.take(self.code[idx], feats, axis=1).T.copy()
         codes.sort(axis=1)
         sorted_y = self.y[codes & self.row_mask]
 

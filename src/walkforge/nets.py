@@ -2,8 +2,9 @@
 bidirectional layers, log-cosh loss, and Adam with global-norm gradient clipping.
 
 The two-layer network is recurrent layer -> ReLU -> dropout -> recurrent
-layer -> ReLU -> dropout -> last time step -> affine head. The head is
-linear in scaled space: targets are robust-scaled and routinely negative,
+layer -> ReLU -> dropout -> last time step -> affine head; the top layer
+computes only that last step (see layer_forward). The head is linear in
+scaled space: targets are robust-scaled and routinely negative,
 so predictions are left unclamped here and floored at zero only after the
 inverse transform back to price units.
 
@@ -96,25 +97,29 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def lstm_layer_forward(params: LstmParams, seq: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run the layer across seq (m, L, d) from zero initial state.
+def lstm_layer_forward(params: LstmParams, seq: np.ndarray,
+                       steps: int) -> tuple[np.ndarray, dict]:
+    """Run the layer's first `steps` steps across seq (m, L, d) from zero
+    initial state.
 
     The input projection of all L steps is one GEMM before the time loop,
-    so each step makes one recurrent GEMM. Work is time-major: the (m, L, h)
-    output is a view of (L, m, h) storage. Samples are independent, so each
-    block of samples runs the whole time loop on its own."""
+    so each step makes one recurrent GEMM; the projection keeps its L*m rows,
+    and so its bits, whatever `steps` is. Work is time-major: the
+    (m, steps, h) output is a view of (steps, m, h) storage. Samples are
+    independent, so each block of samples runs the whole time loop on its
+    own."""
     m, length, d = seq.shape
     h = params.hidden
     if d != params.input_dim:
         raise ShapeMismatch(f"layer expects input width {params.input_dim}, got {d}")
     xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, d)
-    gates = _matmul(xs, params.w_x.T).reshape(length, m, 4 * h)
-    c_all = np.empty((length, m, h))
-    tc = np.empty((length, m, h))
-    out = np.empty((length, m, h))
+    gates = _matmul(xs, params.w_x.T).reshape(length, m, 4 * h)[:steps]
+    c_all = np.empty((steps, m, h))
+    tc = np.empty((steps, m, h))
+    out = np.empty((steps, m, h))
 
-    def steps(lo: int, hi: int) -> None:
-        for t in range(length):
+    def loop(lo: int, hi: int) -> None:
+        for t in range(steps):
             g = gates[t, lo:hi]
             g += params.b
             if t:
@@ -132,7 +137,7 @@ def lstm_layer_forward(params: LstmParams, seq: np.ndarray) -> tuple[np.ndarray,
             np.tanh(c, out=tc[t, lo:hi])
             np.multiply(g[:, 3 * h:], tc[t, lo:hi], out=out[t, lo:hi])
 
-    _pool.run_blocks(steps, m, _row_split_work(m, h, 4 * h))  # each step's product
+    _pool.run_blocks(loop, m, _row_split_work(m, h, 4 * h))  # each step's product
     if not np.isfinite(out).all():
         raise NonFiniteActivation("lstm layer")
     cache = {"xs": xs, "gates": gates, "c": c_all, "tc": tc, "a": out}
@@ -142,21 +147,26 @@ def lstm_layer_forward(params: LstmParams, seq: np.ndarray) -> tuple[np.ndarray,
 def lstm_layer_backward(
     params: LstmParams, cache: dict, d_out: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Backpropagate through time, through both the a and c recurrences.
+    """Backpropagate through time, through both the a and c recurrences,
+    over the steps the forward pass ran; d_out is (m, steps, h).
 
     The loop carries only the recurrent gradients, one block of samples at
     a time; each step's gate pre-activation gradients land in one
-    (L, m, 4h) buffer, from which the weight, bias and input gradients each
-    take one GEMM or reduction over all L*m rows."""
+    (L, m, 4h) buffer, zero past the steps that ran, from which the input
+    weight, bias and input gradients each take one GEMM or reduction over
+    all L*m rows, the rows the forward projection had. The recurrent weight
+    gradient takes the rows of steps 1..steps-1."""
     gates, c_all, tc = cache["gates"], cache["c"], cache["tc"]
-    length, m, h4 = gates.shape
+    steps, m, h4 = gates.shape
+    length = len(cache["xs"]) // m
     h = h4 // 4
-    d_gates = np.empty_like(gates)
+    d_gates = np.empty((length, m, h4))
+    d_gates[steps:] = 0.0
 
-    def steps(lo: int, hi: int) -> None:
+    def loop(lo: int, hi: int) -> None:
         da = np.zeros((hi - lo, h))
         dc = np.zeros((hi - lo, h))
-        for t in range(length - 1, -1, -1):
+        for t in range(steps - 1, -1, -1):
             g, dg = gates[t, lo:hi], d_gates[t, lo:hi]
             cand, gu, gf, go = g[:, :h], g[:, h: 2 * h], g[:, 2 * h: 3 * h], g[:, 3 * h:]
             da += d_out[lo:hi, t, :]
@@ -173,11 +183,11 @@ def lstm_layer_backward(
             else:
                 dg[:, 2 * h: 3 * h] = 0.0
 
-    _pool.run_blocks(steps, m, _row_split_work(m, h4, h))
+    _pool.run_blocks(loop, m, _row_split_work(m, h4, h))
     rows = d_gates.reshape(length * m, h4)
     grads = {
         "w_x": _matmul(rows.T, cache["xs"]),
-        "w_a": _matmul(rows[m:].T, cache["a"][:-1].reshape(-1, h)),
+        "w_a": _matmul(rows[m: steps * m].T, cache["a"][:-1].reshape(-1, h)),
         "b": rows.sum(axis=0),
     }
     d_seq = _matmul(rows, params.w_x).reshape(length, m, -1).transpose(1, 0, 2)
@@ -190,17 +200,23 @@ _DIRECTIONS = (("f", 1), ("b", -1))
 
 
 def layer_forward(
-    layer: tuple[LstmParams, ...], seq: np.ndarray
+    layer: tuple[LstmParams, ...], seq: np.ndarray, top: bool
 ) -> tuple[np.ndarray, list[dict]]:
     """Run every direction of one layer over seq (m, L, d).
 
     output[t] concatenates each direction's output at step t: the backward
     direction runs on the reversed sequence and its output is re-reversed.
-    A one-direction layer returns its output view without a copy."""
+    The top layer returns only the last step, (m, 1, k), the one the head
+    reads. Its backward half is the backward direction's first step, so
+    there that direction runs one step. A one-direction layer returns its
+    output view without a copy."""
+    length = seq.shape[1]
     outs, caches = [], []
     for params, (_, step) in zip(layer, _DIRECTIONS):
-        out, cache = lstm_layer_forward(params, seq[:, ::step, :])
-        outs.append(out[:, ::step, :])
+        out, cache = lstm_layer_forward(params, seq[:, ::step, :],
+                                        1 if top and step < 0 else length)
+        out = out[:, ::step, :]
+        outs.append(out[:, -1:, :] if top else out)
         caches.append(cache)
     return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), caches
 
@@ -209,12 +225,20 @@ def layer_backward(
     layer: tuple[LstmParams, ...], caches: list[dict], d_out: np.ndarray
 ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     """Backpropagate one layer: each direction takes its own feature block
-    of d_out in its own time order. The input gradient is the forward
-    direction's part plus the re-reversed backward part."""
+    of d_out in its own time order. The top layer's d_out holds only the
+    last step, which the forward direction gets zero-padded to the steps it
+    ran. The input gradient is the forward direction's part plus the
+    re-reversed backward part."""
     h = layer[0].hidden
     parts, grads = [], []
     for k, (params, cache, (_, step)) in enumerate(zip(layer, caches, _DIRECTIONS)):
-        d_part, g = lstm_layer_backward(params, cache, d_out[:, ::step, k * h: (k + 1) * h])
+        d_dir = d_out[:, ::step, k * h: (k + 1) * h]
+        ran = len(cache["a"])
+        if d_dir.shape[1] < ran:
+            padded = np.zeros((len(d_out), ran, h))  # the top layer's forward direction
+            padded[:, -1:] = d_dir
+            d_dir = padded
+        d_part, g = lstm_layer_backward(params, cache, d_dir)
         grads.append(g)
         parts.append(d_part[:, ::step, :])
     return (parts[0] if len(parts) == 1 else parts[0] + parts[1]), grads
@@ -297,15 +321,19 @@ def network_forward(
     rate = net.dropout_rate if mode == "train" else 0.0
     rng = np.random.default_rng(seed) if rate > 0.0 else None
     cache: dict = {"mode": mode, "dirs": [], "relu": [], "drop": []}
+    length = inputs.shape[1]
     act = inputs
-    for layer in net.layers:
-        out, dir_caches = layer_forward(layer, act)
+    for i, layer in enumerate(net.layers):
+        out, dir_caches = layer_forward(layer, act, i == len(net.layers) - 1)
         relu = out > 0.0
         act = out * relu
         if mode == "train":
             keep = None
             if rng is not None:
-                keep = (rng.random(act.shape) >= rate) / (1.0 - rate)
+                # drawn for all L steps, so the generator's stream does not
+                # depend on how many steps the layer returns
+                draw = rng.random((len(act), length, act.shape[2]))[:, -act.shape[1]:]
+                keep = (draw >= rate) / (1.0 - rate)
                 act = act * keep
             cache["dirs"].append(dir_caches)
             cache["relu"].append(relu)
@@ -316,7 +344,7 @@ def network_forward(
     preds = last @ net.dense_w + net.dense_b[0]
     if not np.isfinite(preds).all():
         raise NonFiniteActivation("dense head")
-    cache["last"], cache["m_l_k"] = last, act.shape
+    cache["last"] = last
     return preds, cache
 
 
@@ -328,7 +356,7 @@ def network_backward(
     if cache.get("mode") != "train":
         raise StaleCache()
     d_preds = np.asarray(d_preds, dtype=np.float64)
-    m, length, k = cache["m_l_k"]
+    m = len(cache["last"])
     if d_preds.shape != (m,):
         raise ShapeMismatch(f"upstream gradient must be ({m},), got {d_preds.shape}")
 
@@ -336,8 +364,7 @@ def network_backward(
     grads["dense.w"] = cache["last"].T @ d_preds
     grads["dense.b"] = np.array([d_preds.sum()])
 
-    d_act = np.zeros((m, length, k))
-    d_act[:, -1, :] = np.outer(d_preds, net.dense_w)
+    d_act = np.outer(d_preds, net.dense_w)[:, None, :]  # the top layer's one step
     for i in reversed(range(len(net.layers))):
         if cache["drop"][i] is not None:
             d_act = d_act * cache["drop"][i]

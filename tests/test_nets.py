@@ -163,7 +163,7 @@ class TestCell:
         params = init_lstm_params(3, 2, rng)
         params.b[:] = rng.normal(size=12)
         x = rng.normal(size=(1, 1, 2))
-        out, cache = lstm_layer_forward(params, x)
+        out, cache = lstm_layer_forward(params, x, 1)
         want_a, want_c = oracle_step(params, [0.0] * 3, [0.0] * 3, x[0, 0])
         np.testing.assert_allclose(cache["c"][0, 0], want_c, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(out[0, 0], want_a, rtol=1e-12, atol=1e-15)
@@ -176,7 +176,7 @@ class TestCell:
         beta = np.array([0.3, -1.2, 0.0, 2.5])
         gate_bias(params, "c")[:] = beta
         x = np.random.default_rng(1).normal(size=(1, 3, 2)) * 7.0
-        out, cache = lstm_layer_forward(params, x)
+        out, cache = lstm_layer_forward(params, x, 3)
         c = np.zeros(4)
         for t in range(3):
             c = 0.5 * np.tanh(beta) + 0.5 * c
@@ -193,14 +193,14 @@ class TestCell:
         gate_bias(params, "f")[:] = 50.0
         params.w_x[2:4, 0] = 50.0  # update gate rows
         x = np.array([[[1.0], [-1.0], [-1.0], [-1.0]]])
-        _, cache = lstm_layer_forward(params, x)
+        _, cache = lstm_layer_forward(params, x, 4)
         for t in range(4):
             np.testing.assert_allclose(cache["c"][t, 0], np.tanh(beta), rtol=0, atol=1e-20)
 
     def test_shape_mismatch_rejected(self):
         params = init_lstm_params(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            lstm_layer_forward(params, np.zeros((1, 1, 4)))
+            lstm_layer_forward(params, np.zeros((1, 1, 4)), 1)
 
 
 def stepwise_cell(params, a_prev, c_prev, x):
@@ -220,7 +220,7 @@ class TestLayer:
         rng = np.random.default_rng(1)
         params = init_lstm_params(3, 2, rng)
         seq = rng.normal(size=(2, 4, 2))
-        out, _ = lstm_layer_forward(params, seq)
+        out, _ = lstm_layer_forward(params, seq, 4)
         for s in range(2):
             want = oracle_layer(params, [list(r) for r in seq[s]])
             np.testing.assert_allclose(out[s], want, rtol=1e-12, atol=1e-15)
@@ -229,16 +229,16 @@ class TestLayer:
         rng = np.random.default_rng(2)
         params = init_lstm_params(4, 3, rng)
         seq = rng.normal(size=(2, 6, 3))
-        full, _ = lstm_layer_forward(params, seq)
+        full, _ = lstm_layer_forward(params, seq, 6)
         for cut in (1, 3, 5):
-            part, _ = lstm_layer_forward(params, seq[:, :cut, :])
+            part, _ = lstm_layer_forward(params, seq[:, :cut, :], cut)
             np.testing.assert_array_equal(part, full[:, :cut, :])
 
     def test_layer_agrees_with_stepwise_cell(self):
         rng = np.random.default_rng(3)
         params = init_lstm_params(3, 2, rng)
         seq = rng.normal(size=(2, 5, 2))
-        out, _ = lstm_layer_forward(params, seq)
+        out, _ = lstm_layer_forward(params, seq, 5)
         a = np.zeros((2, 3))
         c = np.zeros((2, 3))
         for t in range(5):
@@ -262,7 +262,7 @@ class TestFusedLayer:
         params.b[:] += rng.uniform(-0.5, 0.5, size=12)
         seq = rng.normal(size=(2, length, 2))
         d_out = rng.normal(size=(2, length, 3))
-        out, cache = lstm_layer_forward(params, seq)
+        out, cache = lstm_layer_forward(params, seq, length)
         d_seq, grads = lstm_layer_backward(params, cache, d_out)
         want_w = np.zeros((12, 5))
         want_b = np.zeros(12)
@@ -330,8 +330,8 @@ class TestBidirectional:
         fwd = init_lstm_params(3, 2, rng)
         bwd = init_lstm_params(3, 2, rng)
         seq = rng.normal(size=(2, 5, 2))
-        a, _ = layer_forward((fwd, bwd), seq)
-        b, _ = layer_forward((bwd, fwd), seq[:, ::-1, :])
+        a, _ = layer_forward((fwd, bwd), seq, False)
+        b, _ = layer_forward((bwd, fwd), seq[:, ::-1, :], False)
         swapped = np.concatenate([b[:, :, 3:], b[:, :, :3]], axis=2)
         np.testing.assert_array_equal(a, swapped[:, ::-1, :])
 
@@ -340,9 +340,9 @@ class TestBidirectional:
         fwd = init_lstm_params(2, 3, rng)
         bwd = init_lstm_params(2, 3, rng)
         seq = rng.normal(size=(1, 4, 3))
-        out, _ = layer_forward((fwd, bwd), seq)
-        front, _ = lstm_layer_forward(fwd, seq)
-        back, _ = lstm_layer_forward(bwd, seq[:, ::-1, :])
+        out, _ = layer_forward((fwd, bwd), seq, False)
+        front, _ = lstm_layer_forward(fwd, seq, 4)
+        back, _ = lstm_layer_forward(bwd, seq[:, ::-1, :], 4)
         np.testing.assert_array_equal(out[:, :, :2], front)
         np.testing.assert_array_equal(out[:, :, 2:], back[:, ::-1, :])
 
@@ -350,10 +350,133 @@ class TestBidirectional:
         rng = np.random.default_rng(6)
         fwd = init_lstm_params(2, 3, rng)
         seq = rng.normal(size=(2, 4, 3))
-        out, caches = layer_forward((fwd,), seq)
-        alone, _ = lstm_layer_forward(fwd, seq)
+        out, caches = layer_forward((fwd,), seq, False)
+        alone, _ = lstm_layer_forward(fwd, seq, 4)
         np.testing.assert_array_equal(out, alone)
         assert np.shares_memory(out, caches[0]["a"])
+
+
+# --- full-length reference: every direction of every layer over all L steps --
+
+def full_length_forward(net, inputs, mode, seed=None):
+    """network_forward with the top layer's backward direction run over the
+    whole reversed sequence and the head reading the last step of the full
+    (m, L, k) activation; returns (preds, what full_length_backward needs)."""
+    rate = net.dropout_rate if mode == "train" else 0.0
+    rng = np.random.default_rng(seed) if rate > 0.0 else None
+    act, layers = inputs, []
+    for layer in net.layers:
+        outs, caches = [], []
+        for params, step in zip(layer, (1, -1)):
+            out, cache = lstm_layer_forward(params, act[:, ::step, :], act.shape[1])
+            outs.append(out[:, ::step, :])
+            caches.append(cache)
+        out = np.concatenate(outs, axis=2)
+        relu = out > 0.0
+        act = out * relu
+        keep = None
+        if rng is not None:
+            keep = (rng.random(act.shape) >= rate) / (1.0 - rate)
+            act = act * keep
+        layers.append((caches, relu, keep))
+    last = act[:, -1, :]
+    return last @ net.dense_w + net.dense_b[0], (layers, last, act.shape)
+
+
+def full_length_backward(net, saved, d_preds):
+    layers, last, shape = saved
+    grads = {"dense.w": last.T @ d_preds, "dense.b": np.array([d_preds.sum()])}
+    d_act = np.zeros(shape)
+    d_act[:, -1, :] = np.outer(d_preds, net.dense_w)
+    for i in reversed(range(len(net.layers))):
+        caches, relu, keep = layers[i]
+        if keep is not None:
+            d_act = d_act * keep
+        d_act = d_act * relu
+        h = net.layers[i][0].hidden
+        parts = []
+        for k, (params, cache, step, tag) in enumerate(
+                zip(net.layers[i], caches, (1, -1), "fb")):
+            d_part, g = lstm_layer_backward(params, cache, d_act[:, ::step, k * h: (k + 1) * h])
+            parts.append(d_part[:, ::step, :])
+            for name, arr in g.items():
+                grads[f"l{i + 1}{tag}.{name}"] = arr
+        d_act = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    return grads
+
+
+class TestTopLayer:
+    """The top layer computes only the step the head reads, with the bits
+    of the full-length computation."""
+
+    # (h1, h2, m): the widths and batch sizes where OpenBLAS's bits would
+    # depend on a product's row count: numpy's matrix-vector path at m = 1,
+    # the small-matrix kernels at 64/128 and m = 13, the K blocking at m = 493
+    @pytest.mark.parametrize("h1, h2, m", [(16, 32, 493), (16, 32, 1), (64, 128, 13)])
+    @pytest.mark.parametrize("length", [1, 7])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_predictions_and_gradients_equal_full_length_byte_for_byte(
+            self, bidirectional, length, h1, h2, m):
+        rng = np.random.default_rng(h2 + length + m)
+        net = build_network(10, hidden1=h1, hidden2=h2, dropout_rate=0.2,
+                            bidirectional=bidirectional, seed=length)
+        x = rng.normal(size=(m, length, 10))
+        got_eval, _ = network_forward(net, x, "eval")
+        want_eval, _ = full_length_forward(net, x, "eval")
+        assert got_eval.tobytes() == want_eval.tobytes()
+        got_train, cache = network_forward(net, x, "train", seed=17)
+        want_train, saved = full_length_forward(net, x, "train", seed=17)
+        assert got_train.tobytes() == want_train.tobytes()
+        d_preds = np.tanh(got_train - 0.1) / m
+        got = network_backward(net, cache, d_preds)
+        want = full_length_backward(net, saved, d_preds)
+        assert list(got) == list(net.param_dict())
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_top_backward_direction_caches_one_step(self):
+        net = build_network(3, hidden1=4, hidden2=5, dropout_rate=0.2, seed=1)
+        x = np.random.default_rng(8).normal(size=(6, 7, 3))
+        _, cache = network_forward(net, x, "train", seed=2)
+        steps = [[{len(c[key]) for key in ("gates", "c", "tc", "a")} for c in layer]
+                 for layer in cache["dirs"]]
+        assert steps == [[{7}, {7}], [{7}, {1}]]
+        assert [len(c["xs"]) for c in cache["dirs"][1]] == [7 * 6, 7 * 6]
+        assert cache["relu"][1].shape == cache["drop"][1].shape == (6, 1, 10)
+
+    def test_one_step_layer_is_the_first_step_of_the_full_run(self):
+        rng = np.random.default_rng(9)
+        params = init_lstm_params(5, 3, rng)
+        seq = rng.normal(size=(4, 6, 3))
+        d_first = rng.normal(size=(4, 1, 5))
+        full, full_cache = lstm_layer_forward(params, seq, 6)
+        one, one_cache = lstm_layer_forward(params, seq, 1)
+        assert one.tobytes() == full[:, :1].tobytes()
+        d_full = np.zeros((4, 6, 5))
+        d_full[:, :1] = d_first
+        want_seq, want = lstm_layer_backward(params, full_cache, d_full)
+        got_seq, got = lstm_layer_backward(params, one_cache, d_first)
+        assert got_seq.tobytes() == want_seq.tobytes()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_training_leaves_top_backward_recurrent_weights_at_their_draw(self):
+        # the top backward direction runs one step from zero state, so its
+        # recurrent weights multiply zeros and get an exactly zero gradient
+        rng = np.random.default_rng(11)
+        inputs = rng.normal(size=(24, 5, 2))
+        targets = 0.5 * inputs[:, -1, 0]
+        net = build_network(2, hidden1=3, hidden2=4, dropout_rate=0.2, seed=6)
+        start = {name: arr.copy() for name, arr in net.param_dict().items()}
+        _, cache = network_forward(net, inputs, "train", seed=3)
+        grads = network_backward(net, cache, np.ones(24) / 24)
+        assert grads["l2b.w_a"].tobytes() == np.zeros((16, 4)).tobytes()
+        net, _ = train(net, inputs, targets,
+                       TrainConfig(epochs=3, batch_size=8, dropout_rate=0.2, seed=0))
+        after = net.param_dict()
+        assert after["l2b.w_a"].tobytes() == start["l2b.w_a"].tobytes()
+        assert all(not np.array_equal(after[name], start[name])
+                   for name in start if name != "l2b.w_a")
 
 
 class TestNetworkForward:
@@ -833,7 +956,7 @@ class TestThreadedSplit:
         runs = []
         for cpus in (1, 2):
             counts = split_on(monkeypatch, cpus)
-            out, cache = lstm_layer_forward(params, seq)
+            out, cache = lstm_layer_forward(params, seq, 7)
             d_seq, grads = lstm_layer_backward(params, cache, d_out)
             runs.append([out.tobytes(), d_seq.tobytes()] + [g.tobytes() for g in grads.values()])
             assert max(counts) == cpus
