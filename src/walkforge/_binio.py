@@ -23,7 +23,7 @@ from typing import BinaryIO, Callable, TypeVar
 
 import numpy as np
 
-from .errors import BadArtifact
+from .errors import DataError
 
 MAGIC = b"WFAR"
 VERSION = 1
@@ -53,34 +53,34 @@ def _read_header(f: BinaryIO, path: str, kind: str) -> tuple[dict, list[tuple]]:
     with f positioned at the first array."""
     prefix = f.read(_PREFIX.size)
     if len(prefix) != _PREFIX.size:
-        raise BadArtifact(path, "truncated: no container header")
+        raise DataError(f"{path}: truncated: no container header")
     magic, version, length = _PREFIX.unpack(prefix)
     if magic != MAGIC:
-        raise BadArtifact(path, f"bad magic {magic!r}, expected {MAGIC!r}")
+        raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
-        raise BadArtifact(path, f"unsupported container version {version}")
+        raise DataError(f"{path}: unsupported container version {version}")
     # sizes are checked against the file before anything is allocated
     size = os.fstat(f.fileno()).st_size
     if _PREFIX.size + length > size:
-        raise BadArtifact(path, f"truncated: header wants {length} bytes, "
-                                f"file holds {size - _PREFIX.size}")
+        raise DataError(f"{path}: truncated: header wants {length} bytes, "
+                        f"file holds {size - _PREFIX.size}")
     raw = f.read(length)
     try:
         header = json.loads(raw)
         got_kind, meta = header["kind"], header["meta"]
         specs = [(str(name), dtype, tuple(shape)) for name, dtype, shape in header["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise BadArtifact(path, f"bad container header: {exc}") from exc
+        raise DataError(f"{path}: bad container header: {exc}") from exc
     if got_kind != kind:
-        raise BadArtifact(path, f"holds a {got_kind!r} artifact, expected {kind!r}")
+        raise DataError(f"{path}: holds a {got_kind!r} artifact, expected {kind!r}")
     for name, dtype, shape in specs:
         if dtype not in _DTYPES or not all(type(d) is int and d >= 0 for d in shape):
-            raise BadArtifact(path, f"array {name!r}: bad dtype {dtype!r} or shape {shape}")
+            raise DataError(f"{path}: array {name!r}: bad dtype {dtype!r} or shape {shape}")
     body = sum(math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in specs)
     have = size - f.tell()
     if have != body:
-        raise BadArtifact(path, f"truncated or padded: arrays want {body} bytes, "
-                                f"file holds {have}")
+        raise DataError(f"{path}: truncated or padded: arrays want {body} bytes, "
+                        f"file holds {have}")
     return meta, specs
 
 
@@ -88,13 +88,13 @@ def _build(path: str, kind: str, build: Callable[..., T], *parts) -> T:
     try:
         return build(*parts)
     except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise BadArtifact(path, f"malformed {kind} artifact: {exc!r}") from exc
+        raise DataError(f"{path}: malformed {kind} artifact: {exc!r}") from exc
 
 
 def load(path: str, kind: str, build: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
     """Read a container of `kind` and return build(meta, arrays).
 
-    Raises BadArtifact on a wrong magic, version or kind, a malformed or
+    Raises DataError on a wrong magic, version or kind, a malformed or
     truncated file, or contents that `build` cannot assemble."""
     with open(path, "rb") as f:
         meta, specs = _read_header(f, path, kind)
@@ -104,8 +104,8 @@ def load(path: str, kind: str, build: Callable[[dict, dict[str, np.ndarray]], T]
             view = memoryview(arr.reshape(-1)).cast("B")
             got = f.readinto(view)
             if got != view.nbytes:
-                raise BadArtifact(path, f"truncated: array {name!r} wants {view.nbytes} "
-                                        f"bytes, got {got}")
+                raise DataError(f"{path}: truncated: array {name!r} wants {view.nbytes} "
+                                f"bytes, got {got}")
             if sys.byteorder != "little":
                 arr.byteswap(inplace=True)
             arrays[name] = arr

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _binio
-from .errors import ConfigError, DataError, DimensionMismatch, NonFiniteInput
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim != 2 or y.ndim != 1 or len(x) != len(y) or len(y) < 1:
         raise DataError(f"bad training shapes {x.shape} / {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteInput()
+        raise DataError("inputs contain non-finite values")
     return x, y
 
 
@@ -55,7 +55,7 @@ def predict_linear(model: LinearModel, x: np.ndarray) -> np.ndarray:
     """One prediction per row of the 2-D x."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != len(model.weights):
-        raise DimensionMismatch(len(model.weights), x.shape[1])
+        raise DataError(f"expected {len(model.weights)} features, got {x.shape[1]}")
     return x @ model.weights + model.bias
 
 
@@ -307,7 +307,7 @@ def predict_svr(model: SvrModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     p = model.support_vectors.shape[1]
     if x.shape[1] != p:
-        raise DimensionMismatch(p, x.shape[1])
+        raise DataError(f"expected {p} features, got {x.shape[1]}")
     return rbf_kernel(x, model.support_vectors, model.gamma) @ model.dual_coef + model.bias
 
 

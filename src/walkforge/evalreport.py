@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, EmptyGroup, ZeroActual
+from .errors import DataError
 
 METRIC_NAMES = ("rmse", "mae", "mape")
 MODEL_ORDER = ("lr", "svr", "lstm", "proposed", "persistence")
@@ -49,7 +49,7 @@ def metrics(predictions: np.ndarray, actual: np.ndarray) -> tuple[float, float, 
         raise DataError("metrics need finite predictions and actuals")
     zeros = np.nonzero(actual == 0.0)[0]
     if zeros.size:
-        raise ZeroActual(int(zeros[0]))
+        raise DataError(f"actual value at position {zeros[0]} is zero, relative error undefined")
     err = predictions - actual
     rmse = float(np.sqrt(np.mean(err * err)))
     mae = float(np.mean(np.abs(err)))
@@ -96,7 +96,7 @@ def _model_order(models: list[str]) -> list[str]:
 def aggregate(runs: list[BatchMetrics]) -> EvaluationReport:
     """Mean and median of each metric across batches per (model, split)."""
     if not runs:
-        raise EmptyGroup()
+        raise DataError("no batch metrics to aggregate")
     groups: dict[tuple[str, str], list[BatchMetrics]] = {}
     for run in runs:
         groups.setdefault((run.model, run.split), []).append(run)

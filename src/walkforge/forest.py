@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from .errors import ConfigError, DataError, DimensionMismatch, KTooLarge
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def importances(forest: Forest, names: tuple[str, ...]) -> ImportanceRanking:
     """Normalized impurity importances; ties rank by ascending column index."""
     p = forest.n_features
     if len(names) != p:
-        raise DimensionMismatch(p, len(names))
+        raise DataError(f"expected {p} features, got {len(names)}")
     total = np.zeros(p)
     for tree in forest.trees:
         split = tree.feature >= 0
@@ -290,5 +290,5 @@ def importances(forest: Forest, names: tuple[str, ...]) -> ImportanceRanking:
 
 def top_k(ranking: ImportanceRanking, k: int) -> list[str]:
     if not (1 <= k <= len(ranking.names)):
-        raise KTooLarge(k, len(ranking.names))
+        raise ConfigError(f"cannot take top {k} of {len(ranking.names)} ranked features")
     return [ranking.names[j] for j in ranking.order[:k]]

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _binio
-from .errors import DataError, InvalidSpec, SeriesTooShort, ZeroDenominator
+from .errors import ConfigError, DataError
 from .ingest import RawSeries
 
 KINDS = (
@@ -120,7 +120,7 @@ def _roc(x: np.ndarray, w: int) -> np.ndarray:
     base = x[..., : n - w]
     zeros = np.argwhere(base == 0.0)  # row-major: lowest series, then earliest row
     if zeros.size:
-        raise ZeroDenominator(int(zeros[0, -1]) + w)
+        raise DataError(f"rate of change undefined at row {zeros[0, -1] + w}: base value is zero")
     out[..., w:] = 100.0 * (x[..., w:] - base) / base
     return out
 
@@ -135,7 +135,7 @@ def compute_indicator(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarra
         raise DataError("indicator input must be a non-empty series (n,) or stack (k, n)")
     w = window
     if w < 2:
-        raise InvalidSpec(f"window must be >= 2, got {w}")
+        raise ConfigError(f"window must be >= 2, got {w}")
     sma, std = _sma(x, w), _rolling_std(x, w)
     e = _ema(x, w)
     ee = _ema(e, w)
@@ -199,7 +199,7 @@ def warmup_rows(windows: tuple[int, ...] = DEFAULT_WINDOWS) -> int:
     n + warmup_rows(windows) raw rows yields exactly n usable rows.
     """
     if not windows or any(w < 2 for w in windows):
-        raise InvalidSpec(f"windows must be >= 2, got {windows!r}")
+        raise ConfigError(f"windows must be >= 2, got {windows!r}")
     return 2 * max(windows) - 1
 
 
@@ -210,12 +210,12 @@ def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) 
     warm-up floor of 2*max(window) - 1 with a successor to predict.
     """
     if not windows or any(w < 2 for w in windows) or len(set(windows)) != len(windows):
-        raise InvalidSpec(f"windows must be distinct and >= 2, got {windows!r}")
+        raise ConfigError(f"windows must be distinct and >= 2, got {windows!r}")
     if not np.isfinite(raw.values).all():
         raise DataError("feature expansion needs a cleaned series (no missing values)")
     required = 2 * max(windows) + 1
     if raw.n < required:
-        raise SeriesTooShort(raw.n, required)
+        raise DataError(f"series has {raw.n} rows, feature expansion needs at least {required}")
 
     names = feature_names(raw.columns, tuple(windows))
     n, p = raw.n, len(names)

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DuplicateDate,
-    EmptyFile,
-    GapTooLong,
-    InvalidConfig,
-    LeadingNaN,
-    MissingColumn,
-    OhlcViolation,
-)
+from .errors import ConfigError, DataError
 
 PRICE_COLUMNS = ("open", "close", "high", "low")
 
@@ -89,7 +80,7 @@ class RawSeries:
         try:
             return self.values[:, self.columns.index(name)]
         except ValueError:
-            raise MissingColumn(name) from None
+            raise DataError(f"missing required column {name!r}") from None
 
 
 def _parse_cell(text: str) -> float:
@@ -113,12 +104,12 @@ def load_csv(path: str) -> RawSeries:
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyFile(path) from None
+            raise DataError(f"no data rows in {path}") from None
         header = [h.strip() for h in header]
         positions = {name: i for i, name in enumerate(header)}
         for required in ("date",) + SCHEMA:
             if required not in positions:
-                raise MissingColumn(required)
+                raise DataError(f"missing required column {required!r}")
         date_pos = positions["date"]
         col_pos = [positions[name] for name in SCHEMA]
 
@@ -131,14 +122,14 @@ def load_csv(path: str) -> RawSeries:
             rows.append([_parse_cell(row[i]) if i < len(row) else math.nan for i in col_pos])
 
     if not rows:
-        raise EmptyFile(path)
+        raise DataError(f"no data rows in {path}")
 
     dates = np.asarray(days, dtype=np.int64)
     order = np.argsort(dates, kind="stable")
     dates = dates[order]
     dupes = np.nonzero(np.diff(dates) == 0)[0]
     if dupes.size:
-        raise DuplicateDate(format_date(dates[dupes[0]]))
+        raise DataError(f"duplicate date {format_date(dates[dupes[0]])}")
     values = np.asarray(rows, dtype=np.float64)[order]
     return RawSeries(dates=dates, values=values, columns=SCHEMA)
 
@@ -158,7 +149,7 @@ def _fill_column(col: np.ndarray, dates: np.ndarray, name: str, cap: int) -> np.
     if not missing.any():
         return col
     if missing[0]:
-        raise LeadingNaN(name)
+        raise DataError(f"column {name!r} starts with a missing value")
     idx = np.arange(len(col))
     last_valid = np.maximum.accumulate(np.where(missing, -1, idx))
     run = idx - last_valid  # 0 on observed rows, k on the k-th missing row of a run
@@ -166,7 +157,8 @@ def _fill_column(col: np.ndarray, dates: np.ndarray, name: str, cap: int) -> np.
         first_bad = int(np.argmax(run > cap))
         start = int(last_valid[first_bad] + 1)
         length = int(np.max(run[last_valid == last_valid[first_bad]]))
-        raise GapTooLong(name, format_date(dates[start]), length, cap)
+        raise DataError(f"column {name!r} has a {length}-day gap starting "
+                        f"{format_date(dates[start])}, fill cap is {cap}")
     return col[last_valid]
 
 
@@ -177,7 +169,7 @@ def clean(series: RawSeries, fill_cap: int) -> RawSeries:
     Idempotent: cleaning a cleaned series returns an identical one.
     """
     if fill_cap < 0:
-        raise InvalidConfig(f"fill cap must be >= 0, got {fill_cap}")
+        raise ConfigError(f"fill cap must be >= 0, got {fill_cap}")
     if series.n == 0:
         raise DataError("cannot clean an empty series")
     full_dates = np.arange(series.dates[0], series.dates[-1] + 1, dtype=np.int64)
@@ -201,7 +193,8 @@ def _check_ohlc(series: RawSeries) -> None:
     bad = (lows <= 0) | (lows > body_lo) | (body_hi > highs)
     if bad.any():
         t = int(np.argmax(bad))
-        raise OhlcViolation(
+        raise DataError(
+            f"price columns violate low <= open,close <= high > 0: "
             f"row {format_date(series.dates[t])}: open={opens[t]}, close={closes[t]}, "
             f"high={highs[t]}, low={lows[t]}"
         )
@@ -227,18 +220,18 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if not (self.start_price > 0):
-            raise InvalidConfig("start_price must be positive")
+            raise ConfigError("start_price must be positive")
         if not (self.volatility > 0):
-            raise InvalidConfig("volatility must be positive")
+            raise ConfigError("volatility must be positive")
         if self.spread < 0 or self.aux_noise < 0 or self.quote_noise < 0:
-            raise InvalidConfig("spread, quote_noise and aux_noise must be non-negative")
+            raise ConfigError("spread, quote_noise and aux_noise must be non-negative")
 
 
 def synthesize(n: int, seed: int, config: SynthConfig = SynthConfig()) -> RawSeries:
     """Deterministic synthetic daily series: same (n, seed, config) in, same
     bytes out."""
     if n < 1:
-        raise InvalidConfig(f"need at least 1 row, asked for {n}")
+        raise ConfigError(f"need at least 1 row, asked for {n}")
     rng = np.random.default_rng(seed)
 
     log_steps = config.drift + config.volatility * rng.standard_normal(n)

@@ -26,15 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _binio, _pool
-from .errors import (
-    ConfigError,
-    DataError,
-    DivergedLoss,
-    LengthMismatch,
-    NonFiniteActivation,
-    ShapeMismatch,
-    StaleCache,
-)
+from .errors import ConfigError, DataError, NumericError
 
 @dataclass
 class LstmParams:
@@ -111,7 +103,7 @@ def lstm_layer_forward(params: LstmParams, seq: np.ndarray,
     m, length, d = seq.shape
     h = params.hidden
     if d != params.input_dim:
-        raise ShapeMismatch(f"layer expects input width {params.input_dim}, got {d}")
+        raise DataError(f"layer expects input width {params.input_dim}, got {d}")
     xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, d)
     gates = _matmul(xs, params.w_x.T).reshape(length, m, 4 * h)[:steps]
     c_all = np.empty((steps, m, h))
@@ -139,7 +131,7 @@ def lstm_layer_forward(params: LstmParams, seq: np.ndarray,
 
     _pool.run_blocks(loop, m, _row_split_work(m, h, 4 * h))  # each step's product
     if not np.isfinite(out).all():
-        raise NonFiniteActivation("lstm layer")
+        raise NumericError("non-finite activation in lstm layer")
     cache = {"xs": xs, "gates": gates, "c": c_all, "tc": tc, "a": out}
     return out.transpose(1, 0, 2), cache
 
@@ -314,9 +306,9 @@ def network_forward(
     inputs = np.asarray(inputs, dtype=np.float64)
     width = net.layers[0][0].input_dim
     if inputs.ndim != 3 or inputs.shape[2] != width:
-        raise ShapeMismatch(f"inputs must be (m, L, {width}), got {inputs.shape}")
+        raise DataError(f"inputs must be (m, L, {width}), got {inputs.shape}")
     if not np.isfinite(inputs).all():
-        raise NonFiniteActivation("network inputs")
+        raise NumericError("non-finite activation in network inputs")
 
     rate = net.dropout_rate if mode == "train" else 0.0
     rng = np.random.default_rng(seed) if rate > 0.0 else None
@@ -343,7 +335,7 @@ def network_forward(
     last = act[:, -1, :]
     preds = last @ net.dense_w + net.dense_b[0]
     if not np.isfinite(preds).all():
-        raise NonFiniteActivation("dense head")
+        raise NumericError("non-finite activation in dense head")
     cache["last"] = last
     return preds, cache
 
@@ -354,11 +346,11 @@ def network_backward(
     """Gradients of the scalar loss for every parameter, keyed like
     param_dict. Needs a cache produced by a train-mode forward pass."""
     if cache.get("mode") != "train":
-        raise StaleCache()
+        raise DataError("backward needs a cache from a train-mode forward pass")
     d_preds = np.asarray(d_preds, dtype=np.float64)
     m = len(cache["last"])
     if d_preds.shape != (m,):
-        raise ShapeMismatch(f"upstream gradient must be ({m},), got {d_preds.shape}")
+        raise DataError(f"upstream gradient must be ({m},), got {d_preds.shape}")
 
     grads: dict[str, np.ndarray] = {}
     grads["dense.w"] = cache["last"].T @ d_preds
@@ -384,10 +376,10 @@ def logcosh_loss(preds: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if preds.ndim != 1 or preds.shape != targets.shape:
-        raise LengthMismatch(preds.shape[0] if preds.ndim else 0,
-                             targets.shape[0] if targets.ndim else 0)
+        raise DataError(f"length mismatch: {preds.shape[0] if preds.ndim else 0} vs "
+                        f"{targets.shape[0] if targets.ndim else 0}")
     if preds.size == 0:
-        raise LengthMismatch(0, 0)
+        raise DataError("length mismatch: 0 vs 0")
     r = preds - targets
     a = np.abs(r)
     loss = float(np.mean(a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)))
@@ -403,7 +395,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 1.0
-    dropout_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -415,8 +406,6 @@ class TrainConfig:
             raise ConfigError("beta1 and beta2 must be in [0, 1)")
         if self.eps <= 0 or self.clip_norm < 0:
             raise ConfigError("eps must be positive and clip_norm non-negative")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 @dataclass
@@ -467,14 +456,14 @@ def adam_step(
         param -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
     """
     if set(params) != set(grads):
-        raise ShapeMismatch("parameter and gradient key sets differ")
+        raise DataError("parameter and gradient key sets differ")
     for name, arr in params.items():
         if arr.shape != grads[name].shape:
-            raise ShapeMismatch(
+            raise DataError(
                 f"{name}: parameter {arr.shape} vs gradient {grads[name].shape}"
             )
         if not (arr.flags.c_contiguous and grads[name].flags.c_contiguous):
-            raise ShapeMismatch(f"{name}: parameter and gradient must be C-contiguous")
+            raise DataError(f"{name}: parameter and gradient must be C-contiguous")
     flats = {name: (arr.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1),
                     grads[name].reshape(-1)) for name, arr in params.items()}
     pieces = [(name, lo, min(lo + _CHUNK, arr.size)) for name, arr in params.items()
@@ -532,11 +521,7 @@ def adam_step(
 
 def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
           config: TrainConfig) -> tuple[BiLstmNetwork, list[float]]:
-    """Mini-batch training; returns the trained net and mean loss per epoch.
-
-    The net's dropout rate is taken from config so one config block drives
-    both architecture and optimization.
-    """
+    """Mini-batch training; returns the trained net and mean loss per epoch."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if inputs.ndim != 3 or targets.ndim != 1 or len(inputs) != len(targets):
@@ -544,7 +529,6 @@ def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
     m = len(targets)
     if m < 1:
         raise DataError("need at least one training sample")
-    net.dropout_rate = config.dropout_rate
 
     rng = np.random.default_rng(config.seed)
     params = net.param_dict()
@@ -565,7 +549,7 @@ def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
             del grads  # so the next step does not hold two sets
         epoch_loss = total / m
         if not math.isfinite(epoch_loss):
-            raise DivergedLoss(epoch)
+            raise NumericError(f"training loss became non-finite at epoch {epoch}")
         losses.append(epoch_loss)
     return net, losses
 

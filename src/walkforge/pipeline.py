@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _pool, baselines, evalreport, forest, indicators, ingest, nets, scaling, splitter
-from .errors import DataError, InvalidConfig
+from .errors import ConfigError, DataError
 
 MODEL_CHOICES = ("lr", "svr", "lstm", "proposed")
 _SEED_STRIDE = 1009  # distinct deterministic seeds per (model, batch)
@@ -72,13 +72,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.model not in MODEL_CHOICES + ("all",):
-            raise InvalidConfig(f"unknown model {self.model!r}")
+            raise ConfigError(f"unknown model {self.model!r}")
         if self.synthetic is not None and self.synthetic < 1:
-            raise InvalidConfig(f"synthetic row count must be >= 1, got {self.synthetic}")
+            raise ConfigError(f"synthetic row count must be >= 1, got {self.synthetic}")
         if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.lookback < 1:
-            raise InvalidConfig(f"lookback must be >= 1, got {self.lookback}")
+            raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -96,8 +96,7 @@ class RunConfig:
         return nets.TrainConfig(
             epochs=self.epochs, batch_size=self.batch_size,
             learning_rate=self.learning_rate, beta1=self.beta1, beta2=self.beta2,
-            eps=self.adam_eps, clip_norm=self.clip_norm,
-            dropout_rate=self.dropout, seed=seed,
+            eps=self.adam_eps, clip_norm=self.clip_norm, seed=seed,
         )
 
     def effective(self) -> dict:
@@ -139,22 +138,22 @@ def parse_config_file(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise InvalidConfig(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in FIELD_PARSERS:
-                raise InvalidConfig(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
 def _coerce(name: str, text: str):
     if name not in FIELD_PARSERS:
-        raise InvalidConfig(f"unknown config key {name!r}")
+        raise ConfigError(f"unknown config key {name!r}")
     try:
         return FIELD_PARSERS[name](text)
     except ValueError as exc:
-        raise InvalidConfig(f"bad value for {name}: {text!r} ({exc})") from exc
+        raise ConfigError(f"bad value for {name}: {text!r} ({exc})") from exc
 
 
 def build_config(file_values: dict[str, str], flag_values: dict) -> RunConfig:
@@ -171,11 +170,11 @@ def build_config(file_values: dict[str, str], flag_values: dict) -> RunConfig:
             try:
                 merged["seed"] = int(env)
             except ValueError as exc:
-                raise InvalidConfig(f"WALKFORGE_SEED={env!r} is not an integer") from exc
+                raise ConfigError(f"WALKFORGE_SEED={env!r} is not an integer") from exc
     try:
         return RunConfig(**merged)
     except TypeError as exc:
-        raise InvalidConfig(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
 
 # --- artifact paths --------------------------------------------------------
@@ -211,7 +210,7 @@ def _ensure_out(cfg: RunConfig) -> None:
 
 def stage_synth(cfg: RunConfig) -> str:
     if cfg.synthetic is None:
-        raise InvalidConfig("synth needs --synthetic N")
+        raise ConfigError("synth needs --synthetic N")
     _ensure_out(cfg)
     # --synthetic N asks for N model-ready rows, so generate the indicator
     # warm-up on top: featurize discards warmup_rows(windows) leading rows.
@@ -505,7 +504,7 @@ def stage_pipeline(cfg: RunConfig) -> str:
     if cfg.synthetic is not None:
         stage_synth(cfg)
     elif cfg.csv is None:
-        raise InvalidConfig("pipeline needs --synthetic N or --csv PATH")
+        raise ConfigError("pipeline needs --synthetic N or --csv PATH")
     stage_featurize(cfg)
     stage_select(cfg)
     stage_plan(cfg)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ColumnMismatch, DataError, EmptyRange
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class ScalerParams:
 
     def __post_init__(self) -> None:
         if len(self.center) != len(self.columns) or len(self.scale) != len(self.columns):
-            raise ColumnMismatch(
+            raise DataError(
                 f"{len(self.columns)} columns with {len(self.center)} centers "
                 f"and {len(self.scale)} scales"
             )
@@ -32,10 +32,10 @@ def fit(matrix: np.ndarray, rows: np.ndarray | range | slice, columns: tuple[str
     """Fit per-column median/IQR on matrix[rows]; a zero IQR becomes 1.0."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != len(columns):
-        raise ColumnMismatch(f"matrix has {matrix.shape} shape for {len(columns)} columns")
+        raise DataError(f"matrix has {matrix.shape} shape for {len(columns)} columns")
     sub = matrix[rows]
     if sub.shape[0] == 0:
-        raise EmptyRange()
+        raise DataError("row range selects no rows")
     if not np.isfinite(sub).all():
         raise DataError("scaler fit rows contain non-finite values")
     center = np.median(sub, axis=0)
@@ -49,7 +49,7 @@ def _check_width(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     width = matrix.shape[-1] if matrix.ndim else 0
     if matrix.ndim not in (1, 2) or width != len(params.columns):
-        raise ColumnMismatch(f"shape {matrix.shape} does not fit {len(params.columns)} columns")
+        raise DataError(f"shape {matrix.shape} does not fit {len(params.columns)} columns")
     return matrix
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, RangeTooShort, TooShort
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def make_batches(n: int, train_len: int = 500, test_len: int = 100, stride: int 
             f"{train_len}/{test_len}/{stride}"
         )
     if n < train_len + test_len:
-        raise TooShort(n, train_len + test_len)
+        raise DataError(f"{n} rows cannot hold one train+test batch of {train_len + test_len}")
     batches = []
     k = 0
     while k * stride + train_len + test_len <= n:
@@ -89,7 +89,7 @@ def make_windows(
     if not (0 <= start < end <= len(features)):
         raise DataError(f"range [{start}, {end}) out of bounds for {len(features)} rows")
     if end - start < lookback + 1:
-        raise RangeTooShort(end - start, lookback + 1)
+        raise DataError(f"range of {end - start} rows is shorter than {lookback + 1}")
 
     anchors = np.arange(start + lookback - 1, end - 1, dtype=np.int64)
     rows = anchors[:, None] + np.arange(-(lookback - 1), 1, dtype=np.int64)

@@ -17,6 +17,7 @@ import pytest
 from scipy.optimize import minimize
 
 from walkforge import baselines, cli, forest, indicators, ingest, nets, scaling, splitter
+from walkforge.errors import DataError
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -226,7 +227,7 @@ def test_criterion_05_walk_forward_plan():
         try:
             got = [(b.train_start, b.train_end, b.test_start, b.test_end)
                    for b in splitter.make_batches(n, train, test, stride).batches]
-        except splitter.TooShort:
+        except DataError:
             got = None
         if (got if got is not None else []) != want or (got is None) != (not want):
             agreement = False

@@ -18,13 +18,7 @@ from walkforge.baselines import (
     save_linear,
     save_svr,
 )
-from walkforge.errors import (
-    BadArtifact,
-    ConfigError,
-    DataError,
-    DimensionMismatch,
-    NonFiniteInput,
-)
+from walkforge.errors import ConfigError, DataError
 
 # --- linear ------------------------------------------------------------------
 
@@ -73,11 +67,11 @@ class TestLinear:
 
     def test_width_mismatch_rejected(self):
         model = LinearModel(weights=np.array([1.0, 2.0]), bias=0.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="expected 2 features, got 3"):
             predict_linear(model, np.zeros((4, 3)))
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(DataError, match="non-finite values"):
             fit_linear(np.array([[np.nan]]), np.array([1.0]))
         with pytest.raises(DataError):
             fit_linear(np.zeros((3, 2)), np.zeros(4))
@@ -447,5 +441,5 @@ class TestSvrBehavior:
         model = fit_linear(np.linspace(0, 1, 10)[:, None], np.linspace(0, 1, 10))
         path = str(tmp_path / "model.bin")
         save_linear(model, path)
-        with pytest.raises(BadArtifact):
+        with pytest.raises(DataError, match="holds a 'linear' artifact, expected 'svr'"):
             load_svr(path)

@@ -1,15 +1,16 @@
 """The one artifact container: every kind round-trips bit for bit, and
-foreign, outdated, mislabeled or damaged files raise BadArtifact."""
+foreign, outdated, mislabeled or damaged files raise DataError naming the file."""
 
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from walkforge import _binio, baselines, indicators, nets
-from walkforge.errors import BadArtifact
+from walkforge.errors import DataError
 from walkforge.ingest import synthesize
 
 
@@ -96,7 +97,7 @@ def test_header_carries_kind_meta_and_array_specs(tmp_path):
 ])
 def test_wrong_kind_rejected(tmp_path, kind, loader):
     _, path = saved(tmp_path, kind)
-    with pytest.raises(BadArtifact, match="expected"):
+    with pytest.raises(DataError, match="expected"):
         loader(str(path))
 
 
@@ -105,14 +106,14 @@ def test_old_network_v2_file_rejected(tmp_path):
     header = b"WFNN" + struct.pack("<HBQQQd", 2, 1, 3, 2, 2, 0.2)
     path.write_bytes(header + np.zeros(300).tobytes())
     for loader in (nets.load_network, baselines.load_linear, baselines.load_svr):
-        with pytest.raises(BadArtifact, match="magic"):
+        with pytest.raises(DataError, match="magic"):
             loader(str(path))
 
 
 def test_old_feature_cache_v1_file_rejected(tmp_path):
     path = tmp_path / "features.wffm"
     path.write_bytes(b"WFFM" + struct.pack("<HQQ", 1, 2, 1) + np.zeros(8).tobytes())
-    with pytest.raises(BadArtifact, match="magic"):
+    with pytest.raises(DataError, match="magic"):
         indicators.load_cache(str(path))
 
 
@@ -121,7 +122,7 @@ def test_other_container_version_rejected(tmp_path):
     data = bytearray(path.read_bytes())
     data[4:6] = struct.pack("<H", _binio.VERSION + 1)
     path.write_bytes(bytes(data))
-    with pytest.raises(BadArtifact, match="version"):
+    with pytest.raises(DataError, match="version"):
         baselines.load_linear(str(path))
 
 
@@ -133,14 +134,14 @@ def test_truncated_file_rejected(tmp_path, kind, keep):
     _, path = saved(tmp_path, kind)
     data = path.read_bytes()
     path.write_bytes(data[:keep])
-    with pytest.raises(BadArtifact, match="truncated"):
+    with pytest.raises(DataError, match="truncated"):
         KINDS[kind][1](str(path))
 
 
 def test_trailing_bytes_rejected(tmp_path):
     _, path = saved(tmp_path, "svr")
     path.write_bytes(path.read_bytes() + b"\0" * 8)
-    with pytest.raises(BadArtifact, match="padded"):
+    with pytest.raises(DataError, match="padded"):
         baselines.load_svr(str(path))
 
 
@@ -158,14 +159,14 @@ def write_container(path, header):
 def test_bad_array_spec_rejected(tmp_path, spec):
     path = tmp_path / "bad.bin"
     write_container(path, {"kind": "linear", "meta": {"bias": 0.0}, "arrays": [spec]})
-    with pytest.raises(BadArtifact, match="bad dtype"):
+    with pytest.raises(DataError, match="bad dtype"):
         baselines.load_linear(str(path))
 
 
 def test_unparseable_header_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(struct.pack("<4sHI", _binio.MAGIC, _binio.VERSION, 5) + b"{nope")
-    with pytest.raises(BadArtifact, match="header"):
+    with pytest.raises(DataError, match="header"):
         baselines.load_linear(str(path))
 
 
@@ -173,7 +174,7 @@ def test_missing_field_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     write_container(path, {"kind": "linear", "meta": {},
                            "arrays": [["weights", "<f8", [1]]]})
-    with pytest.raises(BadArtifact, match="malformed linear"):
+    with pytest.raises(DataError, match="malformed linear"):
         baselines.load_linear(str(path))
 
 
@@ -200,7 +201,7 @@ def test_header_reader_fails_as_load_does(tmp_path, damage):
                                "arrays": [["dual_coef", "<f8", [1]]]})
     messages = []
     for loader in (baselines.load_svr, baselines.load_svr_status):
-        with pytest.raises(BadArtifact) as info:
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")) as info:
             loader(str(path))
         messages.append(str(info.value))
     if damage == "missing_field":

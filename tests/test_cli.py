@@ -158,6 +158,21 @@ class TestDataExitCode:
         assert cli.main(["report", *flags(tmp_path / "empty")]) == 3
         assert "run the evaluate stage first" in capsys.readouterr().err
 
+    def test_zero_in_csv_is_a_data_error(self, tmp_path, capsys):
+        # a zero base value leaves the rate of change undefined
+        assert cli.main(["synth", *flags(tmp_path / "s")]) == 0
+        lines = open(capsys.readouterr().out.strip()).read().splitlines()
+        cells = lines[10].split(",")
+        cells[lines[0].split(",").index("tweets")] = "0"
+        lines[10] = ",".join(cells)
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = flags(tmp_path / "o", "--csv", str(path))
+        del argv[argv.index("--synthetic"):argv.index("--synthetic") + 2]
+        assert cli.main(["featurize", *argv]) == 3
+        assert capsys.readouterr().err == (
+            "error: rate of change undefined at row 11: base value is zero\n")
+
 
 class TestNumericExitCode:
     def test_diverging_training_run(self, tmp_path, capsys):

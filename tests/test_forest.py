@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from walkforge.errors import ConfigError, DataError, DimensionMismatch, KTooLarge
+from walkforge.errors import ConfigError, DataError
 from walkforge.forest import (
     Forest,
     ForestConfig,
@@ -310,15 +310,15 @@ class TestImportances:
             names=("f0", "f1"), importance=np.array([0.6, 0.4]),
             order=np.array([0, 1]),
         )
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ConfigError, match="cannot take top 3 of 2 ranked features"):
             top_k(ranking, 3)
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ConfigError, match="cannot take top 0 of 2 ranked features"):
             top_k(ranking, 0)
 
     def test_name_count_must_match(self):
         x = np.random.default_rng(0).normal(size=(30, 3))
         forest = fit_forest(x, x[:, 0], ForestConfig(seed=0, n_trees=2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="expected 3 features, got 2"):
             importances(forest, names=("a", "b"))
 
 

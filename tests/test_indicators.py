@@ -6,13 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from walkforge.errors import (
-    BadArtifact,
-    DataError,
-    InvalidSpec,
-    SeriesTooShort,
-    ZeroDenominator,
-)
+from walkforge.errors import ConfigError, DataError
 from walkforge.indicators import (
     DEFAULT_WINDOWS,
     KINDS,
@@ -199,9 +193,8 @@ class TestFrozenExamples:
 
     def test_roc_zero_base_rejected(self):
         x = np.array([1.0, 0.0, 2.0, 3.0, 4.0])
-        with pytest.raises(ZeroDenominator) as err:
+        with pytest.raises(DataError, match="rate of change undefined at row 3:"):
             one_kind(x, "roc", 2)
-        assert err.value.index == 3
 
     @pytest.mark.parametrize(
         "kind", ["sma", "wma", "std", "var", "rsi", "roc", "boll_up", "boll_lo"]
@@ -255,12 +248,10 @@ class TestStacks:
         x[3, 4] = 0.0
         x[1, 12] = 0.0
         x[1, 20] = 0.0
-        with pytest.raises(ZeroDenominator) as err:
+        with pytest.raises(DataError, match=f"rate of change undefined at row {12 + 5}:"):
             one_kind(x, "roc", 5)
-        assert err.value.index == 12 + 5
-        with pytest.raises(ZeroDenominator) as alone:
+        with pytest.raises(DataError, match=f"rate of change undefined at row {12 + 5}:"):
             one_kind(x[1], "roc", 5)
-        assert alone.value.index == err.value.index
 
     def test_roc_zero_past_the_last_base_row_is_not_a_denominator(self):
         x = self.stack(40)
@@ -344,7 +335,7 @@ class TestStackedExpansion:
 
 class TestSpecValidation:
     def test_window_one_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="window must be >= 2, got 1"):
             compute_indicator(np.ones(5), 1)
 
     def test_twelve_kinds(self):
@@ -388,13 +379,12 @@ class TestExpansion:
 
     def test_short_series_rejected(self):
         raw = synthesize(100, seed=0)
-        with pytest.raises(SeriesTooShort) as err:
+        with pytest.raises(DataError, match="has 100 rows, feature expansion needs at least 181"):
             expand_features(raw, DEFAULT_WINDOWS)
-        assert err.value.required == 181
 
     def test_duplicate_windows_rejected(self):
         raw = synthesize(200, seed=0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="windows must be distinct"):
             expand_features(raw, (7, 7, 30))
 
     def test_usable_rows_count(self):
@@ -409,9 +399,9 @@ class TestWarmup:
         assert warmup_rows((7,)) == 13
 
     def test_bad_windows_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match=r"windows must be >= 2, got \(\)"):
             warmup_rows(())
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match=r"windows must be >= 2, got \(1, 30\)"):
             warmup_rows((1, 30))
 
     def test_warmup_plus_n_gives_n_usable_rows(self):
@@ -443,7 +433,7 @@ class TestCache:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(BadArtifact):
+        with pytest.raises(DataError, match="bad magic"):
             load_cache(str(path))
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -451,5 +441,5 @@ class TestCache:
         path = tmp_path / "features.bin"
         save_cache(matrix, str(path))
         path.write_bytes(path.read_bytes()[:100])
-        with pytest.raises(BadArtifact):
+        with pytest.raises(DataError, match="truncated"):
             load_cache(str(path))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from walkforge import _binio, baselines, evalreport, indicators, ingest, nets, pipeline, scaling, splitter
-from walkforge.errors import DataError, InvalidConfig
+from walkforge.errors import ConfigError, DataError
 
 
 # ---------------------------------------------------------------------------
@@ -29,12 +29,12 @@ class TestParseConfigFile:
 
     def test_unknown_key_reports_path_and_line(self, tmp_path):
         path = self.write(tmp_path, "seed = 5\nsneed = 3\n")
-        with pytest.raises(InvalidConfig, match=r"run\.cfg:2.*sneed"):
+        with pytest.raises(ConfigError, match=r"run\.cfg:2.*sneed"):
             pipeline.parse_config_file(path)
 
     def test_line_without_equals_rejected(self, tmp_path):
         path = self.write(tmp_path, "epochs 9\n")
-        with pytest.raises(InvalidConfig, match=r"run\.cfg:1.*key=value"):
+        with pytest.raises(ConfigError, match=r"run\.cfg:1.*key=value"):
             pipeline.parse_config_file(path)
 
     def test_last_duplicate_wins(self, tmp_path):
@@ -58,19 +58,19 @@ class TestBuildConfig:
         assert pipeline.build_config({"chart": "false"}, {}).chart is False
 
     def test_bad_bool_rejected(self):
-        with pytest.raises(InvalidConfig, match="chart"):
+        with pytest.raises(ConfigError, match="chart"):
             pipeline.build_config({"chart": "maybe"}, {})
 
     def test_bad_int_rejected(self):
-        with pytest.raises(InvalidConfig, match="trees"):
+        with pytest.raises(ConfigError, match="trees"):
             pipeline.build_config({"trees": "many"}, {})
 
     def test_unknown_file_key_rejected(self):
-        with pytest.raises(InvalidConfig, match="unknown config key"):
+        with pytest.raises(ConfigError, match="unknown config key"):
             pipeline.build_config({"bogus": "1"}, {})
 
     def test_unknown_flag_key_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="unexpected keyword argument 'bogus'"):
             pipeline.build_config({}, {"bogus": 1})
 
     def test_flags_override_file_override_defaults(self):
@@ -94,7 +94,7 @@ class TestBuildConfig:
 
     def test_non_integer_env_seed_rejected(self, monkeypatch):
         monkeypatch.setenv("WALKFORGE_SEED", "abc")
-        with pytest.raises(InvalidConfig, match="WALKFORGE_SEED"):
+        with pytest.raises(ConfigError, match="WALKFORGE_SEED"):
             pipeline.build_config({}, {})
 
     def test_env_unset_uses_default(self, monkeypatch):
@@ -104,19 +104,19 @@ class TestBuildConfig:
 
 class TestRunConfig:
     def test_unknown_model_rejected(self):
-        with pytest.raises(InvalidConfig, match="unknown model"):
+        with pytest.raises(ConfigError, match="unknown model"):
             pipeline.RunConfig(model="magic")
 
     def test_nonpositive_synthetic_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="synthetic row count must be >= 1, got 0"):
             pipeline.RunConfig(synthetic=0)
 
     def test_nonpositive_k_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
             pipeline.RunConfig(k=0)
 
     def test_nonpositive_lookback_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="lookback must be >= 1, got 0"):
             pipeline.RunConfig(lookback=0)
 
     def test_models_expansion(self):
@@ -156,11 +156,11 @@ class TestStageGuards:
         return pipeline.RunConfig(out=str(tmp_path / "out"), **over)
 
     def test_synth_requires_row_count(self, tmp_path):
-        with pytest.raises(InvalidConfig, match="synthetic"):
+        with pytest.raises(ConfigError, match="synthetic"):
             pipeline.stage_synth(self.cfg(tmp_path))
 
     def test_pipeline_requires_an_input(self, tmp_path):
-        with pytest.raises(InvalidConfig, match="--synthetic N or --csv"):
+        with pytest.raises(ConfigError, match="--synthetic N or --csv"):
             pipeline.stage_pipeline(self.cfg(tmp_path))
 
     def test_featurize_names_missing_producer(self, tmp_path):

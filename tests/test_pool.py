@@ -111,16 +111,15 @@ class TestRunBlocks:
         def fn(lo, hi):
             if lo == 4:  # block 2
                 time.sleep(0.1)  # block 3 fails first in time
-                raise errors.DivergedLoss(2)
+                raise errors.NumericError("training loss became non-finite at epoch 2")
             if lo == 8:
-                raise errors.DivergedLoss(3)
+                raise errors.NumericError("training loss became non-finite at epoch 3")
             time.sleep(0.2)
             finished.append(lo)
 
         before = threading.active_count()
-        with pytest.raises(errors.DivergedLoss) as caught:
+        with pytest.raises(errors.NumericError, match="non-finite at epoch 2"):
             _pool.run_blocks(fn, 12, BIG)
-        assert caught.value.epoch == 2
         assert finished == [0]
         assert threading.active_count() == before
 
@@ -177,12 +176,11 @@ class TestRunTasks:
             if i == 1:
                 time.sleep(0.2)  # task 3 fails first in time
             if i in (1, 3):
-                raise errors.DivergedLoss(i)
+                raise errors.NumericError(f"training loss became non-finite at epoch {i}")
             return i
 
-        with pytest.raises(errors.DivergedLoss) as caught:
+        with pytest.raises(errors.NumericError, match="non-finite at epoch 1"):
             _pool.run_tasks(task, range(4))
-        assert caught.value.epoch == 1
 
     def test_no_tasks(self):
         assert _pool.run_tasks(lambda i: i, []) == []
@@ -232,19 +230,9 @@ class TestObservedRunsSerially:
 
 
 def sample_errors():
-    """One instance of every error class, built from sample arguments."""
-    samples = {"str": "col", "int": 3}
-    built = []
-    for cls in vars(errors).values():
-        if not (inspect.isclass(cls) and issubclass(cls, errors.WalkforgeError)):
-            continue
-        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-        if params and params[0].kind is inspect.Parameter.VAR_POSITIONAL:
-            built.append(cls("message"))  # the families take Exception's args
-            continue
-        built.append(cls(*(samples[p.annotation] for p in params
-                           if p.default is inspect.Parameter.empty)))
-    return built
+    """One instance of every error class, built from its message."""
+    return [cls("message") for cls in vars(errors).values()
+            if inspect.isclass(cls) and issubclass(cls, errors.WalkforgeError)]
 
 
 class TestErrorPickling:
@@ -256,13 +244,15 @@ class TestErrorPickling:
         assert back.__dict__ == err.__dict__
 
     def test_every_class_is_sampled(self):
-        classes = {cls for cls in vars(errors).values()
-                   if inspect.isclass(cls) and issubclass(cls, errors.WalkforgeError)}
-        assert {type(e) for e in sample_errors()} == classes
+        # one class per exit code, plus their base
+        families = {errors.WalkforgeError, errors.ConfigError, errors.DataError,
+                    errors.NumericError}
+        assert {type(e) for e in sample_errors()} == families
 
     def test_worker_error_matches_serial_error(self, tmp_path, monkeypatch, capsys):
         def diverge(net, inputs, targets, config):
-            raise errors.DivergedLoss(config.seed)  # the seed names the fit
+            # the seed names the fit
+            raise errors.NumericError(f"training loss became non-finite at epoch {config.seed}")
 
         monkeypatch.setattr(nets, "train", diverge)  # the fork carries the patch
         seen = []

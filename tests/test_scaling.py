@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from walkforge.errors import ColumnMismatch, DataError, EmptyRange
+from walkforge.errors import DataError
 from walkforge.scaling import (
     ScalerParams,
     fit,
@@ -69,7 +69,7 @@ class TestFit:
         np.testing.assert_array_equal(before.scale, after.scale)
 
     def test_empty_row_selection_rejected(self):
-        with pytest.raises(EmptyRange):
+        with pytest.raises(DataError, match="row range selects no rows"):
             fit(col([1, 2, 3]), slice(2, 2), ("x",))
 
     def test_nan_in_fit_rows_rejected(self):
@@ -77,9 +77,9 @@ class TestFit:
             fit(col([1.0, np.nan, 3.0]), slice(None), ("x",))
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(DataError, match="shape for 2 columns"):
             fit(col([1, 2, 3]), slice(None), ("x", "y"))
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(DataError, match="2 columns with 1 centers and 1 scales"):
             ScalerParams(("x", "y"), center=np.zeros(1), scale=np.ones(1))
 
 
@@ -104,5 +104,5 @@ class TestTransform:
 
     def test_wrong_width_rejected(self):
         params = fit(col([1, 2, 3]), slice(None), ("x",))
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(DataError, match="does not fit 1 columns"):
             transform(np.zeros((4, 2)), params)
