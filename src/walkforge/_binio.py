@@ -28,7 +28,7 @@ from .errors import DataError
 MAGIC = b"WFAR"
 VERSION = 1
 _PREFIX = struct.Struct("<4sHI")
-_DTYPES = ("<f8", "<i8")
+_DTYPES = ("<f8", "<f4", "<i8")
 
 T = TypeVar("T")
 

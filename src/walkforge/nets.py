@@ -16,6 +16,10 @@ function of (initial network, samples, config).
 Large products, the time loops and the Adam update are split by rows over
 threads (`_pool.run_blocks`), with the same bits as the whole computation
 (see `_row_split_work`).
+
+A network computes in its parameters' dtype: build_network draws float64
+by default, and every other function takes its dtype from the arrays it is
+given, so a float32 network trains, checkpoints and predicts in float32.
 """
 
 from __future__ import annotations
@@ -48,19 +52,21 @@ class LstmParams:
         return self.w_x.shape[1]
 
 
-def init_lstm_params(hidden: int, input_dim: int, rng: np.random.Generator) -> LstmParams:
+def init_lstm_params(hidden: int, input_dim: int, rng: np.random.Generator,
+                     dtype: type = np.float64) -> LstmParams:
     """Uniform +-1/sqrt(fan_in) weights, zero biases except forget gate at 1.
 
-    Each gate in turn draws one (h, h+d) block over [a_prev, x]; its first
-    h columns are recurrent weights and the rest input weights."""
+    Each gate in turn draws one (h, h+d) block over [a_prev, x] in float64;
+    its first h columns are recurrent weights and the rest input weights,
+    stored in arrays of `dtype`. So the draws do not depend on the dtype."""
     bound = 1.0 / math.sqrt(hidden + input_dim)
-    w_x = np.empty((4 * hidden, input_dim))
-    w_a = np.empty((4 * hidden, hidden))
+    w_x = np.empty((4 * hidden, input_dim), dtype=dtype)
+    w_a = np.empty((4 * hidden, hidden), dtype=dtype)
     for k in range(4):
         block = rng.uniform(-bound, bound, size=(hidden, hidden + input_dim))
         w_a[k * hidden: (k + 1) * hidden] = block[:, :hidden]
         w_x[k * hidden: (k + 1) * hidden] = block[:, hidden:]
-    b = np.zeros(4 * hidden)
+    b = np.zeros(4 * hidden, dtype=dtype)
     b[2 * hidden: 3 * hidden] = 1.0
     return LstmParams(w_x=w_x, w_a=w_a, b=b)
 
@@ -73,14 +79,15 @@ def _row_split_work(m: int, k: int, n: int) -> int:
     one-row block (numpy's matrix-vector path) and a block under about 10^6
     multiply-adds (OpenBLAS's small-matrix kernels), which run_blocks never
     makes, and the last n % 8 columns, whose bits OpenBLAS's kernel makes
-    depend on the number of rows (measured: all of 318 random shapes with n
-    a multiple of 8 matched, 93 of 102 others did not)."""
+    depend on the number of rows (measured in float64: all of 318 random
+    shapes with n a multiple of 8 matched, 93 of 102 others did not). In
+    float32 no shape was found to differ, so the rule is conservative there."""
     return m * k * n if n % 8 == 0 else 0
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, its rows split over threads when the product is large."""
-    out = np.empty((a.shape[0], b.shape[1]))
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
 
     def rows(lo: int, hi: int) -> None:
         np.matmul(a[lo:hi], b, out=out[lo:hi])
@@ -106,9 +113,9 @@ def lstm_layer_forward(params: LstmParams, seq: np.ndarray,
         raise DataError(f"layer expects input width {params.input_dim}, got {d}")
     xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, d)
     gates = _matmul(xs, params.w_x.T).reshape(length, m, 4 * h)[:steps]
-    c_all = np.empty((steps, m, h))
-    tc = np.empty((steps, m, h))
-    out = np.empty((steps, m, h))
+    c_all = np.empty((steps, m, h), dtype=gates.dtype)
+    tc = np.empty_like(c_all)
+    out = np.empty_like(c_all)
 
     def loop(lo: int, hi: int) -> None:
         for t in range(steps):
@@ -152,12 +159,12 @@ def lstm_layer_backward(
     steps, m, h4 = gates.shape
     length = len(cache["xs"]) // m
     h = h4 // 4
-    d_gates = np.empty((length, m, h4))
+    d_gates = np.empty((length, m, h4), dtype=gates.dtype)
     d_gates[steps:] = 0.0
 
     def loop(lo: int, hi: int) -> None:
-        da = np.zeros((hi - lo, h))
-        dc = np.zeros((hi - lo, h))
+        da = np.zeros((hi - lo, h), dtype=gates.dtype)
+        dc = np.zeros_like(da)
         for t in range(steps - 1, -1, -1):
             g, dg = gates[t, lo:hi], d_gates[t, lo:hi]
             cand, gu, gf, go = g[:, :h], g[:, h: 2 * h], g[:, 2 * h: 3 * h], g[:, 3 * h:]
@@ -227,7 +234,7 @@ def layer_backward(
         d_dir = d_out[:, ::step, k * h: (k + 1) * h]
         ran = len(cache["a"])
         if d_dir.shape[1] < ran:
-            padded = np.zeros((len(d_out), ran, h))  # the top layer's forward direction
+            padded = np.zeros((len(d_out), ran, h), dtype=d_out.dtype)  # top forward direction
             padded[:, -1:] = d_dir
             d_dir = padded
         d_part, g = lstm_layer_backward(params, cache, d_dir)
@@ -246,6 +253,11 @@ class BiLstmNetwork:
     dense_w: np.ndarray
     dense_b: np.ndarray
     dropout_rate: float
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, and of everything the net computes."""
+        return self.dense_w.dtype
 
     def param_dict(self) -> dict[str, np.ndarray]:
         """Live references in a fixed order (l1f, l1b, l2f, l2b, dense);
@@ -268,8 +280,10 @@ def build_network(
     dropout_rate: float = 0.2,
     bidirectional: bool = True,
     seed: int = 0,
+    dtype: type = np.float64,
 ) -> BiLstmNetwork:
-    """Draw l1f, l1b, l2f, l2b, then the head, from one seeded generator."""
+    """Draw l1f, l1b, l2f, l2b, then the head, from one seeded generator,
+    into parameters of `dtype`; the draws are the same for every dtype."""
     if input_dim < 1 or hidden1 < 1 or hidden2 < 1:
         raise ConfigError(
             f"widths must be positive, got input={input_dim}, h1={hidden1}, h2={hidden2}"
@@ -280,13 +294,14 @@ def build_network(
     directions = 2 if bidirectional else 1
     layers, width = [], input_dim
     for hidden in (hidden1, hidden2):
-        layers.append(tuple(init_lstm_params(hidden, width, rng) for _ in range(directions)))
+        layers.append(tuple(init_lstm_params(hidden, width, rng, dtype)
+                            for _ in range(directions)))
         width = directions * hidden
     bound = 1.0 / math.sqrt(width)
     return BiLstmNetwork(
         layers=tuple(layers),
-        dense_w=rng.uniform(-bound, bound, size=width),
-        dense_b=np.zeros(1),
+        dense_w=rng.uniform(-bound, bound, size=width).astype(dtype),
+        dense_b=np.zeros(1, dtype=dtype),
         dropout_rate=dropout_rate,
     )
 
@@ -300,10 +315,11 @@ def network_forward(
     """Predict in scaled space for windows (m, L, F). mode="train" applies
     inverted-scaling dropout after each layer from a generator seeded with
     `seed` and keeps every layer's cache for network_backward; mode="eval"
-    is deterministic and keeps only the activation between layers."""
+    is deterministic and keeps only the activation between layers. Inputs
+    are cast to the net's dtype, and everything after is computed in it."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = np.asarray(inputs, dtype=net.dtype)
     width = net.layers[0][0].input_dim
     if inputs.ndim != 3 or inputs.shape[2] != width:
         raise DataError(f"inputs must be (m, L, {width}), got {inputs.shape}")
@@ -325,7 +341,7 @@ def network_forward(
                 # drawn for all L steps, so the generator's stream does not
                 # depend on how many steps the layer returns
                 draw = rng.random((len(act), length, act.shape[2]))[:, -act.shape[1]:]
-                keep = (draw >= rate) / (1.0 - rate)
+                keep = (draw >= rate) * net.dtype.type(1.0 / (1.0 - rate))
                 act = act * keep
             cache["dirs"].append(dir_caches)
             cache["relu"].append(relu)
@@ -347,7 +363,7 @@ def network_backward(
     param_dict. Needs a cache produced by a train-mode forward pass."""
     if cache.get("mode") != "train":
         raise DataError("backward needs a cache from a train-mode forward pass")
-    d_preds = np.asarray(d_preds, dtype=np.float64)
+    d_preds = np.asarray(d_preds, dtype=net.dtype)
     m = len(cache["last"])
     if d_preds.shape != (m,):
         raise DataError(f"upstream gradient must be ({m},), got {d_preds.shape}")
@@ -416,15 +432,17 @@ class AdamState:
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
-    """Zero moments, left untouched so the first (threaded) step writes their pages."""
+    """Zero moments in each parameter's dtype, left untouched so the first
+    (threaded) step writes their pages."""
     return AdamState(
-        m={name: np.zeros(arr.shape) for name, arr in params.items()},
-        v={name: np.zeros(arr.shape) for name, arr in params.items()},
+        m={name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.items()},
+        v={name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.items()},
     )
 
 
 # Adam works through each array in pieces of at most this many elements
-# (256 KiB of float64), so a piece stays in cache across all of its operations.
+# (256 KiB of float64, 128 KiB of float32), so a piece stays in cache across
+# all of its operations.
 _CHUNK = 32768
 
 # Element operations per parameter in one Adam step, as the work run_blocks
@@ -444,11 +462,12 @@ def adam_step(
     place: each gradient array is overwritten with its step. Both passes,
     the squares for the global norm and the update, go through the arrays'
     pieces of _CHUNK elements, split over threads by run_blocks; each block
-    keeps its temporaries in a one-chunk work buffer of its own, and each
-    piece runs all of its operations before the next. The squared norm is
-    the sum of each piece's np.sum(g * g), in parameter order and then piece
-    order, so it does not depend on the thread count; for an array of one
-    piece that is np.sum(g * g). The arithmetic, operation for operation, is
+    keeps its temporaries in a one-chunk work buffer of its own, in the
+    parameters' dtype, and each piece runs all of its operations before the
+    next. The squared norm is the sum of each piece's np.sum(g * g), in
+    parameter order and then piece order, so it does not depend on the
+    thread count; for an array of one piece that is np.sum(g * g). The
+    arithmetic, operation for operation, is
 
         g = grad * factor
         m = beta1 * m + (1 - beta1) * g
@@ -469,19 +488,20 @@ def adam_step(
     pieces = [(name, lo, min(lo + _CHUNK, arr.size)) for name, arr in params.items()
               for lo in range(0, arr.size, _CHUNK)]
     ops = _ADAM_OPS * sum(arr.size for arr in params.values())
-    squares = np.empty(len(pieces))
+    dtype = np.result_type(np.float32, *params.values())  # the widest, float32 at least
+    squares = [0.0] * len(pieces)
 
     def square_sums(first: int, last: int) -> None:
-        buf = np.empty(_CHUNK)
+        buf = np.empty(_CHUNK, dtype=dtype)
         for j in range(first, last):
             name, lo, hi = pieces[j]
             g = flats[name][3][lo:hi]
             np.multiply(g, g, out=buf[: hi - lo])
-            squares[j] = np.sum(buf[: hi - lo])
+            squares[j] = float(np.sum(buf[: hi - lo]))
 
     _pool.run_blocks(square_sums, len(pieces), ops)
     sq = 0.0
-    for piece_sum in squares.tolist():  # not sum(), which compensates from Python 3.12
+    for piece_sum in squares:  # not sum(), which compensates from Python 3.12
         sq += piece_sum
     norm = math.sqrt(sq)
     factor = 1.0
@@ -494,7 +514,7 @@ def adam_step(
     v_corr = 1.0 - config.beta2 ** t
 
     def update(first: int, last: int) -> None:
-        buf = np.empty(_CHUNK)
+        buf = np.empty(_CHUNK, dtype=dtype)
         for j in range(first, last):
             name, lo, hi = pieces[j]
             p, m, v, g = (flat[lo:hi] for flat in flats[name])
@@ -521,8 +541,9 @@ def adam_step(
 
 def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
           config: TrainConfig) -> tuple[BiLstmNetwork, list[float]]:
-    """Mini-batch training; returns the trained net and mean loss per epoch."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+    """Mini-batch training; returns the trained net and mean loss per epoch.
+    The inputs are cast once to the net's dtype; the loss is float64."""
+    inputs = np.asarray(inputs, dtype=net.dtype)
     targets = np.asarray(targets, dtype=np.float64)
     if inputs.ndim != 3 or targets.ndim != 1 or len(inputs) != len(targets):
         raise DataError(f"bad training shapes {inputs.shape} / {targets.shape}")

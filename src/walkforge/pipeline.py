@@ -147,9 +147,13 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(name: str, text: str):
+def _check_key(name: str) -> None:
     if name not in FIELD_PARSERS:
         raise ConfigError(f"unknown config key {name!r}")
+
+
+def _coerce(name: str, text: str):
+    _check_key(name)
     try:
         return FIELD_PARSERS[name](text)
     except ValueError as exc:
@@ -162,6 +166,7 @@ def build_config(file_values: dict[str, str], flag_values: dict) -> RunConfig:
     for key, text in file_values.items():
         merged[key] = _coerce(key, text)
     for key, value in flag_values.items():
+        _check_key(key)
         if value is not None:
             merged[key] = value
     if "seed" not in merged:
@@ -173,7 +178,7 @@ def build_config(file_values: dict[str, str], flag_values: dict) -> RunConfig:
                 raise ConfigError(f"WALKFORGE_SEED={env!r} is not an integer") from exc
     try:
         return RunConfig(**merged)
-    except TypeError as exc:
+    except TypeError as exc:  # a value of the wrong type from an API caller
         raise ConfigError(str(exc)) from exc
 
 
@@ -352,9 +357,9 @@ def stage_train(cfg: RunConfig) -> list[str]:
             )
             baselines.save_svr(model, path)
         else:
-            net = nets.build_network(
+            net = nets.build_network(  # float32, Keras's default dtype
                 train_set.inputs.shape[2], cfg.h1, cfg.h2, cfg.dropout,
-                bidirectional=(model_name == "proposed"), seed=seed,
+                bidirectional=(model_name == "proposed"), seed=seed, dtype=np.float32,
             )
             net, losses = nets.train(net, train_set.inputs, train_set.targets,
                                      cfg.train_config(seed))

@@ -47,6 +47,9 @@ KINDS = {
              lambda: nets.build_network(3, 3, 4, 0.25, bidirectional=False, seed=1)),
     "bilstm": (nets.save_network, nets.load_network,
                lambda: nets.build_network(3, 3, 4, 0.25, bidirectional=True, seed=2)),
+    "bilstm32": (nets.save_network, nets.load_network,  # as the pipeline trains them
+                 lambda: nets.build_network(3, 3, 4, 0.25, bidirectional=True, seed=2,
+                                            dtype=np.float32)),
     "linear": (baselines.save_linear, baselines.load_linear,
                lambda: baselines.LinearModel(weights=np.array([1.5, -0.1, 1e-300]),
                                              bias=-0.7)),
@@ -87,6 +90,20 @@ def test_header_carries_kind_meta_and_array_specs(tmp_path):
     assert header == {"kind": "linear", "meta": {"bias": -0.7},
                       "arrays": [["weights", "<f8", [3]]]}
     assert len(data) == 10 + length + 3 * 8
+
+
+def test_float32_network_is_stored_as_f4_at_half_the_size(tmp_path):
+    net, path = saved(tmp_path, "bilstm32")
+    data = path.read_bytes()
+    (length,) = struct.unpack("<I", data[6:10])
+    header = json.loads(data[10:10 + length])
+    assert {dtype for _, dtype, _ in header["arrays"]} == {"<f4"}
+    params = net.param_dict().values()
+    assert len(data) == 10 + length + 4 * sum(arr.size for arr in params)
+    back = nets.load_network(str(path))
+    assert back.dtype == np.float32
+    nets.save_network(back, str(tmp_path / "again.bin"))
+    assert (tmp_path / "again.bin").read_bytes() == data
 
 
 @pytest.mark.parametrize("kind, loader", [
@@ -155,6 +172,8 @@ def write_container(path, header):
     ["weights", "|O", [1]],     # object arrays would read raw pointers
     ["weights", "<f8", [-1]],
     ["weights", "<f8", [1.0]],
+    ["weights", "<f2", [4]],    # dtypes no artifact is stored in
+    ["weights", "<i4", [2]],
 ])
 def test_bad_array_spec_rejected(tmp_path, spec):
     path = tmp_path / "bad.bin"

@@ -597,6 +597,17 @@ class TestInitialization:
         for name, arr in want.items():
             np.testing.assert_array_equal(got[name], arr, err_msg=name)
 
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_float32_network_holds_the_float64_draws_rounded(self, bidirectional):
+        want = build_network(3, hidden1=4, hidden2=5, bidirectional=bidirectional, seed=17)
+        got = build_network(3, hidden1=4, hidden2=5, bidirectional=bidirectional, seed=17,
+                            dtype=np.float32)
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        for name, arr in want.param_dict().items():
+            assert got.param_dict()[name].dtype == np.float32, name
+            np.testing.assert_array_equal(got.param_dict()[name], arr.astype(np.float32),
+                                          err_msg=name)
+
     def test_same_seed_same_network(self):
         a = build_network(3, hidden1=4, hidden2=4, seed=9)
         b = build_network(3, hidden1=4, hidden2=4, seed=9)
@@ -715,6 +726,15 @@ class TestLogcosh:
             logcosh_loss(np.zeros(3), np.zeros(4))
         with pytest.raises(DataError, match="length mismatch: 0 vs 0"):
             logcosh_loss(np.zeros(0), np.zeros(0))
+
+
+def in_both_dtypes(cases):
+    """Each case in float64, under its plain id, then in float32, the dtype
+    the pipeline's networks compute in, with "-float32" appended."""
+    ids = ["-".join(map(str, case)) for case in cases]
+    return ([pytest.param(*case, np.float64, id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(*case, np.float32, id=f"{i}-float32")
+               for case, i in zip(cases, ids)])
 
 
 def chunk_order_sq(grads):
@@ -843,18 +863,18 @@ class TestAdam:
             sq += float(np.sum(g * g))
         assert squared_norm_of_step(monkeypatch, grads).hex() == sq.hex()
 
-    @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
-    def test_chunked_step_matches_whole_array_step_byte_for_byte(self, clip_norm):
+    @pytest.mark.parametrize("clip_norm, dtype", in_both_dtypes([(0.0,), (1.0,)]))
+    def test_chunked_step_matches_whole_array_step_byte_for_byte(self, clip_norm, dtype):
         shapes = {"w": (3 * nets._CHUNK // 8 + 5, 8), "b": (40,)}  # w spans four chunks
         rng = np.random.default_rng(61)
-        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        params = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
         want = {k: arr.copy() for k, arr in params.items()}
-        m = {k: np.zeros(shape) for k, shape in shapes.items()}
-        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        m = {k: np.zeros(shape, dtype) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape, dtype) for k, shape in shapes.items()}
         state = init_adam_state(params)
         config = TrainConfig(learning_rate=3e-3, clip_norm=clip_norm)
         for t in range(1, 4):
-            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+            grads = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
             step = {k: g.copy() for k, g in grads.items()}
             # the whole-array arithmetic, one operation at a time
             norm = math.sqrt(chunk_order_sq(grads))
@@ -917,12 +937,13 @@ RECURRENT_PAPER_PRODUCTS = [
 class TestThreadedSplit:
     """Row blocks on threads give the bits of the whole computation."""
 
-    @pytest.mark.parametrize("m, k, n, form", RECURRENT_PAPER_PRODUCTS)
+    @pytest.mark.parametrize("m, k, n, form, dtype", in_both_dtypes(RECURRENT_PAPER_PRODUCTS))
     def test_split_product_is_byte_equal_at_recurrent_paper_shapes(self, monkeypatch,
-                                                                   m, k, n, form):
+                                                                   m, k, n, form, dtype):
         rng = np.random.default_rng(m * k + n)
         a = rng.normal(size=(k, m)).T if form == "a.T" else rng.normal(size=(m, k))
         b = rng.normal(size=(n, k)).T if form == "b.T" else rng.normal(size=(k, n))
+        a, b = a.astype(dtype), b.astype(dtype)  # keeps a transposed operand's layout
         counts = split_on(monkeypatch, 2)
         monkeypatch.setattr(_pool, "_BLOCK_WORK", 1)  # split the small ones too
         assert nets._matmul(a, b).tobytes() == (a @ b).tobytes()
@@ -939,12 +960,12 @@ class TestThreadedSplit:
 
     # a step's recurrent product, m x h x 4h, is above 2^24; at h = 700 the
     # backward step's product (m, 4h) @ (4h, h) has 700 % 8 = 4 and stays whole
-    @pytest.mark.parametrize("m, h", [(32, 600), (15, 600), (32, 700)])
-    def test_layer_passes_byte_identical_on_one_and_two_cpus(self, monkeypatch, m, h):
+    @pytest.mark.parametrize("m, h, dtype", in_both_dtypes([(32, 600), (15, 600), (32, 700)]))
+    def test_layer_passes_byte_identical_on_one_and_two_cpus(self, monkeypatch, m, h, dtype):
         rng = np.random.default_rng(m)
-        params = init_lstm_params(h, 24, rng)
-        seq = rng.normal(size=(m, 7, 24))
-        d_out = rng.normal(size=(m, 7, h))
+        params = init_lstm_params(h, 24, rng, dtype)
+        seq = rng.normal(size=(m, 7, 24)).astype(dtype)
+        d_out = rng.normal(size=(m, 7, h)).astype(dtype)
         runs = []
         for cpus in (1, 2):
             counts = split_on(monkeypatch, cpus)
@@ -974,6 +995,79 @@ class TestThreadedSplit:
                          for arr in group.values()])
             assert counts == [cpus] * 6  # the norm and the update of each step
         assert runs[0] == runs[1]
+
+
+def float_arrays(tree):
+    """Every floating-point array in a nested cache of dicts and lists."""
+    if isinstance(tree, dict):
+        return [a for value in tree.values() for a in float_arrays(value)]
+    if isinstance(tree, (list, tuple)):
+        return [a for value in tree for a in float_arrays(value)]
+    if isinstance(tree, np.ndarray) and tree.dtype.kind == "f":
+        return [tree]
+    return []
+
+
+def numpy_recording_results(monkeypatch, module):
+    """Replace `module.np` by numpy whose functions append the dtype of
+    every floating-point array they return to the returned list; so it sees
+    each buffer the module allocates and each array numpy returns to it."""
+    seen = []
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(np.__dict__)
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, np.ndarray) and out.dtype.kind == "f":
+                seen.append((fn.__name__, out.dtype))
+            return out
+        return call
+
+    for name, value in np.__dict__.items():
+        if callable(value) and not isinstance(value, type):
+            setattr(proxy, name, recording(value))
+    monkeypatch.setattr(module, "np", proxy)
+    return seen
+
+
+class TestFloat32:
+    """A float32 network keeps float32 through a training step and an eval
+    pass: one float64 temporary would cost the dtype's speed and memory."""
+
+    def test_training_step_and_eval_forward_stay_float32(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        net = build_network(5, hidden1=6, hidden2=7, dropout_rate=0.3, seed=3,
+                            dtype=np.float32)
+        inputs, targets = rng.normal(size=(9, 4, 5)), rng.normal(size=9)
+        params = net.param_dict()
+        with monkeypatch.context() as patch:
+            seen = numpy_recording_results(patch, nets)
+            preds, cache = network_forward(net, inputs, "train", seed=11)
+        _, d_preds = logcosh_loss(preds, targets)  # the loss is float64 by design
+        assert d_preds.dtype == np.float64
+        with monkeypatch.context() as patch:
+            seen_after = numpy_recording_results(patch, nets)
+            grads = network_backward(net, cache, d_preds)
+            state = init_adam_state(params)
+            adam_step(params, grads, state, TrainConfig(clip_norm=1e-3))
+            eval_preds, eval_cache = network_forward(net, inputs)
+        for results in (seen, seen_after):
+            assert results and {dtype for _, dtype in results} == {np.dtype(np.float32)}, results
+        arrays = (float_arrays(cache) + list(grads.values()) + list(state.m.values())
+                  + list(state.v.values()) + list(params.values())
+                  + float_arrays(eval_cache) + [preds, eval_preds])
+        assert len(float_arrays(cache)) > 20 and all(mask is not None for mask in cache["drop"])
+        assert {arr.dtype for arr in arrays} == {np.dtype(np.float32)}
+        assert state.m["l1b.w_a"].any() and state.v["l2f.w_x"].any()
+
+    def test_train_keeps_the_net_float32(self):
+        rng = np.random.default_rng(71)
+        net = build_network(2, hidden1=3, hidden2=4, seed=4, dtype=np.float32)
+        net, losses = train(net, rng.normal(size=(10, 3, 2)), rng.normal(size=10),
+                            TrainConfig(epochs=2, batch_size=4))
+        assert len(losses) == 2 and all(math.isfinite(loss) for loss in losses)
+        assert {arr.dtype for arr in net.param_dict().values()} == {np.dtype(np.float32)}
 
 
 class TestDropout:

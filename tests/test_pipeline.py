@@ -70,7 +70,7 @@ class TestBuildConfig:
             pipeline.build_config({"bogus": "1"}, {})
 
     def test_unknown_flag_key_rejected(self):
-        with pytest.raises(ConfigError, match="unexpected keyword argument 'bogus'"):
+        with pytest.raises(ConfigError, match="^unknown config key 'bogus'$"):
             pipeline.build_config({}, {"bogus": 1})
 
     def test_flags_override_file_override_defaults(self):
@@ -292,6 +292,9 @@ class TestStagedRun:
         assert isinstance(prop, nets.BiLstmNetwork)
         assert [len(layer) for layer in lstm.layers] == [1, 1]
         assert [len(layer) for layer in prop.layers] == [2, 2]
+        # the networks train and are stored in float32, the baselines in float64
+        assert lstm.dtype == prop.dtype == np.float32
+        assert lr.weights.dtype == svr.support_vectors.dtype == np.float64
 
     def test_loss_curves_written_for_nets_only(self, staged):
         losses_dir = os.path.join(staged.out, "losses")
