@@ -16,13 +16,16 @@ walkforge's calls: a profile or trace hook (`sys.setprofile`,
 walkforge function, as span tracers do. Such an observer records into this
 process's memory, and a forked worker's records die with the worker.
 
-`run_blocks(fn, n, work)` splits one large computation instead: it calls
-`fn(lo, hi)` over contiguous blocks of `range(n)`, the first block in the
-calling thread and each other block in a thread of its own, and joins them
-all before it returns. numpy releases the interpreter lock inside BLAS
-calls and ufunc loops, so the blocks run at once. The block count is
-measured too: the allowed CPUs over the threads each BLAS call already
-uses (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`).
+`run_blocks(fn, n, work, align)` splits one large computation instead: it
+calls `fn(lo, hi)` over contiguous blocks of `range(n)` whose inner bounds
+are multiples of `align`, the first block in the calling thread and each
+other block in a thread of its own, and joins them all before it returns.
+numpy releases the interpreter lock inside BLAS calls and ufunc loops, so
+the blocks run at once. The block count is measured too: the allowed CPUs
+over the threads each BLAS call already uses (`OPENBLAS_NUM_THREADS`, else
+`OMP_NUM_THREADS`). `run_lockstep(fn, n, work, align)` makes the same blocks for
+a loop whose steps read what every block wrote the step before: it calls
+`fn(lo, hi, wait)`, and `wait()` returns once every block has called it.
 """
 
 from __future__ import annotations
@@ -136,27 +139,54 @@ def _block_count(n: int, work: int) -> int:
     return max(1, min(_cpu_count() // per_call, n // 2, most))
 
 
-def run_blocks(fn: Callable[[int, int], None], n: int, work: int) -> None:
+def _bounds(n: int, work: int, align: int) -> list[int]:
+    """The block bounds over range(n): the inner ones multiples of align,
+    each block at least two groups of align long."""
+    units = n // align
+    count = _block_count(units, work)
+    return [align * (units * i // count) for i in range(count)] + [n]
+
+
+def _no_wait() -> None:
+    pass
+
+
+def run_blocks(fn: Callable[[int, int], None], n: int, work: int, align: int = 1) -> None:
     """fn(lo, hi) over contiguous blocks of range(n) that together cover it,
-    at once when the CPUs allow. `work` is the multiply-adds of the product
-    whose rows are split, or the element operations of elementwise work;
-    each block gets at least 2^23 of it and at least two rows. So a call
-    under 2^24 runs as the single block fn(0, n), as does every call inside
-    a run_tasks worker, which already holds one of the pool's CPUs. The
-    first block to fail, in block order, raises its exception here once
+    at once when the CPUs allow; every bound but n is a multiple of align.
+    `work` is the multiply-adds of the product whose rows or columns are
+    split, or the element operations of elementwise work; each block gets
+    at least 2^23 of it and at least two rows (or two groups of align). So
+    a call under 2^24 runs as the single block fn(0, n), as does every call
+    inside a run_tasks worker, which already holds one of the pool's CPUs.
+    The first block to fail, in block order, raises its exception here once
     every block has finished."""
-    count = _block_count(n, work)
-    if count == 1:
-        fn(0, n)
+    run_lockstep(lambda lo, hi, wait: fn(lo, hi), n, work, align)
+
+
+def run_lockstep(fn: Callable[[int, int, Callable[[], object]], None], n: int,
+                 work: int, align: int) -> None:
+    """fn(lo, hi, wait) over the blocks run_blocks(fn, n, work, align) would
+    make, for a loop whose blocks advance together: wait() returns once
+    every block has called it, so after it a block may read what the
+    others wrote before it. Every block must call wait() equally often.
+    A block that fails breaks the barrier, so none waits forever: the
+    others' next waits raise threading.BrokenBarrierError, and the first
+    failure in block order that is not one of those is raised here."""
+    bounds = _bounds(n, work, align)
+    count = len(bounds) - 1
+    if count == 1:  # most calls: no thread and no barrier
+        fn(0, n, _no_wait)
         return
-    bounds = [n * i // count for i in range(count + 1)]
+    barrier = threading.Barrier(count)
     failures: list[BaseException | None] = [None] * count
 
     def block(i: int) -> None:
         try:
-            fn(bounds[i], bounds[i + 1])
+            fn(bounds[i], bounds[i + 1], barrier.wait)
         except BaseException as exc:  # re-raised below, after the joins
             failures[i] = exc
+            barrier.abort()
 
     started = []
     try:
@@ -165,9 +195,13 @@ def run_blocks(fn: Callable[[int, int], None], n: int, work: int) -> None:
             thread.start()
             started.append(thread)
         block(0)
-    finally:  # also when a thread fails to start: none outlives the call
+    except BaseException:  # a thread failed to start: release the started
+        barrier.abort()
+        raise
+    finally:  # none outlives the call
         for thread in started:
             thread.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
+    failed = [exc for exc in failures if exc is not None]
+    if failed:
+        raise next((exc for exc in failed if not isinstance(exc, threading.BrokenBarrierError)),
+                   failed[0])

@@ -13,9 +13,11 @@ recurrences of every layer. All training randomness (shuffling, dropout
 masks) comes from one seeded generator, so a training run is a pure
 function of (initial network, samples, config).
 
-Large products, the time loops and the Adam update are split by rows over
-threads (`_pool.run_blocks`), with the same bits as the whole computation
-(see `_row_split_work`).
+Large products are split over threads along their larger side, by rows or
+by columns (`_pool.run_blocks`); the time loops by hidden units, the
+threads advancing step by step in lockstep (`_pool.run_lockstep`); and
+the Adam step by pieces of the parameters. Each split gives the bits of the
+whole computation (see `_split_work`).
 
 A network computes in its parameters' dtype: build_network draws float64
 by default, and every other function takes its dtype from the arrays it is
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,12 +61,17 @@ def init_lstm_params(hidden: int, input_dim: int, rng: np.random.Generator,
 
     Each gate in turn draws one (h, h+d) block over [a_prev, x] in float64;
     its first h columns are recurrent weights and the rest input weights,
-    stored in arrays of `dtype`. So the draws do not depend on the dtype."""
+    stored in arrays of `dtype`. So the draws do not depend on the dtype.
+    The gates share one block buffer, filled with the arithmetic of
+    rng.uniform(-bound, bound), low + (high - low) * random(), bit for bit."""
     bound = 1.0 / math.sqrt(hidden + input_dim)
     w_x = np.empty((4 * hidden, input_dim), dtype=dtype)
     w_a = np.empty((4 * hidden, hidden), dtype=dtype)
+    block = np.empty((hidden, hidden + input_dim))
     for k in range(4):
-        block = rng.uniform(-bound, bound, size=(hidden, hidden + input_dim))
+        rng.random(out=block)
+        block *= 2.0 * bound
+        block -= bound
         w_a[k * hidden: (k + 1) * hidden] = block[:, :hidden]
         w_x[k * hidden: (k + 1) * hidden] = block[:, hidden:]
     b = np.zeros(4 * hidden, dtype=dtype)
@@ -71,28 +79,46 @@ def init_lstm_params(hidden: int, input_dim: int, rng: np.random.Generator,
     return LstmParams(w_x=w_x, w_a=w_a, b=b)
 
 
-def _row_split_work(m: int, k: int, n: int) -> int:
-    """The work run_blocks weighs to split the rows of an (m, k) @ (k, n)
-    product: m*k*n, or 0, which keeps it whole, when n is not a multiple
-    of 8. Each output row keeps its whole sum, so a block of rows gets the
-    bits the whole product gives those rows, with three exceptions: a
-    one-row block (numpy's matrix-vector path) and a block under about 10^6
-    multiply-adds (OpenBLAS's small-matrix kernels), which run_blocks never
-    makes, and the last n % 8 columns, whose bits OpenBLAS's kernel makes
-    depend on the number of rows (measured in float64: all of 318 random
-    shapes with n a multiple of 8 matched, 93 of 102 others did not). In
-    float32 no shape was found to differ, so the rule is conservative there."""
+# Column blocks and hidden-unit blocks start at multiples of this many
+# columns: the groups of 8 of the rule in _split_work.
+_ALIGN = 8
+
+
+def _split_work(m: int, k: int, n: int) -> int:
+    """The work run_blocks weighs to split an (m, k) @ (k, n) product by
+    rows, or by columns in blocks that start at multiples of _ALIGN: m*k*n,
+    or 0, which keeps it whole, when n is not a multiple of 8. Each output
+    element keeps its whole sum, so a block gets the bits the whole product
+    gives it, except in a one-row block (numpy's matrix-vector path) or one
+    under about 10^6 multiply-adds (OpenBLAS's small-matrix kernels), which
+    run_blocks never makes, and in the last n % 8 columns, whose bits depend
+    on the shape of the call they fall in (README "Inside one fit" has the
+    scans; in float32 none differed, so the rule is conservative there).
+    A time loop split by hidden units takes the rule of its backward step's
+    product (m, 4h) @ (4h, h): with h a multiple of 8, each gate's block of
+    units also starts on a group of 8 columns of the forward step's
+    (m, h) @ (h, 4h)."""
     return m * k * n if n % 8 == 0 else 0
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, its rows split over threads when the product is large."""
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    """a @ b, split over threads along its larger side when the product is
+    large: by blocks of columns when it has more columns than rows, so each
+    thread packs only its share of b, and by blocks of rows otherwise. Each
+    block writes its part of the one output in place."""
+    (m, k), n = a.shape, b.shape[1]
+    out = np.empty((m, n), dtype=np.result_type(a, b))
+    work = _split_work(m, k, n)
+    if n > m:
+        def columns(lo: int, hi: int) -> None:
+            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
 
-    def rows(lo: int, hi: int) -> None:
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
+        _pool.run_blocks(columns, n, work, _ALIGN)
+    else:
+        def rows(lo: int, hi: int) -> None:
+            np.matmul(a[lo:hi], b, out=out[lo:hi])
 
-    _pool.run_blocks(rows, a.shape[0], _row_split_work(*a.shape, b.shape[1]))
+        _pool.run_blocks(rows, m, work)
     return out
 
 
@@ -104,42 +130,61 @@ def lstm_layer_forward(params: LstmParams, seq: np.ndarray,
     The input projection of all L steps is one GEMM before the time loop,
     so each step makes one recurrent GEMM; the projection keeps its L*m rows,
     and so its bits, whatever `steps` is. Work is time-major: the
-    (m, steps, h) output is a view of (steps, m, h) storage. Samples are
-    independent, so each block of samples runs the whole time loop on its
-    own."""
+    (m, steps, h) output is a view of (steps, m, h) storage. A split loop
+    gives each thread a block of hidden units for every step: the thread
+    computes its units' columns of the four gates' recurrent products, one
+    stacked matmul over w_a's rows for them, and then their gate and cell
+    arithmetic. The threads advance in lockstep, each waiting before it
+    reads the previous step's whole output. One block makes the whole
+    (m, h) @ (h, 4h) product per step, as the per-gate products at small
+    widths do not give its bits."""
     m, length, d = seq.shape
     h = params.hidden
     if d != params.input_dim:
         raise DataError(f"layer expects input width {params.input_dim}, got {d}")
     xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, d)
-    gates = _matmul(xs, params.w_x.T).reshape(length, m, 4 * h)[:steps]
+    gates = _matmul(xs, params.w_x.T).reshape(length, m, 4, h)[:steps]
     c_all = np.empty((steps, m, h), dtype=gates.dtype)
     tc = np.empty_like(c_all)
     out = np.empty_like(c_all)
+    w_gates = params.w_a.reshape(4, h, h)  # gate k's rows of w_a
+    b_gates = params.b.reshape(4, h)
 
-    def loop(lo: int, hi: int) -> None:
+    def loop(lo: int, hi: int, wait: Callable[[], object]) -> None:
+        units = slice(lo, hi)  # this block's views of every step
+        g_all, b_units = gates[..., units], b_gates[:, units]  # gates (m, 4, units): c, u, f, o
+        c_units, tc_units, out_units = c_all[..., units], tc[..., units], out[..., units]
+        rec = np.empty((m, 4, hi - lo), dtype=gates.dtype)  # a step's recurrent product
+        if hi - lo == h:
+            rec_out, w_rec = rec.reshape(m, 4 * h), params.w_a.T
+        else:
+            rec_out, w_rec = rec.transpose(1, 0, 2), w_gates[:, units].transpose(0, 2, 1)
         for t in range(steps):
-            g = gates[t, lo:hi]
-            g += params.b
+            g = g_all[t]
+            g += b_units
             if t:
-                g += out[t - 1, lo:hi] @ params.w_a.T
-            np.tanh(g[:, :h], out=g[:, :h])
-            sig = g[:, h:]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
+                wait()  # every block has written out[t - 1]
+                np.matmul(out[t - 1], w_rec, out=rec_out)
+                g += rec
+            cand = g[:, 0]
+            np.tanh(cand, out=cand)
+            sig = g[:, 1:]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
             sig *= 0.5
             np.tanh(sig, out=sig)
             sig += 1.0
             sig *= 0.5
-            c = c_all[t, lo:hi]
-            np.multiply(g[:, h: 2 * h], g[:, :h], out=c)
+            c = c_units[t]
+            np.multiply(g[:, 1], cand, out=c)
             if t:
-                c += g[:, 2 * h: 3 * h] * c_all[t - 1, lo:hi]
-            np.tanh(c, out=tc[t, lo:hi])
-            np.multiply(g[:, 3 * h:], tc[t, lo:hi], out=out[t, lo:hi])
+                c += g[:, 2] * c_units[t - 1]
+            np.tanh(c, out=tc_units[t])
+            np.multiply(g[:, 3], tc_units[t], out=out_units[t])
 
-    _pool.run_blocks(loop, m, _row_split_work(m, h, 4 * h))  # each step's product
+    _pool.run_lockstep(loop, h, _split_work(m, 4 * h, h), _ALIGN)
     if not np.isfinite(out).all():
         raise NumericError("non-finite activation in lstm layer")
-    cache = {"xs": xs, "gates": gates, "c": c_all, "tc": tc, "a": out}
+    cache = {"xs": xs, "gates": gates.reshape(steps, m, 4 * h), "c": c_all, "tc": tc,
+             "a": out}
     return out.transpose(1, 0, 2), cache
 
 
@@ -149,40 +194,50 @@ def lstm_layer_backward(
     """Backpropagate through time, through both the a and c recurrences,
     over the steps the forward pass ran; d_out is (m, steps, h).
 
-    The loop carries only the recurrent gradients, one block of samples at
-    a time; each step's gate pre-activation gradients land in one
-    (L, m, 4h) buffer, zero past the steps that ran, from which the input
-    weight, bias and input gradients each take one GEMM or reduction over
-    all L*m rows, the rows the forward projection had. The recurrent weight
-    gradient takes the rows of steps 1..steps-1."""
+    The loop carries only the recurrent gradients; each step's gate
+    pre-activation gradients land in one (L, m, 4h) buffer, zero past the
+    steps that ran, from which the input weight, bias and input gradients
+    each take one GEMM or reduction over all L*m rows, the rows the forward
+    projection had. The recurrent weight gradient takes the rows of steps
+    1..steps-1. A split loop gives each thread a block of hidden units, as
+    the forward pass does: the thread runs its units' elementwise steps,
+    waits until every block has written the step's gate gradients, and
+    then computes its units' columns of the next step's da."""
     gates, c_all, tc = cache["gates"], cache["c"], cache["tc"]
     steps, m, h4 = gates.shape
     length = len(cache["xs"]) // m
     h = h4 // 4
     d_gates = np.empty((length, m, h4), dtype=gates.dtype)
     d_gates[steps:] = 0.0
+    by_gate = gates.reshape(steps, m, 4, h)
+    d_by_gate = d_gates.reshape(length, m, 4, h)
 
-    def loop(lo: int, hi: int) -> None:
-        da = np.zeros((hi - lo, h), dtype=gates.dtype)
+    def loop(lo: int, hi: int, wait: Callable[[], object]) -> None:
+        units = slice(lo, hi)  # this block's views of every step
+        g_all, dg_all = by_gate[..., units], d_by_gate[..., units]
+        c_units, tc_units, d_out_units = c_all[..., units], tc[..., units], d_out[..., units]
+        w_units = params.w_a[:, units]
+        da = np.zeros((m, hi - lo), dtype=gates.dtype)
         dc = np.zeros_like(da)
         for t in range(steps - 1, -1, -1):
-            g, dg = gates[t, lo:hi], d_gates[t, lo:hi]
-            cand, gu, gf, go = g[:, :h], g[:, h: 2 * h], g[:, 2 * h: 3 * h], g[:, 3 * h:]
-            da += d_out[lo:hi, t, :]
-            dc += da * go * (1.0 - tc[t, lo:hi] * tc[t, lo:hi])
-            dg[:, :h] = dc * gu * (1.0 - cand * cand)
-            np.subtract(1.0, g[:, h:], out=dg[:, h:])
-            dg[:, h:] *= g[:, h:]  # sigmoid slopes of u, f, o
-            dg[:, h: 2 * h] *= dc * cand
-            dg[:, 3 * h:] *= da * tc[t, lo:hi]
+            g, dg, tc_t = g_all[t], dg_all[t], tc_units[t]
+            cand, gu, gf, go = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
+            da += d_out_units[:, t]
+            dc += da * go * (1.0 - tc_t * tc_t)
+            dg[:, 0] = dc * gu * (1.0 - cand * cand)
+            np.subtract(1.0, g[:, 1:], out=dg[:, 1:])
+            dg[:, 1:] *= g[:, 1:]  # sigmoid slopes of u, f, o
+            dg[:, 1] *= dc * cand
+            dg[:, 3] *= da * tc_t
             if t:
-                dg[:, 2 * h: 3 * h] *= dc * c_all[t - 1, lo:hi]
+                dg[:, 2] *= dc * c_units[t - 1]
                 dc *= gf
-                da = dg @ params.w_a
+                wait()  # every block has written d_gates[t]
+                np.matmul(d_gates[t], w_units, out=da)
             else:
-                dg[:, 2 * h: 3 * h] = 0.0
+                dg[:, 2] = 0.0
 
-    _pool.run_blocks(loop, m, _row_split_work(m, h4, h))
+    _pool.run_lockstep(loop, h, _split_work(m, h4, h), _ALIGN)
     rows = d_gates.reshape(length * m, h4)
     grads = {
         "w_x": _matmul(rows.T, cache["xs"]),
@@ -273,6 +328,12 @@ class BiLstmNetwork:
         return out
 
 
+def check_dropout(rate: float) -> None:
+    """The dropout rate's range, which build_network and RunConfig check."""
+    if not (0.0 <= rate < 1.0):
+        raise ConfigError(f"dropout_rate must be in [0, 1), got {rate}")
+
+
 def build_network(
     input_dim: int,
     hidden1: int = 800,
@@ -288,8 +349,7 @@ def build_network(
         raise ConfigError(
             f"widths must be positive, got input={input_dim}, h1={hidden1}, h2={hidden2}"
         )
-    if not (0.0 <= dropout_rate < 1.0):
-        raise ConfigError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+    check_dropout(dropout_rate)
     rng = np.random.default_rng(seed)
     directions = 2 if bidirectional else 1
     layers, width = [], input_dim
@@ -440,10 +500,13 @@ def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
     )
 
 
-# Adam works through each array in pieces of at most this many elements
-# (256 KiB of float64, 128 KiB of float32), so a piece stays in cache across
-# all of its operations.
+# The norm pass works through each array in pieces of at most this many
+# elements, and the update pass in pieces of _UPDATE_BYTES of the
+# parameters' dtype (65536 float32 or 32768 float64 elements), so a piece
+# stays in cache across all of its operations. The update is elementwise,
+# so its piece size changes no bit; the norm's pieces fix its sum's order.
 _CHUNK = 32768
+_UPDATE_BYTES = 1 << 18
 
 # Element operations per parameter in one Adam step, as the work run_blocks
 # weighs: the update makes 15 passes over the chunk and the norm one more.
@@ -461,10 +524,11 @@ def adam_step(
     Parameters, moments and gradients (all C-contiguous) are updated in
     place: each gradient array is overwritten with its step. Both passes,
     the squares for the global norm and the update, go through the arrays'
-    pieces of _CHUNK elements, split over threads by run_blocks; each block
-    keeps its temporaries in a one-chunk work buffer of its own, in the
-    parameters' dtype, and each piece runs all of its operations before the
-    next. The squared norm is the sum of each piece's np.sum(g * g), in
+    pieces (of _CHUNK elements for the norm, of _UPDATE_BYTES for the
+    update), split over threads by run_blocks; each block keeps its
+    temporaries in a one-piece work buffer of its own, in the parameters'
+    dtype, and each piece runs all of its operations before the next. The
+    squared norm is the sum of each piece's np.sum(g * g), in
     parameter order and then piece order, so it does not depend on the
     thread count; for an array of one piece that is np.sum(g * g). The
     arithmetic, operation for operation, is
@@ -485,21 +549,25 @@ def adam_step(
             raise DataError(f"{name}: parameter and gradient must be C-contiguous")
     flats = {name: (arr.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1),
                     grads[name].reshape(-1)) for name, arr in params.items()}
-    pieces = [(name, lo, min(lo + _CHUNK, arr.size)) for name, arr in params.items()
-              for lo in range(0, arr.size, _CHUNK)]
     ops = _ADAM_OPS * sum(arr.size for arr in params.values())
     dtype = np.result_type(np.float32, *params.values())  # the widest, float32 at least
-    squares = [0.0] * len(pieces)
+
+    def pieces_of(size: int) -> list[tuple[str, int, int]]:
+        return [(name, lo, min(lo + size, arr.size)) for name, arr in params.items()
+                for lo in range(0, arr.size, size)]
+
+    norm_pieces = pieces_of(_CHUNK)
+    squares = [0.0] * len(norm_pieces)
 
     def square_sums(first: int, last: int) -> None:
         buf = np.empty(_CHUNK, dtype=dtype)
         for j in range(first, last):
-            name, lo, hi = pieces[j]
+            name, lo, hi = norm_pieces[j]
             g = flats[name][3][lo:hi]
             np.multiply(g, g, out=buf[: hi - lo])
             squares[j] = float(np.sum(buf[: hi - lo]))
 
-    _pool.run_blocks(square_sums, len(pieces), ops)
+    _pool.run_blocks(square_sums, len(norm_pieces), ops)
     sq = 0.0
     for piece_sum in squares:  # not sum(), which compensates from Python 3.12
         sq += piece_sum
@@ -513,10 +581,13 @@ def adam_step(
     m_corr = 1.0 - config.beta1 ** t
     v_corr = 1.0 - config.beta2 ** t
 
+    size = _UPDATE_BYTES // dtype.itemsize
+    update_pieces = pieces_of(size)
+
     def update(first: int, last: int) -> None:
-        buf = np.empty(_CHUNK, dtype=dtype)
+        buf = np.empty(size, dtype=dtype)
         for j in range(first, last):
-            name, lo, hi = pieces[j]
+            name, lo, hi = update_pieces[j]
             p, m, v, g = (flat[lo:hi] for flat in flats[name])
             tmp = buf[: hi - lo]
             g *= factor
@@ -535,7 +606,7 @@ def adam_step(
             g /= tmp
             p -= g
 
-    _pool.run_blocks(update, len(pieces), ops)
+    _pool.run_blocks(update, len(update_pieces), ops)
     return params, state
 
 

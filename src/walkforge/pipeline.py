@@ -79,6 +79,9 @@ class RunConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.lookback < 1:
             raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
+        # the training settings, by their owners' checks, before any stage writes
+        self.train_config(self.seed)
+        nets.check_dropout(self.dropout)
 
     @property
     def models(self) -> tuple[str, ...]:

@@ -137,6 +137,26 @@ class TestConfigExitCode:
         assert cli.main(["synth", *argv]) == 2
         assert "WALKFORGE_SEED" in capsys.readouterr().err
 
+    # the messages of nets.build_network and nets.TrainConfig, which own the checks
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dropout", "1.5", "dropout_rate must be in [0, 1), got 1.5"),
+        ("--dropout", "-0.1", "dropout_rate must be in [0, 1), got -0.1"),
+        ("--epochs", "0", "epochs and batch_size must be >= 1"),
+        ("--batch-size", "0", "epochs and batch_size must be >= 1"),
+        ("--learning-rate", "0", "learning_rate must be positive"),
+        ("--beta1", "1.0", "beta1 and beta2 must be in [0, 1)"),
+        ("--beta2", "-0.5", "beta1 and beta2 must be in [0, 1)"),
+        ("--adam-eps", "0", "eps must be positive and clip_norm non-negative"),
+        ("--clip-norm", "-1", "eps must be positive and clip_norm non-negative"),
+    ])
+    def test_bad_training_setting_fails_before_any_stage_writes(self, tmp_path, capsys,
+                                                                flag, value, message):
+        # --model lr fits no network, so only the config check can catch it
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", *flags(out), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestDataExitCode:
     def test_featurize_before_synth(self, tmp_path, capsys):

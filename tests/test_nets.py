@@ -566,6 +566,20 @@ class TestInitialization:
             np.testing.assert_array_equal(params.w_a[rows], block[:, :hidden])
             np.testing.assert_array_equal(params.w_x[rows], block[:, hidden:])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reused_block_buffer_gives_the_uniform_draws_byte_for_byte(self, dtype):
+        hidden, input_dim = 24, 11
+        rng = np.random.default_rng(23)
+        params = init_lstm_params(hidden, input_dim, rng, dtype)
+        want_rng = np.random.default_rng(23)
+        bound = 1.0 / math.sqrt(hidden + input_dim)
+        for k in range(4):
+            block = want_rng.uniform(-bound, bound, size=(hidden, hidden + input_dim))
+            rows = slice(k * hidden, (k + 1) * hidden)
+            assert params.w_a[rows].tobytes() == block[:, :hidden].astype(dtype).tobytes()
+            assert params.w_x[rows].tobytes() == block[:, hidden:].astype(dtype).tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
     @pytest.mark.parametrize("bidirectional", [True, False])
     def test_param_names_and_order_are_the_checkpoint_layout(self, bidirectional):
         net = build_network(3, hidden1=4, hidden2=5, bidirectional=bidirectional, seed=0)
@@ -865,7 +879,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("clip_norm, dtype", in_both_dtypes([(0.0,), (1.0,)]))
     def test_chunked_step_matches_whole_array_step_byte_for_byte(self, clip_norm, dtype):
-        shapes = {"w": (3 * nets._CHUNK // 8 + 5, 8), "b": (40,)}  # w spans four chunks
+        # w spans seven norm pieces, and four update pieces in float32 (seven in float64)
+        shapes = {"w": (3 * nets._UPDATE_BYTES // 32 + 5, 8), "b": (40,)}
         rng = np.random.default_rng(61)
         params = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
         want = {k: arr.copy() for k, arr in params.items()}
@@ -934,8 +949,66 @@ RECURRENT_PAPER_PRODUCTS = [
 ]
 
 
+def whole_product_layer(params, seq, d_out):
+    """The layer's forward and backward time loops as one block runs them:
+    one whole (m, h) @ (h, 4h) product per forward step and one whole
+    (m, 4h) @ (4h, h) product per backward step. Returns (out, d_gates)."""
+    m, length, _ = seq.shape
+    h = params.hidden
+    xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, -1)
+    gates = (xs @ params.w_x.T).reshape(length, m, 4 * h)
+    c_all, tc, out = (np.empty((length, m, h), seq.dtype) for _ in range(3))
+    for t in range(length):
+        g = gates[t]
+        g += params.b
+        if t:
+            g += out[t - 1] @ params.w_a.T
+        np.tanh(g[:, :h], out=g[:, :h])
+        sig = g[:, h:]
+        sig *= 0.5
+        np.tanh(sig, out=sig)
+        sig += 1.0
+        sig *= 0.5
+        np.multiply(g[:, h: 2 * h], g[:, :h], out=c_all[t])
+        if t:
+            c_all[t] += g[:, 2 * h: 3 * h] * c_all[t - 1]
+        np.tanh(c_all[t], out=tc[t])
+        np.multiply(g[:, 3 * h:], tc[t], out=out[t])
+    d_gates = np.empty_like(gates)
+    da, dc = np.zeros((m, h), seq.dtype), np.zeros((m, h), seq.dtype)
+    for t in range(length - 1, -1, -1):
+        g, dg = gates[t], d_gates[t]
+        cand, gu, gf, go = g[:, :h], g[:, h: 2 * h], g[:, 2 * h: 3 * h], g[:, 3 * h:]
+        da += d_out[:, t, :]
+        dc += da * go * (1.0 - tc[t] * tc[t])
+        dg[:, :h] = dc * gu * (1.0 - cand * cand)
+        np.subtract(1.0, g[:, h:], out=dg[:, h:])
+        dg[:, h:] *= g[:, h:]
+        dg[:, h: 2 * h] *= dc * cand
+        dg[:, 3 * h:] *= da * tc[t]
+        if t:
+            dg[:, 2 * h: 3 * h] *= dc * c_all[t - 1]
+            dc *= gf
+            da = dg @ params.w_a
+        else:
+            dg[:, 2 * h: 3 * h] = 0.0
+    return out, d_gates
+
+
+def column_blocks(a, b, count):
+    """a @ b computed over the `count` column blocks run_blocks makes with
+    the bounds at multiples of 8."""
+    out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
+    bounds = _pool._bounds(b.shape[1], 1 << 40, nets._ALIGN)
+    assert len(bounds) == count + 1
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    return out
+
+
 class TestThreadedSplit:
-    """Row blocks on threads give the bits of the whole computation."""
+    """Row, column and hidden-unit blocks on threads give the bits of the
+    whole computation."""
 
     @pytest.mark.parametrize("m, k, n, form, dtype", in_both_dtypes(RECURRENT_PAPER_PRODUCTS))
     def test_split_product_is_byte_equal_at_recurrent_paper_shapes(self, monkeypatch,
@@ -949,18 +1022,66 @@ class TestThreadedSplit:
         assert nets._matmul(a, b).tobytes() == (a @ b).tobytes()
         assert counts == [2]
 
-    def test_columns_not_a_multiple_of_8_stay_whole(self, monkeypatch):
-        # with one BLAS thread, OpenBLAS gives the last 500 % 8 columns
-        # other bits in 16 rows than in 32
-        rng = np.random.default_rng(7)
-        a, b = rng.normal(size=(32, 2000)), rng.normal(size=(2000, 500))
-        counts = split_on(monkeypatch, 2)
-        assert nets._matmul(a, b).tobytes() == (a @ b).tobytes()
-        assert counts == [1]
+    # a scan: every product cut into 2, 3 and 4 column blocks, whichever
+    # side _matmul splits it along
+    @pytest.mark.parametrize("m, k, n, form, dtype", in_both_dtypes(RECURRENT_PAPER_PRODUCTS))
+    def test_column_blocks_are_byte_equal_at_recurrent_paper_shapes(self, monkeypatch,
+                                                                    m, k, n, form, dtype):
+        rng = np.random.default_rng(m * k + n)
+        a = rng.normal(size=(k, m)).T if form == "a.T" else rng.normal(size=(m, k))
+        b = rng.normal(size=(n, k)).T if form == "b.T" else rng.normal(size=(k, n))
+        a, b = a.astype(dtype), b.astype(dtype)
+        whole = (a @ b).tobytes()
+        for cpus in (2, 3, 4):
+            split_on(monkeypatch, cpus)
+            assert column_blocks(a, b, cpus).tobytes() == whole, cpus
 
-    # a step's recurrent product, m x h x 4h, is above 2^24; at h = 700 the
-    # backward step's product (m, 4h) @ (4h, h) has 700 % 8 = 4 and stays whole
-    @pytest.mark.parametrize("m, h, dtype", in_both_dtypes([(32, 600), (15, 600), (32, 700)]))
+    def test_columns_not_a_multiple_of_8_stay_whole(self, monkeypatch):
+        # with one BLAS thread, OpenBLAS gives the last 500 % 8 columns bits
+        # that depend on the call's shape: other bits in 16 rows than in 32,
+        # and in some blocks of columns (the last of 3 here) than in the
+        # whole; the first product would split by columns, the second by rows
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=(2000, 500))
+        for m in (32, 600):
+            a = rng.normal(size=(m, 2000))
+            counts = split_on(monkeypatch, 3)
+            assert nets._matmul(a, b).tobytes() == (a @ b).tobytes()
+            assert counts == [1]
+
+    # the per-step products of the paper's widths, split by hidden unit:
+    # training batches of 32 and 15, evaluation batches of 143 and 50;
+    # 600 is a width the layer test below uses
+    @pytest.mark.parametrize("m, h, dtype", in_both_dtypes(
+        [(32, 800), (15, 800), (143, 1000), (50, 1000), (32, 1000), (32, 600)]))
+    def test_unit_blocks_of_a_step_are_byte_equal(self, monkeypatch, m, h, dtype):
+        rng = np.random.default_rng(m + h)
+        a_prev = rng.normal(size=(m, h)).astype(dtype)
+        w_a = rng.normal(size=(4 * h, h)).astype(dtype)
+        d_gates = rng.normal(size=(m, 4 * h)).astype(dtype)
+        forward, backward = a_prev @ w_a.T, d_gates @ w_a
+        w_gates = w_a.reshape(4, h, h)
+        for cpus in (2, 3, 4):
+            split_on(monkeypatch, cpus)
+            rec = np.empty((m, 4, h), dtype)
+            da = np.empty((m, h), dtype)
+            bounds = _pool._bounds(h, 1 << 40, nets._ALIGN)
+            assert len(bounds) == cpus + 1
+            for lo, hi in zip(bounds, bounds[1:]):
+                block = np.empty((m, 4, hi - lo), dtype)  # as lstm_layer_forward fills it
+                np.matmul(a_prev, w_gates[:, lo:hi].transpose(0, 2, 1),
+                          out=block.transpose(1, 0, 2))
+                rec[:, :, lo:hi] = block
+                np.matmul(d_gates, w_a[:, lo:hi], out=da[:, lo:hi])
+            assert rec.reshape(m, 4 * h).tobytes() == forward.tobytes(), cpus
+            assert da.tobytes() == backward.tobytes(), cpus
+
+    # a step's recurrent product, m x h x 4h, is above 2^24 but at h = 700
+    # (700 % 8 = 4), where unit blocks would change bits in float64, and
+    # at h = 32 (below 2^24), where per-gate products would in float32:
+    # there the loops run as one block, the whole products of the reference
+    @pytest.mark.parametrize("m, h, dtype", in_both_dtypes(
+        [(32, 600), (15, 600), (32, 800), (32, 700), (32, 32)]))
     def test_layer_passes_byte_identical_on_one_and_two_cpus(self, monkeypatch, m, h, dtype):
         rng = np.random.default_rng(m)
         params = init_lstm_params(h, 24, rng, dtype)
@@ -972,16 +1093,24 @@ class TestThreadedSplit:
             out, cache = lstm_layer_forward(params, seq, 7)
             d_seq, grads = lstm_layer_backward(params, cache, d_out)
             runs.append([out.tobytes(), d_seq.tobytes()] + [g.tobytes() for g in grads.values()])
-            assert max(counts) == cpus
+            work = m * 4 * h * h
+            want = 1 if h % 8 or work < 1 << 24 else min(cpus, work >> 23)
+            assert len(counts) == 6 and counts[1] == counts[2] == want  # the time loops
         assert runs[0] == runs[1]
+        want_out, want_d_gates = whole_product_layer(params, seq, d_out)
+        assert out.tobytes() == want_out.transpose(1, 0, 2).tobytes()
+        assert grads["b"].tobytes() == want_d_gates.reshape(-1, 4 * h).sum(axis=0).tobytes()
 
-    @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
+    @pytest.mark.parametrize("clip_norm, dtype", in_both_dtypes([(0.0,), (1.0,)]))
     def test_multi_chunk_adam_step_byte_identical_on_one_and_two_cpus(self, monkeypatch,
-                                                                       clip_norm):
-        shapes = {"w": (5 * nets._CHUNK // 8 + 3, 8), "b": (40,), "u": (nets._CHUNK + 9,)}
+                                                                       clip_norm, dtype):
+        # w spans six float32 update pieces, u two
+        shapes = {"w": (5 * nets._UPDATE_BYTES // 32 + 3, 8), "b": (40,),
+                  "u": (nets._UPDATE_BYTES // 4 + 9,)}
         rng = np.random.default_rng(62)
-        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-        steps = [{k: rng.normal(size=shape) for k, shape in shapes.items()} for _ in range(3)]
+        start = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+        steps = [{k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+                 for _ in range(3)]
         config = TrainConfig(learning_rate=3e-3, clip_norm=clip_norm)
         runs = []
         for cpus in (1, 2):

@@ -1,6 +1,6 @@
 """Worker pool: result order, worker count, errors across the process
-boundary, and byte-identical artifacts at any CPU count; and the row
-blocks that split one large computation over threads.
+boundary, and byte-identical artifacts at any CPU count; and the blocks
+that split one large computation over threads, alone or in lockstep.
 
 The CPU count is faked through os.sched_getaffinity, so no test starts more
 than three worker processes or four threads."""
@@ -129,6 +129,142 @@ class TestRunBlocks:
         before = threading.active_count()
         assert len(blocks_of(40)) == 4
         assert threading.active_count() == before
+
+    def test_aligned_bounds_are_multiples_of_the_alignment(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        blas_threads(monkeypatch, openblas="1")
+        seen = []
+        _pool.run_blocks(lambda lo, hi: seen.append((lo, hi)), 1000, BIG, 8)
+        assert sorted(seen) == [(0, 328), (328, 664), (664, 1000)]
+        # each block holds at least two groups of 8; the rest joins the last
+        seen.clear()
+        _pool.run_blocks(lambda lo, hi: seen.append((lo, hi)), 40, BIG, 8)
+        assert sorted(seen) == [(0, 16), (16, 40)]
+        _pool.run_blocks(lambda lo, hi: seen.append((lo, hi)), 31, BIG, 8)
+        assert seen[-1] == (0, 31)
+
+
+def in_lockstep(n, steps, fail=None, timeout=10.0):
+    """Run a lockstep loop in which each block's step t writes its part of
+    row t as the mean of the whole row t - 1 plus its own column index;
+    fail(lo, t) may raise. Returns (the rows, the caller's exception or
+    None, the blocks seen), after at most `timeout` seconds."""
+    rows = np.zeros((steps, n))
+    seen, result = [], []
+
+    def loop(lo, hi, wait):
+        seen.append((lo, hi))
+        for t in range(steps):
+            if fail is not None:
+                fail(lo, t)
+            if t:
+                wait()  # every block has written row t - 1
+            rows[t, lo:hi] = (rows[t - 1].mean() if t else 0.0) + np.arange(lo, hi)
+
+    def call():
+        try:
+            _pool.run_lockstep(loop, n, BIG, 8)
+            result.append(None)
+        except BaseException as exc:
+            result.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), "a block is still waiting at the barrier"
+    return rows, result[0], sorted(seen)
+
+
+def serial_rows(n, steps):
+    rows = np.zeros((steps, n))
+    for t in range(steps):
+        rows[t] = (rows[t - 1].mean() if t else 0.0) + np.arange(n)
+    return rows
+
+
+class TestRunLockstep:
+    def test_every_step_reads_what_every_block_wrote_before_it(self, monkeypatch):
+        # more blocks than cores and a short switch interval, to interleave
+        # the threads as often as they can be
+        allow_cpus(monkeypatch, 4)
+        blas_threads(monkeypatch, openblas="1")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows, exc, seen = in_lockstep(64, 200)
+        finally:
+            sys.setswitchinterval(interval)
+        assert exc is None and seen == [(0, 16), (16, 32), (32, 48), (48, 64)]
+        assert rows.tobytes() == serial_rows(64, 200).tobytes()
+
+    def test_a_failing_block_leaves_no_block_waiting(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        blas_threads(monkeypatch, openblas="1")
+
+        def fail(lo, t):
+            if lo == 16 and t == 3:  # block 1, mid-loop
+                raise errors.NumericError("non-finite activation in lstm layer")
+
+        before = threading.active_count()
+        _, exc, seen = in_lockstep(48, 10, fail)
+        assert isinstance(exc, errors.NumericError) and len(seen) == 3
+        assert threading.active_count() == before
+
+    def test_first_failure_in_block_order_is_raised(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        blas_threads(monkeypatch, openblas="1")
+
+        # both fail in step 0, before any wait: once a block has failed, a
+        # block's next wait raises BrokenBarrierError, even one that the
+        # barrier had released but that had not yet woken
+        def fail(lo, t):
+            if t == 0 and lo == 16:  # block 1
+                time.sleep(0.1)  # block 2 fails first in time
+                raise errors.NumericError("non-finite activation in lstm layer (block 1)")
+            if t == 0 and lo == 32:
+                raise errors.NumericError("non-finite activation in lstm layer (block 2)")
+
+        _, exc, _ = in_lockstep(48, 10, fail)
+        # block 0 waits at the broken barrier; its BrokenBarrierError is not raised
+        assert isinstance(exc, errors.NumericError) and "(block 1)" in str(exc)
+
+    def test_a_failing_thread_start_leaves_no_block_waiting(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        blas_threads(monkeypatch, openblas="1")
+        start = threading.Thread.start
+        started = []
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            _pool.run_lockstep(lambda lo, hi, wait: wait(), 48, BIG, 8)
+        assert not started[0].is_alive() and threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        allow_cpus(monkeypatch, 4)
+        blas_threads(monkeypatch, openblas="1")
+        before = threading.active_count()
+        _, exc, seen = in_lockstep(64, 5)
+        assert exc is None and len(seen) == 4
+        assert threading.active_count() == before
+
+    def test_one_block_inside_a_run_tasks_worker(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        blas_threads(monkeypatch, openblas="1")
+
+        def task(_):
+            seen = []
+            _pool.run_lockstep(lambda lo, hi, wait: seen.append((lo, hi)) or wait(), 64, BIG, 8)
+            return seen
+
+        assert _pool.run_tasks(task, range(2)) == [[(0, 64)], [(0, 64)]]
+        assert len(in_lockstep(64, 3)[2]) == 2  # the same call splits in the main process
 
 
 class TestRunTasks:
