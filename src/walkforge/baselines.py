@@ -195,6 +195,18 @@ def _offsets(b: float, epsilon: float, c: float) -> tuple[float, float]:
 _TAU = 1e-12  # added to pair curvatures so duplicate points never divide by zero
 
 
+def check_svr(c: float, epsilon: float, gamma: float | None, tol: float, max_iter: int) -> None:
+    """fit_svr's ranges, which RunConfig also checks; gamma None stands for
+    1 / n_features, which is positive."""
+    if c <= 0 or epsilon < 0 or tol <= 0 or max_iter < 1:
+        raise ConfigError(
+            f"need c > 0, epsilon >= 0, tol > 0, max_iter >= 1; "
+            f"got {c}/{epsilon}/{tol}/{max_iter}"
+        )
+    if gamma is not None and gamma <= 0:
+        raise ConfigError(f"gamma must be positive, got {gamma}")
+
+
 def fit_svr(
     x: np.ndarray,
     y: np.ndarray,
@@ -217,16 +229,10 @@ def fit_svr(
     converged=False instead of raising. The solver is deterministic.
     """
     x, y = _check_xy(x, y)
-    if c <= 0 or epsilon < 0 or tol <= 0 or max_iter < 1:
-        raise ConfigError(
-            f"need c > 0, epsilon >= 0, tol > 0, max_iter >= 1; "
-            f"got {c}/{epsilon}/{tol}/{max_iter}"
-        )
+    check_svr(c, epsilon, gamma, tol, max_iter)
     n, p = x.shape
     if gamma is None:
         gamma = 1.0 / p
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
 
     k = rbf_kernel(x, x, gamma)  # exactly symmetric: row k[i] is column i
     diag = k.diagonal()

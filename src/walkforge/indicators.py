@@ -203,14 +203,19 @@ def warmup_rows(windows: tuple[int, ...] = DEFAULT_WINDOWS) -> int:
     return 2 * max(windows) - 1
 
 
+def check_windows(windows: tuple[int, ...]) -> None:
+    """expand_features' windows, which RunConfig also checks."""
+    if not windows or any(w < 2 for w in windows) or len(set(windows)) != len(windows):
+        raise ConfigError(f"windows must be distinct and >= 2, got {windows!r}")
+
+
 def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) -> FeatureMatrix:
     """Expand a cleaned series into raw + indicator columns.
 
     Needs n >= 2*max(window) + 1 rows so at least one row survives the
     warm-up floor of 2*max(window) - 1 with a successor to predict.
     """
-    if not windows or any(w < 2 for w in windows) or len(set(windows)) != len(windows):
-        raise ConfigError(f"windows must be distinct and >= 2, got {windows!r}")
+    check_windows(windows)
     if not np.isfinite(raw.values).all():
         raise DataError("feature expansion needs a cleaned series (no missing values)")
     required = 2 * max(windows) + 1

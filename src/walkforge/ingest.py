@@ -162,14 +162,19 @@ def _fill_column(col: np.ndarray, dates: np.ndarray, name: str, cap: int) -> np.
     return col[last_valid]
 
 
+def check_fill_cap(fill_cap: int) -> None:
+    """clean's range for the cap, which RunConfig also checks."""
+    if fill_cap < 0:
+        raise ConfigError(f"fill cap must be >= 0, got {fill_cap}")
+
+
 def clean(series: RawSeries, fill_cap: int) -> RawSeries:
     """Insert missing calendar days, forward-fill runs of up to fill_cap
     missing days per column (0 rejects any hole), re-check prices.
 
     Idempotent: cleaning a cleaned series returns an identical one.
     """
-    if fill_cap < 0:
-        raise ConfigError(f"fill cap must be >= 0, got {fill_cap}")
+    check_fill_cap(fill_cap)
     if series.n == 0:
         raise DataError("cannot clean an empty series")
     full_dates = np.arange(series.dates[0], series.dates[-1] + 1, dtype=np.int64)

@@ -13,6 +13,17 @@ recurrences of every layer. All training randomness (shuffling, dropout
 masks) comes from one seeded generator, so a training run is a pure
 function of (initial network, samples, config).
 
+The directions of a layer are independent recurrences of one shape, so a
+layer runs them as one stack: one stacked input projection, one stacked
+recurrent product per step, and the gate and cell arithmetic of every
+direction in the same numpy calls. Work that depends only on the forward
+pass (the bias add, the slopes of the nonlinearities) is done once over all
+steps, before the time loop. Every parameter of a network lives in one flat
+buffer, in param_dict order, and so do its gradients and both Adam moments
+while it trains: a layer's stacked weights are strided views of it, the
+backward pass writes each gradient into its view, and the Adam update runs
+over the one span.
+
 Large products are split over threads along their larger side, by rows or
 by columns (`_pool.run_blocks`); the time loops by hidden units, the
 threads advancing step by step in lockstep (`_pool.run_lockstep`); and
@@ -27,7 +38,7 @@ given, so a float32 network trains, checkpoints and predicts in float32.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,12 +46,14 @@ import numpy as np
 from . import _binio, _pool
 from .errors import ConfigError, DataError, NumericError
 
+
 @dataclass
 class LstmParams:
-    """One direction of one layer, the four gates stacked in the order
+    """The directions of one layer, stacked on a leading axis (forward,
+    then backward). Each direction holds its four gates in the order
     candidate, update, forget, output (c, u, f, o): input weights w_x
-    (4h, d), recurrent weights w_a (4h, h) and bias b (4h,). Gate k owns
-    rows k*h:(k+1)*h of all three."""
+    (k, 4h, d), recurrent weights w_a (k, 4h, h) and bias b (k, 4h). Gate g
+    owns rows g*h:(g+1)*h of all three."""
 
     w_x: np.ndarray
     w_a: np.ndarray
@@ -48,35 +61,38 @@ class LstmParams:
 
     @property
     def hidden(self) -> int:
-        return self.w_a.shape[1]
+        return self.w_a.shape[2]
 
     @property
     def input_dim(self) -> int:
-        return self.w_x.shape[1]
+        return self.w_x.shape[2]
+
+    @property
+    def directions(self) -> int:
+        return self.w_x.shape[0]
 
 
-def init_lstm_params(hidden: int, input_dim: int, rng: np.random.Generator,
-                     dtype: type = np.float64) -> LstmParams:
-    """Uniform +-1/sqrt(fan_in) weights, zero biases except forget gate at 1.
+def init_lstm_params(params: LstmParams, rng: np.random.Generator) -> None:
+    """Draw every direction of a layer in turn, in place: uniform
+    +-1/sqrt(fan_in) weights, zero biases except the forget gate's at 1.
 
     Each gate in turn draws one (h, h+d) block over [a_prev, x] in float64;
     its first h columns are recurrent weights and the rest input weights,
-    stored in arrays of `dtype`. So the draws do not depend on the dtype.
-    The gates share one block buffer, filled with the arithmetic of
+    rounded into the parameters' dtype. So the draws do not depend on the
+    dtype. The gates share one block buffer, filled with the arithmetic of
     rng.uniform(-bound, bound), low + (high - low) * random(), bit for bit."""
+    hidden, input_dim = params.hidden, params.input_dim
     bound = 1.0 / math.sqrt(hidden + input_dim)
-    w_x = np.empty((4 * hidden, input_dim), dtype=dtype)
-    w_a = np.empty((4 * hidden, hidden), dtype=dtype)
     block = np.empty((hidden, hidden + input_dim))
-    for k in range(4):
-        rng.random(out=block)
-        block *= 2.0 * bound
-        block -= bound
-        w_a[k * hidden: (k + 1) * hidden] = block[:, :hidden]
-        w_x[k * hidden: (k + 1) * hidden] = block[:, hidden:]
-    b = np.zeros(4 * hidden, dtype=dtype)
-    b[2 * hidden: 3 * hidden] = 1.0
-    return LstmParams(w_x=w_x, w_a=w_a, b=b)
+    for w_x, w_a, b in zip(params.w_x, params.w_a, params.b):
+        for k in range(4):
+            rng.random(out=block)
+            block *= 2.0 * bound
+            block -= bound
+            w_a[k * hidden: (k + 1) * hidden] = block[:, :hidden]
+            w_x[k * hidden: (k + 1) * hidden] = block[:, hidden:]
+        b[:] = 0.0
+        b[2 * hidden: 3 * hidden] = 1.0
 
 
 # Column blocks and hidden-unit blocks start at multiples of this many
@@ -97,155 +113,187 @@ def _split_work(m: int, k: int, n: int) -> int:
     A time loop split by hidden units takes the rule of its backward step's
     product (m, 4h) @ (4h, h): with h a multiple of 8, each gate's block of
     units also starts on a group of 8 columns of the forward step's
-    (m, h) @ (h, 4h)."""
+    (m, h) @ (h, 4h). A stack of directions is weighed as one direction."""
     return m * k * n if n % 8 == 0 else 0
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, split over threads along its larger side when the product is
-    large: by blocks of columns when it has more columns than rows, so each
-    thread packs only its share of b, and by blocks of rows otherwise. Each
-    block writes its part of the one output in place."""
-    (m, k), n = a.shape, b.shape[1]
-    out = np.empty((m, n), dtype=np.result_type(a, b))
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One product per direction, a (k, m, K) @ b (k, K, n), into out or
+    a new (k, m, n) array. Each direction's product is the 2-D call it would
+    be alone, so it has that call's bits. A large product is split over
+    threads along its larger side, as one direction's product would be:
+    by blocks of columns when it has more columns than rows, so each thread
+    packs only its share of b, and by blocks of rows otherwise. Each block
+    writes its part of out in place."""
+    m, k, n = a.shape[1], a.shape[2], b.shape[2]
+    if out is None:
+        out = np.empty((len(a), m, n), dtype=np.result_type(a, b))
     work = _split_work(m, k, n)
     if n > m:
         def columns(lo: int, hi: int) -> None:
-            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+            np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
 
         _pool.run_blocks(columns, n, work, _ALIGN)
     else:
         def rows(lo: int, hi: int) -> None:
-            np.matmul(a[lo:hi], b, out=out[lo:hi])
+            np.matmul(a[:, lo:hi], b, out=out[:, lo:hi])
 
         _pool.run_blocks(rows, m, work)
     return out
 
 
-def lstm_layer_forward(params: LstmParams, seq: np.ndarray,
-                       steps: int) -> tuple[np.ndarray, dict]:
-    """Run the layer's first `steps` steps across seq (m, L, d) from zero
-    initial state.
+def _active(steps: tuple[int, ...]) -> list[int]:
+    """How many directions of the stack run each step: steps[j] is the
+    steps direction j runs, largest first."""
+    return [sum(s > t for s in steps) for t in range(steps[0])]
 
-    The input projection of all L steps is one GEMM before the time loop,
-    so each step makes one recurrent GEMM; the projection keeps its L*m rows,
-    and so its bits, whatever `steps` is. Work is time-major: the
-    (m, steps, h) output is a view of (steps, m, h) storage. A split loop
+
+def lstm_layer_forward(params: LstmParams, xs: np.ndarray,
+                       steps: tuple[int, ...]) -> tuple[np.ndarray, dict]:
+    """Run the k directions of a layer as one stack, from zero initial
+    state, over xs (k, L, m, d): each direction's inputs, time-major, in
+    the order that direction reads them. Direction j runs its first
+    steps[j] steps: the first direction S = steps[0], each other S or one.
+    Returns the (k, S, m, h) outputs, each direction's in its own time
+    order, and the cache. At each step the stack narrows to the directions
+    still running, so one that stops early keeps zeros after its first
+    step and shares the one code path.
+
+    The input projection of all L steps is one stacked GEMM before the time
+    loop, so each step makes one stacked recurrent GEMM; the projection
+    keeps its L*m rows, and so its bits, whatever the steps are. The bias
+    is added to every step's projection at once, before the loop, and each
+    step's gate arithmetic is a few calls over (k, m, 4, h). A split loop
     gives each thread a block of hidden units for every step: the thread
     computes its units' columns of the four gates' recurrent products, one
     stacked matmul over w_a's rows for them, and then their gate and cell
     arithmetic. The threads advance in lockstep, each waiting before it
-    reads the previous step's whole output. One block makes the whole
-    (m, h) @ (h, 4h) product per step, as the per-gate products at small
-    widths do not give its bits."""
-    m, length, d = seq.shape
+    reads the previous step's whole output. One block makes each
+    direction's whole (m, h) @ (h, 4h) product per step, as the per-gate
+    products at small widths do not give its bits."""
+    k, length, m, d = xs.shape
     h = params.hidden
     if d != params.input_dim:
         raise DataError(f"layer expects input width {params.input_dim}, got {d}")
-    xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, d)
-    gates = _matmul(xs, params.w_x.T).reshape(length, m, 4, h)[:steps]
-    c_all = np.empty((steps, m, h), dtype=gates.dtype)
-    tc = np.empty_like(c_all)
-    out = np.empty_like(c_all)
-    w_gates = params.w_a.reshape(4, h, h)  # gate k's rows of w_a
-    b_gates = params.b.reshape(4, h)
+    active = _active(steps)
+    gates = _matmul(xs.reshape(k, length * m, d), params.w_x.transpose(0, 2, 1))
+    gates = gates.reshape(k, length, m, 4, h)
+    c_all, tc, out = (np.zeros((k, len(active), m, h), dtype=gates.dtype) for _ in range(3))
+    bias = params.b.reshape(k, 1, 1, 4, h)
 
     def loop(lo: int, hi: int, wait: Callable[[], object]) -> None:
         units = slice(lo, hi)  # this block's views of every step
-        g_all, b_units = gates[..., units], b_gates[:, units]  # gates (m, 4, units): c, u, f, o
+        g_all = gates[:, : len(active), ..., units]  # (k, S, m, 4, units): c, u, f, o
+        g_all += bias[..., units]
         c_units, tc_units, out_units = c_all[..., units], tc[..., units], out[..., units]
-        rec = np.empty((m, 4, hi - lo), dtype=gates.dtype)  # a step's recurrent product
+        rec = np.empty((k, m, 4, hi - lo), dtype=gates.dtype)  # a step's recurrent products
+        # for gates c, u, f, o: the sigmoids' halving and one, and for the candidate 1 and
+        # -0.0, which change no bit of its tanh, so each step's activations are whole-row
+        # calls; full-size, since a broadcast operand makes numpy loop row by row
+        half, one = np.empty_like(rec), np.empty_like(rec)
+        half[...] = np.array([1.0, 0.5, 0.5, 0.5], dtype=gates.dtype)[:, None]
+        one[...] = np.array([-0.0, 1.0, 1.0, 1.0], dtype=gates.dtype)[:, None]
         if hi - lo == h:
-            rec_out, w_rec = rec.reshape(m, 4 * h), params.w_a.T
-        else:
-            rec_out, w_rec = rec.transpose(1, 0, 2), w_gates[:, units].transpose(0, 2, 1)
-        for t in range(steps):
-            g = g_all[t]
-            g += b_units
+            a_prev, w_rec, rec_out = out, params.w_a.transpose(0, 2, 1), rec.reshape(k, m, 4 * h)
+        else:  # (k, 1, m, h) @ (k, 4, h, units) for each gate's rows of these units
+            a_prev, rec_out = out[:, :, None], rec.transpose(0, 2, 1, 3)
+            w_rec = params.w_a.reshape(k, 4, h, h)[:, :, units].transpose(0, 1, 3, 2)
+        for t, n in enumerate(active):
+            g = g_all[:n, t]
             if t:
-                wait()  # every block has written out[t - 1]
-                np.matmul(out[t - 1], w_rec, out=rec_out)
-                g += rec
-            cand = g[:, 0]
-            np.tanh(cand, out=cand)
-            sig = g[:, 1:]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
-            sig *= 0.5
-            np.tanh(sig, out=sig)
-            sig += 1.0
-            sig *= 0.5
-            c = c_units[t]
-            np.multiply(g[:, 1], cand, out=c)
+                wait()  # every block has written out[:, t - 1]
+                np.matmul(a_prev[:n, t - 1], w_rec[:n], out=rec_out[:n])
+                g += rec[:n]
+            g *= half[:n]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
+            np.tanh(g, out=g)
+            g += one[:n]
+            g *= half[:n]
+            c = c_units[:n, t]
+            np.multiply(g[..., 1, :], g[..., 0, :], out=c)
             if t:
-                c += g[:, 2] * c_units[t - 1]
-            np.tanh(c, out=tc_units[t])
-            np.multiply(g[:, 3], tc_units[t], out=out_units[t])
+                c += g[..., 2, :] * c_units[:n, t - 1]
+            np.tanh(c, out=tc_units[:n, t])
+            np.multiply(g[..., 3, :], tc_units[:n, t], out=out_units[:n, t])
 
     _pool.run_lockstep(loop, h, _split_work(m, 4 * h, h), _ALIGN)
     if not np.isfinite(out).all():
         raise NumericError("non-finite activation in lstm layer")
-    cache = {"xs": xs, "gates": gates.reshape(steps, m, 4 * h), "c": c_all, "tc": tc,
-             "a": out}
-    return out.transpose(1, 0, 2), cache
+    cache = {"xs": xs, "gates": gates, "c": c_all, "tc": tc, "a": out, "steps": steps}
+    return out, cache
 
 
-def lstm_layer_backward(
-    params: LstmParams, cache: dict, d_out: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Backpropagate through time, through both the a and c recurrences,
-    over the steps the forward pass ran; d_out is (m, steps, h).
+def lstm_layer_backward(params: LstmParams, cache: dict, d_out: np.ndarray,
+                        grads: LstmParams) -> np.ndarray:
+    """Backpropagate lstm_layer_forward's stack through time, through both
+    the a and c recurrences, over the steps each direction ran; d_out is
+    (k, S, m, h), each direction's in its own time order. Writes the
+    parameters' gradients into grads, in place, and returns the input
+    gradients (k, L, m, d), each direction's in its own time order.
 
-    The loop carries only the recurrent gradients; each step's gate
-    pre-activation gradients land in one (L, m, 4h) buffer, zero past the
-    steps that ran, from which the input weight, bias and input gradients
-    each take one GEMM or reduction over all L*m rows, the rows the forward
-    projection had. The recurrent weight gradient takes the rows of steps
-    1..steps-1. A split loop gives each thread a block of hidden units, as
-    the forward pass does: the thread runs its units' elementwise steps,
-    waits until every block has written the step's gate gradients, and
-    then computes its units' columns of the next step's da."""
-    gates, c_all, tc = cache["gates"], cache["c"], cache["tc"]
-    steps, m, h4 = gates.shape
-    length = len(cache["xs"]) // m
-    h = h4 // 4
-    d_gates = np.empty((length, m, h4), dtype=gates.dtype)
-    d_gates[steps:] = 0.0
-    by_gate = gates.reshape(steps, m, 4, h)
-    d_by_gate = d_gates.reshape(length, m, 4, h)
+    The slopes of the forward pass's nonlinearities (1 - cand^2,
+    sigma * (1 - sigma) and 1 - tanh(c)^2) are computed once over all steps,
+    before the loop, which then carries only the recurrent gradients. Each
+    step's gate pre-activation gradients land in one (k, L, m, 4h) buffer,
+    zero past the steps each direction ran, from which the input weight,
+    bias and input gradients each take one stacked GEMM or reduction over
+    all L*m rows, the rows the forward projection had. The recurrent
+    weight gradient takes the rows of steps 1..S-1 of the directions that
+    ran them; a direction that ran one step gets zero. A split loop gives
+    each thread a block of hidden units, as the forward pass does: the
+    thread runs its units' elementwise steps, waits until every block has
+    written the step's gate gradients, and then computes its units'
+    columns of the next step's da."""
+    gates, c_all, tc, xs = cache["gates"], cache["c"], cache["tc"], cache["xs"]
+    k, length, m, _, h = gates.shape
+    active = _active(cache["steps"])
+    ran = len(active)
+    second = active[1] if ran > 1 else 0  # the directions that ran step 1
+    d_gates = np.empty((k, length, m, 4, h), dtype=gates.dtype)
+    d_gates[:, ran:] = 0.0
 
     def loop(lo: int, hi: int, wait: Callable[[], object]) -> None:
         units = slice(lo, hi)  # this block's views of every step
-        g_all, dg_all = by_gate[..., units], d_by_gate[..., units]
+        g_all, dg_all = gates[:, :ran, ..., units], d_gates[:, :ran, ..., units]
         c_units, tc_units, d_out_units = c_all[..., units], tc[..., units], d_out[..., units]
-        w_units = params.w_a[:, units]
-        da = np.zeros((m, hi - lo), dtype=gates.dtype)
-        dc = np.zeros_like(da)
-        for t in range(steps - 1, -1, -1):
-            g, dg, tc_t = g_all[t], dg_all[t], tc_units[t]
-            cand, gu, gf, go = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
-            da += d_out_units[:, t]
-            dc += da * go * (1.0 - tc_t * tc_t)
-            dg[:, 0] = dc * gu * (1.0 - cand * cand)
-            np.subtract(1.0, g[:, 1:], out=dg[:, 1:])
-            dg[:, 1:] *= g[:, 1:]  # sigmoid slopes of u, f, o
-            dg[:, 1] *= dc * cand
-            dg[:, 3] *= da * tc_t
+        # every step's slopes: 1 - cand^2, then sigma * (1 - sigma) for u, f, o;
+        # each step multiplies its gate gradients in
+        np.multiply(g_all[..., 0, :], g_all[..., 0, :], out=dg_all[..., 0, :])
+        np.subtract(1.0, dg_all[..., 0, :], out=dg_all[..., 0, :])
+        np.subtract(1.0, g_all[..., 1:, :], out=dg_all[..., 1:, :])
+        dg_all[..., 1:, :] *= g_all[..., 1:, :]
+        dg_all[second:, 1:] = 0.0  # directions that ran one step
+        tc_slope = tc_units * tc_units
+        np.subtract(1.0, tc_slope, out=tc_slope)
+        w_units = params.w_a[..., units]
+        da, dc = (np.zeros((k, m, hi - lo), dtype=gates.dtype) for _ in range(2))
+        f = np.empty((k, m, 4, hi - lo), dtype=gates.dtype)  # what the slopes multiply
+        for t in range(ran - 1, -1, -1):
+            n = active[t]
+            g, f_n, da_n, dc_n = g_all[:n, t], f[:n], da[:n], dc[:n]
+            da_n += d_out_units[:n, t]
+            np.multiply(da_n, g[..., 3, :], out=f_n[..., 3, :])  # da * go
+            f_n[..., 3, :] *= tc_slope[:n, t]
+            dc_n += f_n[..., 3, :]
+            np.multiply(dc_n[:, :, None], g[..., 1::-1, :], out=f_n[..., :2, :])  # u, cand
             if t:
-                dg[:, 2] *= dc * c_units[t - 1]
-                dc *= gf
-                wait()  # every block has written d_gates[t]
-                np.matmul(d_gates[t], w_units, out=da)
+                np.multiply(dc_n, c_units[:n, t - 1], out=f_n[..., 2, :])
             else:
-                dg[:, 2] = 0.0
+                f_n[..., 2, :] = 0.0  # the zero initial cell state
+            np.multiply(da_n, tc_units[:n, t], out=f_n[..., 3, :])
+            dg_all[:n, t] *= f_n
+            if t:
+                dc_n *= g[..., 2, :]
+                wait()  # every block has written d_gates[:, t]
+                np.matmul(d_gates[:n, t].reshape(n, m, 4 * h), w_units[:n], out=da_n)
 
-    _pool.run_lockstep(loop, h, _split_work(m, h4, h), _ALIGN)
-    rows = d_gates.reshape(length * m, h4)
-    grads = {
-        "w_x": _matmul(rows.T, cache["xs"]),
-        "w_a": _matmul(rows[m: steps * m].T, cache["a"][:-1].reshape(-1, h)),
-        "b": rows.sum(axis=0),
-    }
-    d_seq = _matmul(rows, params.w_x).reshape(length, m, -1).transpose(1, 0, 2)
-    return d_seq, grads
+    _pool.run_lockstep(loop, h, _split_work(m, 4 * h, h), _ALIGN)
+    rows = d_gates.reshape(k, length * m, 4 * h)
+    _matmul(rows.transpose(0, 2, 1), xs.reshape(k, length * m, -1), out=grads.w_x)
+    a_prev = cache["a"][:second, : ran - 1].reshape(second, (ran - 1) * m, h)
+    _matmul(rows[:second, m: ran * m].transpose(0, 2, 1), a_prev, out=grads.w_a[:second])
+    grads.w_a[second:] = 0.0
+    rows.sum(axis=1, out=grads.b)
+    return _matmul(rows, params.w_x).reshape(k, length, m, -1)
 
 
 # Each direction of a layer: its parameter-name tag and the order in which
@@ -253,79 +301,133 @@ def lstm_layer_backward(
 _DIRECTIONS = (("f", 1), ("b", -1))
 
 
-def layer_forward(
-    layer: tuple[LstmParams, ...], seq: np.ndarray, top: bool
-) -> tuple[np.ndarray, list[dict]]:
+def layer_forward(params: LstmParams, seq: np.ndarray, top: bool) -> tuple[np.ndarray, dict]:
     """Run every direction of one layer over seq (m, L, d).
 
     output[t] concatenates each direction's output at step t: the backward
     direction runs on the reversed sequence and its output is re-reversed.
     The top layer returns only the last step, (m, 1, k), the one the head
     reads. Its backward half is the backward direction's first step, so
-    there that direction runs one step. A one-direction layer returns its
-    output view without a copy."""
-    length = seq.shape[1]
-    outs, caches = [], []
-    for params, (_, step) in zip(layer, _DIRECTIONS):
-        out, cache = lstm_layer_forward(params, seq[:, ::step, :],
-                                        1 if top and step < 0 else length)
-        out = out[:, ::step, :]
-        outs.append(out[:, -1:, :] if top else out)
-        caches.append(cache)
-    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)), caches
+    there that direction runs one step. A one-direction layer returns a
+    view of its output without a copy."""
+    m, length, d = seq.shape
+    directions = _DIRECTIONS[: params.directions]
+    xs = np.empty((len(directions), length, m, d), dtype=seq.dtype)
+    for x, (_, order) in zip(xs, directions):
+        x[...] = seq[:, ::order].transpose(1, 0, 2)
+    steps = tuple(1 if top and order < 0 else length for _, order in directions)
+    out, cache = lstm_layer_forward(params, xs, steps)
+    n = 1 if top else length  # the output's last n positions
+    halves = [o[length - n:] if order > 0 else o[n - 1::-1]
+              for o, (_, order) in zip(out, directions)]
+    both = halves[0] if len(halves) == 1 else np.concatenate(halves, axis=2)
+    return both.transpose(1, 0, 2), cache
 
 
-def layer_backward(
-    layer: tuple[LstmParams, ...], caches: list[dict], d_out: np.ndarray
-) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-    """Backpropagate one layer: each direction takes its own feature block
-    of d_out in its own time order. The top layer's d_out holds only the
-    last step, which the forward direction gets zero-padded to the steps it
-    ran. The input gradient is the forward direction's part plus the
-    re-reversed backward part."""
-    h = layer[0].hidden
-    parts, grads = [], []
-    for k, (params, cache, (_, step)) in enumerate(zip(layer, caches, _DIRECTIONS)):
-        d_dir = d_out[:, ::step, k * h: (k + 1) * h]
-        ran = len(cache["a"])
-        if d_dir.shape[1] < ran:
-            padded = np.zeros((len(d_out), ran, h), dtype=d_out.dtype)  # top forward direction
-            padded[:, -1:] = d_dir
-            d_dir = padded
-        d_part, g = lstm_layer_backward(params, cache, d_dir)
-        grads.append(g)
-        parts.append(d_part[:, ::step, :])
-    return (parts[0] if len(parts) == 1 else parts[0] + parts[1]), grads
+def layer_backward(params: LstmParams, cache: dict, d_out: np.ndarray,
+                   grads: LstmParams) -> np.ndarray:
+    """Backpropagate one layer into grads: each direction takes its own
+    feature block of d_out (m, n, k*h), the output's last n positions, in
+    its own time order. The top layer's d_out holds only the last
+    position, the forward direction's last step and the backward
+    direction's first. The input gradient is the forward direction's part
+    plus the re-reversed backward part."""
+    k, ran, m, h = cache["a"].shape
+    length, n = cache["xs"].shape[1], d_out.shape[1]
+    d_steps = np.zeros((k, ran, m, h), dtype=d_out.dtype)
+    for j, (d_dir, (_, order)) in enumerate(zip(d_steps, _DIRECTIONS)):
+        part = d_out[:, :, j * h: (j + 1) * h].transpose(1, 0, 2)
+        if order > 0:
+            d_dir[length - n:] = part
+        else:
+            d_dir[:n] = part[::-1]
+    d_xs = lstm_layer_backward(params, cache, d_steps, grads)
+    d_seq = d_xs[0]
+    for d_x in d_xs[1:]:
+        d_seq = d_seq + d_x[::-1]
+    return d_seq.transpose(1, 0, 2)
 
 
 @dataclass
 class BiLstmNetwork:
     """Two recurrent layers with ReLU + dropout between, affine head on the
-    last time step. Each layer is a tuple of directions: (forward,) for the
-    unidirectional LSTM, (forward, backward) for the Bi-LSTM."""
+    last time step. Each layer stacks its directions: forward alone for the
+    unidirectional LSTM, forward then backward for the Bi-LSTM.
 
-    layers: tuple[tuple[LstmParams, ...], ...]
-    dense_w: np.ndarray
-    dense_b: np.ndarray
+    Every parameter is a view of one flat buffer, which holds them end to
+    end in param_dict order: each direction's w_x, w_a and b, layer by
+    layer, then the head's weights and bias. So a layer's stacked w_x, w_a
+    and b are strided views, one direction's arrays apart, and a checkpoint
+    holds the same arrays, in the same order, with the same bytes, as when
+    each was an array of its own. zeros_like gives the same layout over a
+    zeroed buffer, the gradients' shape."""
+
+    flat: np.ndarray
+    input_dim: int
+    hiddens: tuple[int, ...]
+    directions: int
     dropout_rate: float
+    layers: tuple[LstmParams, ...] = field(init=False)
+    dense_w: np.ndarray = field(init=False)
+    dense_b: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        layers, at, width, k = [], 0, self.input_dim, self.directions
+        for hidden in self.hiddens:
+            rows = 4 * hidden
+            size = rows * (width + hidden + 1)  # one direction's w_x, w_a and b
+            block = self.flat[at: at + k * size].reshape(k, size)
+            layers.append(LstmParams(
+                w_x=block[:, : rows * width].reshape(k, rows, width),
+                w_a=block[:, rows * width: size - rows].reshape(k, rows, hidden),
+                b=block[:, size - rows:]))
+            at += k * size
+            width = k * hidden
+        self.layers = tuple(layers)
+        self.dense_w = self.flat[at: at + width]
+        self.dense_b = self.flat[at + width:].reshape(1)
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype of every parameter, and of everything the net computes."""
-        return self.dense_w.dtype
+        return self.flat.dtype
+
+    def zeros_like(self) -> BiLstmNetwork:
+        """The same layout over a new zeroed buffer."""
+        return BiLstmNetwork(np.zeros(self.flat.shape, self.dtype), self.input_dim, self.hiddens,
+                             self.directions, self.dropout_rate)
 
     def param_dict(self) -> dict[str, np.ndarray]:
-        """Live references in a fixed order (l1f, l1b, l2f, l2b, dense);
-        the optimizer mutates in place."""
+        """Live views of flat, in its order (l1f, l1b, l2f, l2b, dense);
+        the optimizer mutates them in place."""
         out: dict[str, np.ndarray] = {}
         for i, layer in enumerate(self.layers, 1):
-            for cell, (tag, _) in zip(layer, _DIRECTIONS):
-                out[f"l{i}{tag}.w_x"] = cell.w_x
-                out[f"l{i}{tag}.w_a"] = cell.w_a
-                out[f"l{i}{tag}.b"] = cell.b
+            for j, (tag, _) in enumerate(_DIRECTIONS[: layer.directions]):
+                out[f"l{i}{tag}.w_x"] = layer.w_x[j]
+                out[f"l{i}{tag}.w_a"] = layer.w_a[j]
+                out[f"l{i}{tag}.b"] = layer.b[j]
         out["dense.w"] = self.dense_w
         out["dense.b"] = self.dense_b
         return out
+
+
+def _network(input_dim: int, hiddens: tuple[int, ...], directions: int, dropout_rate: float,
+             dtype: np.dtype) -> BiLstmNetwork:
+    """A network of zeros in one new buffer of the layout's size."""
+    size, width = 1, input_dim  # the head's bias, then each layer's directions
+    for hidden in hiddens:
+        size += directions * 4 * hidden * (width + hidden + 1)
+        width = directions * hidden
+    return BiLstmNetwork(np.zeros(size + width, dtype=dtype), input_dim, hiddens, directions,
+                         dropout_rate)
+
+
+def check_widths(input_dim: int, hidden1: int, hidden2: int) -> None:
+    """build_network's widths, which RunConfig also checks."""
+    if input_dim < 1 or hidden1 < 1 or hidden2 < 1:
+        raise ConfigError(
+            f"widths must be positive, got input={input_dim}, h1={hidden1}, h2={hidden2}"
+        )
 
 
 def check_dropout(rate: float) -> None:
@@ -345,25 +447,16 @@ def build_network(
 ) -> BiLstmNetwork:
     """Draw l1f, l1b, l2f, l2b, then the head, from one seeded generator,
     into parameters of `dtype`; the draws are the same for every dtype."""
-    if input_dim < 1 or hidden1 < 1 or hidden2 < 1:
-        raise ConfigError(
-            f"widths must be positive, got input={input_dim}, h1={hidden1}, h2={hidden2}"
-        )
+    check_widths(input_dim, hidden1, hidden2)
     check_dropout(dropout_rate)
     rng = np.random.default_rng(seed)
-    directions = 2 if bidirectional else 1
-    layers, width = [], input_dim
-    for hidden in (hidden1, hidden2):
-        layers.append(tuple(init_lstm_params(hidden, width, rng, dtype)
-                            for _ in range(directions)))
-        width = directions * hidden
-    bound = 1.0 / math.sqrt(width)
-    return BiLstmNetwork(
-        layers=tuple(layers),
-        dense_w=rng.uniform(-bound, bound, size=width).astype(dtype),
-        dense_b=np.zeros(1, dtype=dtype),
-        dropout_rate=dropout_rate,
-    )
+    net = _network(input_dim, (hidden1, hidden2), 2 if bidirectional else 1, dropout_rate,
+                   np.dtype(dtype))
+    for layer in net.layers:
+        init_lstm_params(layer, rng)
+    bound = 1.0 / math.sqrt(len(net.dense_w))
+    net.dense_w[:] = rng.uniform(-bound, bound, size=len(net.dense_w))
+    return net
 
 
 def network_forward(
@@ -380,7 +473,7 @@ def network_forward(
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     inputs = np.asarray(inputs, dtype=net.dtype)
-    width = net.layers[0][0].input_dim
+    width = net.input_dim
     if inputs.ndim != 3 or inputs.shape[2] != width:
         raise DataError(f"inputs must be (m, L, {width}), got {inputs.shape}")
     if not np.isfinite(inputs).all():
@@ -388,11 +481,11 @@ def network_forward(
 
     rate = net.dropout_rate if mode == "train" else 0.0
     rng = np.random.default_rng(seed) if rate > 0.0 else None
-    cache: dict = {"mode": mode, "dirs": [], "relu": [], "drop": []}
+    cache: dict = {"mode": mode, "layers": [], "relu": [], "drop": []}
     length = inputs.shape[1]
     act = inputs
     for i, layer in enumerate(net.layers):
-        out, dir_caches = layer_forward(layer, act, i == len(net.layers) - 1)
+        out, layer_cache = layer_forward(layer, act, i == len(net.layers) - 1)
         relu = out > 0.0
         act = out * relu
         if mode == "train":
@@ -403,10 +496,10 @@ def network_forward(
                 draw = rng.random((len(act), length, act.shape[2]))[:, -act.shape[1]:]
                 keep = (draw >= rate) * net.dtype.type(1.0 / (1.0 - rate))
                 act = act * keep
-            cache["dirs"].append(dir_caches)
+            cache["layers"].append(layer_cache)
             cache["relu"].append(relu)
             cache["drop"].append(keep)
-        del out, dir_caches, relu  # an eval pass frees them before the next layer
+        del out, layer_cache, relu  # an eval pass frees them before the next layer
 
     last = act[:, -1, :]
     preds = last @ net.dense_w + net.dense_b[0]
@@ -417,33 +510,32 @@ def network_forward(
 
 
 def network_backward(
-    net: BiLstmNetwork, cache: dict, d_preds: np.ndarray
+    net: BiLstmNetwork, cache: dict, d_preds: np.ndarray,
+    grads: BiLstmNetwork | None = None,
 ) -> dict[str, np.ndarray]:
     """Gradients of the scalar loss for every parameter, keyed like
-    param_dict. Needs a cache produced by a train-mode forward pass."""
+    param_dict: views of grads (net.zeros_like() by default), into which
+    each is written in place, so a training step allocates no new set.
+    Needs a cache produced by a train-mode forward pass."""
     if cache.get("mode") != "train":
         raise DataError("backward needs a cache from a train-mode forward pass")
     d_preds = np.asarray(d_preds, dtype=net.dtype)
     m = len(cache["last"])
     if d_preds.shape != (m,):
         raise DataError(f"upstream gradient must be ({m},), got {d_preds.shape}")
+    if grads is None:
+        grads = net.zeros_like()
 
-    grads: dict[str, np.ndarray] = {}
-    grads["dense.w"] = cache["last"].T @ d_preds
-    grads["dense.b"] = np.array([d_preds.sum()])
-
+    np.matmul(cache["last"].T, d_preds, out=grads.dense_w)
+    grads.dense_b[0] = d_preds.sum()
     d_act = np.outer(d_preds, net.dense_w)[:, None, :]  # the top layer's one step
     for i in reversed(range(len(net.layers))):
         if cache["drop"][i] is not None:
             d_act = d_act * cache["drop"][i]
         # layer 1's input gradient, with respect to the network's inputs, goes unused
-        d_act, layer_grads = layer_backward(net.layers[i], cache["dirs"][i],
-                                            d_act * cache["relu"][i])
-        for g, (tag, _) in zip(layer_grads, _DIRECTIONS):
-            for name, arr in g.items():
-                grads[f"l{i + 1}{tag}.{name}"] = arr
-
-    return {name: grads[name] for name in net.param_dict()}
+        d_act = layer_backward(net.layers[i], cache["layers"][i], d_act * cache["relu"][i],
+                               grads.layers[i])
+    return grads.param_dict()
 
 
 def logcosh_loss(preds: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -486,25 +578,25 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Both moments, flat in the layout of the parameters' buffer."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
-def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
-    """Zero moments in each parameter's dtype, left untouched so the first
+def init_adam_state(net: BiLstmNetwork) -> AdamState:
+    """Zero moments in the parameters' dtype, left untouched so the first
     (threaded) step writes their pages."""
-    return AdamState(
-        m={name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.items()},
-        v={name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.items()},
-    )
+    return AdamState(m=np.zeros(net.flat.shape, net.dtype), v=np.zeros(net.flat.shape, net.dtype))
 
 
 # The norm pass works through each array in pieces of at most this many
-# elements, and the update pass in pieces of _UPDATE_BYTES of the
-# parameters' dtype (65536 float32 or 32768 float64 elements), so a piece
-# stays in cache across all of its operations. The update is elementwise,
-# so its piece size changes no bit; the norm's pieces fix its sum's order.
+# elements, and the update pass through the flat buffer in pieces of
+# _UPDATE_BYTES of the parameters' dtype (65536 float32 or 32768 float64
+# elements), so a piece stays in cache across all of its operations. The
+# update is elementwise, so its piece size changes no bit; the norm's
+# pieces fix its sum's order.
 _CHUNK = 32768
 _UPDATE_BYTES = 1 << 18
 
@@ -514,23 +606,24 @@ _ADAM_OPS = 16
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: BiLstmNetwork,
+    grads: BiLstmNetwork,
     state: AdamState,
     config: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
+) -> tuple[BiLstmNetwork, AdamState]:
     """One bias-corrected Adam update after global-norm clipping.
 
-    Parameters, moments and gradients (all C-contiguous) are updated in
-    place: each gradient array is overwritten with its step. Both passes,
-    the squares for the global norm and the update, go through the arrays'
-    pieces (of _CHUNK elements for the norm, of _UPDATE_BYTES for the
-    update), split over threads by run_blocks; each block keeps its
+    The parameters, the gradients (a params.zeros_like() set) and the
+    moments share one flat layout and are updated in place: the gradient
+    buffer is overwritten with the step. The squares for the global norm
+    go through each parameter array in pieces of _CHUNK elements, in
+    param_dict order (which is the flat order); the squared norm is the sum
+    of each piece's np.sum(g * g), in that order, so it does not depend on
+    the thread count, and for an array of one piece it is np.sum(g * g).
+    The update goes through the one flat span in pieces of _UPDATE_BYTES.
+    Both passes are split over threads by run_blocks; each block keeps its
     temporaries in a one-piece work buffer of its own, in the parameters'
     dtype, and each piece runs all of its operations before the next. The
-    squared norm is the sum of each piece's np.sum(g * g), in
-    parameter order and then piece order, so it does not depend on the
-    thread count; for an array of one piece that is np.sum(g * g). The
     arithmetic, operation for operation, is
 
         g = grad * factor
@@ -538,32 +631,27 @@ def adam_step(
         v = beta2 * v + (1 - beta2) * (g * g)
         param -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
     """
-    if set(params) != set(grads):
-        raise DataError("parameter and gradient key sets differ")
-    for name, arr in params.items():
-        if arr.shape != grads[name].shape:
-            raise DataError(
-                f"{name}: parameter {arr.shape} vs gradient {grads[name].shape}"
-            )
-        if not (arr.flags.c_contiguous and grads[name].flags.c_contiguous):
-            raise DataError(f"{name}: parameter and gradient must be C-contiguous")
-    flats = {name: (arr.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1),
-                    grads[name].reshape(-1)) for name, arr in params.items()}
-    ops = _ADAM_OPS * sum(arr.size for arr in params.values())
-    dtype = np.result_type(np.float32, *params.values())  # the widest, float32 at least
+    flat, g_flat = params.flat, grads.flat
+    if not all(arr.shape == flat.shape and arr.dtype == flat.dtype
+               for arr in (g_flat, state.m, state.v)):
+        raise DataError(f"parameters {flat.shape} {flat.dtype}, gradients {g_flat.shape} "
+                        f"{g_flat.dtype} and moments {state.m.shape} {state.m.dtype} "
+                        "must share one layout")
+    ops = _ADAM_OPS * flat.size
+    dtype = np.result_type(np.float32, flat)  # float32 at least
 
-    def pieces_of(size: int) -> list[tuple[str, int, int]]:
-        return [(name, lo, min(lo + size, arr.size)) for name, arr in params.items()
-                for lo in range(0, arr.size, size)]
-
-    norm_pieces = pieces_of(_CHUNK)
+    norm_pieces, at = [], 0
+    for arr in grads.param_dict().values():
+        norm_pieces += [(lo, min(lo + _CHUNK, at + arr.size))
+                        for lo in range(at, at + arr.size, _CHUNK)]
+        at += arr.size
     squares = [0.0] * len(norm_pieces)
 
     def square_sums(first: int, last: int) -> None:
         buf = np.empty(_CHUNK, dtype=dtype)
         for j in range(first, last):
-            name, lo, hi = norm_pieces[j]
-            g = flats[name][3][lo:hi]
+            lo, hi = norm_pieces[j]
+            g = g_flat[lo:hi]
             np.multiply(g, g, out=buf[: hi - lo])
             squares[j] = float(np.sum(buf[: hi - lo]))
 
@@ -580,15 +668,13 @@ def adam_step(
     t = state.step
     m_corr = 1.0 - config.beta1 ** t
     v_corr = 1.0 - config.beta2 ** t
-
     size = _UPDATE_BYTES // dtype.itemsize
-    update_pieces = pieces_of(size)
 
     def update(first: int, last: int) -> None:
         buf = np.empty(size, dtype=dtype)
         for j in range(first, last):
-            name, lo, hi = update_pieces[j]
-            p, m, v, g = (flat[lo:hi] for flat in flats[name])
+            lo, hi = j * size, min((j + 1) * size, flat.size)
+            p, m, v, g = flat[lo:hi], state.m[lo:hi], state.v[lo:hi], g_flat[lo:hi]
             tmp = buf[: hi - lo]
             g *= factor
             np.multiply(g, 1.0 - config.beta1, out=tmp)
@@ -606,14 +692,16 @@ def adam_step(
             g /= tmp
             p -= g
 
-    _pool.run_blocks(update, len(update_pieces), ops)
+    _pool.run_blocks(update, -(-flat.size // size), ops)
     return params, state
 
 
 def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
           config: TrainConfig) -> tuple[BiLstmNetwork, list[float]]:
     """Mini-batch training; returns the trained net and mean loss per epoch.
-    The inputs are cast once to the net's dtype; the loss is float64."""
+    The inputs are cast once to the net's dtype; the loss is float64. The
+    gradients and both Adam moments are one flat buffer each, reused by
+    every step."""
     inputs = np.asarray(inputs, dtype=net.dtype)
     targets = np.asarray(targets, dtype=np.float64)
     if inputs.ndim != 3 or targets.ndim != 1 or len(inputs) != len(targets):
@@ -623,8 +711,8 @@ def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
         raise DataError("need at least one training sample")
 
     rng = np.random.default_rng(config.seed)
-    params = net.param_dict()
-    state = init_adam_state(params)
+    grads = net.zeros_like()
+    state = init_adam_state(net)
     losses: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(m)
@@ -634,11 +722,10 @@ def train(net: BiLstmNetwork, inputs: np.ndarray, targets: np.ndarray,
             step_seed = int(rng.integers(0, 2**63 - 1))
             preds, cache = network_forward(net, inputs[chunk], "train", step_seed)
             loss, d_preds = logcosh_loss(preds, targets[chunk])
-            grads = network_backward(net, cache, d_preds)
+            network_backward(net, cache, d_preds, grads)
             del cache  # the Adam step needs only the gradients
-            adam_step(params, grads, state, config)
+            adam_step(net, grads, state, config)
             total += loss * len(chunk)
-            del grads  # so the next step does not hold two sets
         epoch_loss = total / m
         if not math.isfinite(epoch_loss):
             raise NumericError(f"training loss became non-finite at epoch {epoch}")
@@ -658,18 +745,18 @@ def save_network(net: BiLstmNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> BiLstmNetwork:
-    """Inverse of save_network; the arrays read from the file become the
-    network's parameters, so no initial weights are drawn."""
+    """Inverse of save_network: the arrays read from the file are copied
+    into a new network's buffer, so no initial weights are drawn."""
 
-    def build(meta: dict, params: dict[str, np.ndarray]) -> BiLstmNetwork:
-        directions = _DIRECTIONS if "l1b.b" in params else _DIRECTIONS[:1]
-        layers = tuple(
-            tuple(LstmParams(w_x=params[f"l{i}{tag}.w_x"], w_a=params[f"l{i}{tag}.w_a"],
-                             b=params[f"l{i}{tag}.b"]) for tag, _ in directions)
-            for i in (1, 2)
-        )
-        return BiLstmNetwork(layers=layers, dense_w=params["dense.w"],
-                             dense_b=params["dense.b"],
-                             dropout_rate=float(meta["dropout_rate"]))
+    def build(meta: dict, arrays: dict[str, np.ndarray]) -> BiLstmNetwork:
+        w_x = arrays["l1f.w_x"]
+        hiddens = (arrays["l1f.w_a"].shape[1], arrays["l2f.w_a"].shape[1])
+        net = _network(w_x.shape[1], hiddens, 2 if "l1b.b" in arrays else 1,
+                       float(meta["dropout_rate"]), w_x.dtype)
+        for name, arr in net.param_dict().items():
+            if arrays[name].shape != arr.shape:
+                raise ValueError(f"{name}: shape {arrays[name].shape}, expected {arr.shape}")
+            arr[...] = arrays[name]
+        return net
 
     return _binio.load(path, "network", build)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -77,22 +78,37 @@ class RunConfig:
             raise ConfigError(f"synthetic row count must be >= 1, got {self.synthetic}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.lookback < 1:
-            raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
-        # the training settings, by their owners' checks, before any stage writes
-        self.train_config(self.seed)
+        # every other setting by its owner's check, before any stage writes;
+        # the synthesis and forest settings by building their configs, once
+        ingest.check_fill_cap(self.fill_cap)
+        indicators.check_windows(self.windows)
+        _ = self.synth_config, self.forest_config
+        splitter.check_lengths(self.train_len, self.test_len, self.stride)
+        splitter.check_lookback(self.lookback)
+        nets.check_widths(self.k, self.h1, self.h2)  # the networks read the k selected features
         nets.check_dropout(self.dropout)
+        self.train_config(self.seed)
+        baselines.check_svr(self.svr_c, self.svr_epsilon, self.svr_gamma, self.svr_tol,
+                            self.svr_max_iter)
 
     @property
     def models(self) -> tuple[str, ...]:
         return MODEL_CHOICES if self.model == "all" else (self.model,)
 
+    @cached_property
     def synth_config(self) -> ingest.SynthConfig:
         return ingest.SynthConfig(
             start_price=self.start_price, drift=self.drift,
             volatility=self.volatility, quote_noise=self.quote_noise,
             spread=self.spread, aux_coupling=self.aux_coupling,
             aux_noise=self.aux_noise,
+        )
+
+    @cached_property
+    def forest_config(self) -> forest.ForestConfig:
+        return forest.ForestConfig(
+            seed=self.seed, n_trees=self.trees, max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf, mtry=self.mtry,
         )
 
     def train_config(self, seed: int) -> nets.TrainConfig:
@@ -223,7 +239,7 @@ def stage_synth(cfg: RunConfig) -> str:
     # --synthetic N asks for N model-ready rows, so generate the indicator
     # warm-up on top: featurize discards warmup_rows(windows) leading rows.
     rows = cfg.synthetic + indicators.warmup_rows(cfg.windows)
-    raw = ingest.synthesize(rows, cfg.seed, cfg.synth_config())
+    raw = ingest.synthesize(rows, cfg.seed, cfg.synth_config)
     path = _path(cfg, "raw.csv")
     ingest.write_csv(raw, path)
     return path
@@ -253,11 +269,7 @@ def stage_select(cfg: RunConfig) -> str:
     close_idx = matrix.index_of("close")
     x = scaled[:-1]
     y = scaled[1:, close_idx]
-    config = forest.ForestConfig(
-        seed=cfg.seed, n_trees=cfg.trees, max_depth=cfg.max_depth,
-        min_samples_leaf=cfg.min_samples_leaf, mtry=cfg.mtry,
-    )
-    model = forest.fit_forest(x, y, config)
+    model = forest.fit_forest(x, y, cfg.forest_config)
     ranking = forest.importances(model, matrix.names)
     selected = forest.top_k(ranking, cfg.k)
 

@@ -34,12 +34,17 @@ class WalkForwardPlan:
     batches: tuple[Batch, ...]
 
 
-def make_batches(n: int, train_len: int = 500, test_len: int = 100, stride: int = 100) -> WalkForwardPlan:
+def check_lengths(train_len: int, test_len: int, stride: int) -> None:
+    """make_batches' lengths, which RunConfig also checks."""
     if train_len < 1 or test_len < 1 or stride < 1:
         raise ConfigError(
             f"train_len, test_len, stride must be positive, got "
             f"{train_len}/{test_len}/{stride}"
         )
+
+
+def make_batches(n: int, train_len: int = 500, test_len: int = 100, stride: int = 100) -> WalkForwardPlan:
+    check_lengths(train_len, test_len, stride)
     if n < train_len + test_len:
         raise DataError(f"{n} rows cannot hold one train+test batch of {train_len + test_len}")
     batches = []
@@ -72,6 +77,12 @@ class SampleSet:
         return self.inputs.reshape(self.m, -1)
 
 
+def check_lookback(lookback: int) -> None:
+    """make_windows' lookback, which RunConfig also checks."""
+    if lookback < 1:
+        raise ConfigError(f"lookback must be >= 1, got {lookback}")
+
+
 def make_windows(
     features: np.ndarray,
     close_scaled: np.ndarray,
@@ -84,8 +95,7 @@ def make_windows(
     close_scaled = np.asarray(close_scaled, dtype=np.float64)
     if features.ndim != 2 or close_scaled.ndim != 1 or len(close_scaled) != len(features):
         raise DataError("features must be (rows, F) with one close value per row")
-    if lookback < 1:
-        raise ConfigError(f"lookback must be >= 1, got {lookback}")
+    check_lookback(lookback)
     if not (0 <= start < end <= len(features)):
         raise DataError(f"range [{start}, {end}) out of bounds for {len(features)} rows")
     if end - start < lookback + 1:

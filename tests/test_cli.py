@@ -157,6 +157,47 @@ class TestConfigExitCode:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # one bad value per ranged setting beyond the training ones above, with
+    # the message of the check that owns it; --model lr would reach no
+    # network, SVR or later stage, so only the config check can catch them
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--synthetic", "0", "synthetic row count must be >= 1, got 0"),
+        ("--fill-cap", "-1", "fill cap must be >= 0, got -1"),
+        ("--windows", "1,2", "windows must be distinct and >= 2, got (1, 2)"),
+        ("--windows", "5,5", "windows must be distinct and >= 2, got (5, 5)"),
+        ("--trees", "0", "n_trees must be >= 1, got 0"),
+        ("--min-samples-leaf", "0", "min_samples_leaf must be >= 1, got 0"),
+        ("--mtry", "0", "mtry must be >= 1 or None, got 0"),
+        ("--max-depth", "0", "max_depth must be >= 1 or None, got 0"),
+        ("--k", "0", "k must be >= 1, got 0"),
+        ("--train-len", "0", "train_len, test_len, stride must be positive, got 0/8/8"),
+        ("--test-len", "0", "train_len, test_len, stride must be positive, got 24/0/8"),
+        ("--stride", "0", "train_len, test_len, stride must be positive, got 24/8/0"),
+        ("--lookback", "0", "lookback must be >= 1, got 0"),
+        ("--h1", "0", "widths must be positive, got input=3, h1=0, h2=2"),
+        ("--h2", "-4", "widths must be positive, got input=3, h1=2, h2=-4"),
+        ("--svr-c", "-1", "need c > 0, epsilon >= 0, tol > 0, max_iter >= 1; "
+                          "got -1.0/0.1/0.001/100000"),
+        ("--svr-epsilon", "-0.5", "need c > 0, epsilon >= 0, tol > 0, max_iter >= 1; "
+                                  "got 100.0/-0.5/0.001/100000"),
+        ("--svr-tol", "0", "need c > 0, epsilon >= 0, tol > 0, max_iter >= 1; "
+                           "got 100.0/0.1/0.0/100000"),
+        ("--svr-max-iter", "0", "need c > 0, epsilon >= 0, tol > 0, max_iter >= 1; "
+                                "got 100.0/0.1/0.001/0"),
+        ("--svr-gamma", "0", "gamma must be positive, got 0.0"),
+        ("--start-price", "0", "start_price must be positive"),
+        ("--volatility", "-1", "volatility must be positive"),
+        ("--quote-noise", "-1", "spread, quote_noise and aux_noise must be non-negative"),
+        ("--spread", "-0.1", "spread, quote_noise and aux_noise must be non-negative"),
+        ("--aux-noise", "-1", "spread, quote_noise and aux_noise must be non-negative"),
+    ])
+    def test_bad_setting_fails_before_any_stage_writes(self, tmp_path, capsys,
+                                                       flag, value, message):
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", *flags(out), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestDataExitCode:
     def test_featurize_before_synth(self, tmp_path, capsys):

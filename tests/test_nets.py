@@ -18,6 +18,7 @@ from walkforge.nets import (
     build_network,
     init_adam_state,
     init_lstm_params,
+    layer_backward,
     layer_forward,
     load_network,
     logcosh_loss,
@@ -121,6 +122,50 @@ def oracle_bilayer(fwd, bwd, seq):
     return [f + b for f, b in zip(front, back)]
 
 
+# --- one direction at a time ------------------------------------------------
+
+def stack(hidden, input_dim, directions=1, dtype=np.float64):
+    """An empty layer of `directions` stacked directions."""
+    return LstmParams(w_x=np.empty((directions, 4 * hidden, input_dim), dtype),
+                      w_a=np.empty((directions, 4 * hidden, hidden), dtype),
+                      b=np.empty((directions, 4 * hidden), dtype))
+
+
+def drawn(hidden, input_dim, rng, dtype=np.float64, directions=1):
+    """A layer whose directions init_lstm_params draws in turn."""
+    params = stack(hidden, input_dim, directions, dtype)
+    init_lstm_params(params, rng)
+    return params
+
+
+def cell(layer, j=0):
+    """Direction j of a layer as its own 2-D arrays, as the oracles read it."""
+    return types.SimpleNamespace(w_x=layer.w_x[j], w_a=layer.w_a[j], b=layer.b[j],
+                                 hidden=layer.hidden, input_dim=layer.input_dim)
+
+
+def direction(layer, j):
+    """Direction j of a layer as a one-direction layer: views, no copy."""
+    return LstmParams(w_x=layer.w_x[j: j + 1], w_a=layer.w_a[j: j + 1], b=layer.b[j: j + 1])
+
+
+def run_layer(params, seq, steps):
+    """A one-direction layer's first `steps` steps over seq (m, L, d):
+    (out (m, steps, h), cache)."""
+    xs = np.ascontiguousarray(seq.transpose(1, 0, 2))[None]
+    out, cache = lstm_layer_forward(params, xs, (steps,))
+    return out[0].transpose(1, 0, 2), cache
+
+
+def run_layer_backward(params, cache, d_out):
+    """lstm_layer_backward of a one-direction layer for d_out (m, steps, h):
+    (d_seq (m, L, d), {"w_x": ..., "w_a": ..., "b": ...})."""
+    grads = stack(params.hidden, params.input_dim, 1, params.w_x.dtype)
+    d_xs = lstm_layer_backward(params, cache, np.ascontiguousarray(d_out.transpose(1, 0, 2))[None],
+                               grads)
+    return d_xs[0].transpose(1, 0, 2), {"w_x": grads.w_x[0], "w_a": grads.w_a[0], "b": grads.b[0]}
+
+
 def relu(row):
     return [max(0.0, v) for v in row]
 
@@ -129,21 +174,23 @@ def oracle_network(net, sample):
     """One sample (L, F) through both layers, ReLU between, affine head."""
     act = [list(row) for row in sample]
     for layer in net.layers:
-        out = oracle_bilayer(*layer, act) if len(layer) == 2 else oracle_layer(layer[0], act)
+        cells = [cell(layer, j) for j in range(layer.directions)]
+        out = oracle_bilayer(*cells, act) if len(cells) == 2 else oracle_layer(cells[0], act)
         act = [relu(row) for row in out]
     return sum(w * v for w, v in zip(net.dense_w, act[-1])) + net.dense_b[0]
 
 
 def zero_params(hidden, input_dim):
-    return LstmParams(w_x=np.zeros((4 * hidden, input_dim)),
-                      w_a=np.zeros((4 * hidden, hidden)), b=np.zeros(4 * hidden))
+    return LstmParams(w_x=np.zeros((1, 4 * hidden, input_dim)),
+                      w_a=np.zeros((1, 4 * hidden, hidden)), b=np.zeros((1, 4 * hidden)))
 
 
 def gate_bias(params, gate):
-    """The bias block of one gate: a writable view into the fused bias."""
+    """The bias block of one gate of a one-direction layer: a writable view
+    into the fused bias."""
     h = params.hidden
     k = GATES.index(gate)
-    return params.b[k * h: (k + 1) * h]
+    return params.b[0, k * h: (k + 1) * h]
 
 
 class TestCell:
@@ -152,12 +199,12 @@ class TestCell:
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
-        params = init_lstm_params(3, 2, rng)
+        params = drawn(3, 2, rng)
         params.b[:] = rng.normal(size=12)
         x = rng.normal(size=(1, 1, 2))
-        out, cache = lstm_layer_forward(params, x, 1)
-        want_a, want_c = oracle_step(params, [0.0] * 3, [0.0] * 3, x[0, 0])
-        np.testing.assert_allclose(cache["c"][0, 0], want_c, rtol=1e-12, atol=1e-15)
+        out, cache = run_layer(params, x, 1)
+        want_a, want_c = oracle_step(cell(params), [0.0] * 3, [0.0] * 3, x[0, 0])
+        np.testing.assert_allclose(cache["c"][0, 0, 0], want_c, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(out[0, 0], want_a, rtol=1e-12, atol=1e-15)
 
     def test_all_zero_parameters_halve_everything(self):
@@ -168,11 +215,11 @@ class TestCell:
         beta = np.array([0.3, -1.2, 0.0, 2.5])
         gate_bias(params, "c")[:] = beta
         x = np.random.default_rng(1).normal(size=(1, 3, 2)) * 7.0
-        out, cache = lstm_layer_forward(params, x, 3)
+        out, cache = run_layer(params, x, 3)
         c = np.zeros(4)
         for t in range(3):
             c = 0.5 * np.tanh(beta) + 0.5 * c
-            np.testing.assert_allclose(cache["c"][t, 0], c, rtol=1e-15)
+            np.testing.assert_allclose(cache["c"][0, t, 0], c, rtol=1e-15)
             np.testing.assert_allclose(out[0, t], 0.5 * np.tanh(c), rtol=1e-15)
 
     def test_saturated_forget_gate_preserves_cell_state(self):
@@ -183,16 +230,16 @@ class TestCell:
         beta = np.array([0.8, -0.4])
         gate_bias(params, "c")[:] = beta
         gate_bias(params, "f")[:] = 50.0
-        params.w_x[2:4, 0] = 50.0  # update gate rows
+        params.w_x[0, 2:4, 0] = 50.0  # update gate rows
         x = np.array([[[1.0], [-1.0], [-1.0], [-1.0]]])
-        _, cache = lstm_layer_forward(params, x, 4)
+        _, cache = run_layer(params, x, 4)
         for t in range(4):
-            np.testing.assert_allclose(cache["c"][t, 0], np.tanh(beta), rtol=0, atol=1e-20)
+            np.testing.assert_allclose(cache["c"][0, t, 0], np.tanh(beta), rtol=0, atol=1e-20)
 
     def test_shape_mismatch_rejected(self):
-        params = init_lstm_params(3, 2, np.random.default_rng(0))
+        params = drawn(3, 2, np.random.default_rng(0))
         with pytest.raises(DataError, match="layer expects input width 2, got 4"):
-            lstm_layer_forward(params, np.zeros((1, 1, 4)), 1)
+            run_layer(params, np.zeros((1, 1, 4)), 1)
 
 
 def stepwise_cell(params, a_prev, c_prev, x):
@@ -210,31 +257,31 @@ def stepwise_cell(params, a_prev, c_prev, x):
 class TestLayer:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(1)
-        params = init_lstm_params(3, 2, rng)
+        params = drawn(3, 2, rng)
         seq = rng.normal(size=(2, 4, 2))
-        out, _ = lstm_layer_forward(params, seq, 4)
+        out, _ = run_layer(params, seq, 4)
         for s in range(2):
-            want = oracle_layer(params, [list(r) for r in seq[s]])
+            want = oracle_layer(cell(params), [list(r) for r in seq[s]])
             np.testing.assert_allclose(out[s], want, rtol=1e-12, atol=1e-15)
 
     def test_output_at_t_ignores_the_future(self):
         rng = np.random.default_rng(2)
-        params = init_lstm_params(4, 3, rng)
+        params = drawn(4, 3, rng)
         seq = rng.normal(size=(2, 6, 3))
-        full, _ = lstm_layer_forward(params, seq, 6)
+        full, _ = run_layer(params, seq, 6)
         for cut in (1, 3, 5):
-            part, _ = lstm_layer_forward(params, seq[:, :cut, :], cut)
+            part, _ = run_layer(params, seq[:, :cut, :], cut)
             np.testing.assert_array_equal(part, full[:, :cut, :])
 
     def test_layer_agrees_with_stepwise_cell(self):
         rng = np.random.default_rng(3)
-        params = init_lstm_params(3, 2, rng)
+        params = drawn(3, 2, rng)
         seq = rng.normal(size=(2, 5, 2))
-        out, _ = lstm_layer_forward(params, seq, 5)
+        out, _ = run_layer(params, seq, 5)
         a = np.zeros((2, 3))
         c = np.zeros((2, 3))
         for t in range(5):
-            a, c = stepwise_cell(params, a, c, seq[:, t, :])
+            a, c = stepwise_cell(cell(params), a, c, seq[:, t, :])
             np.testing.assert_allclose(out[:, t, :], a, rtol=1e-14)
 
 
@@ -250,18 +297,18 @@ class TestFusedLayer:
     @pytest.mark.parametrize("length", [1, 3])
     def test_layer_forward_and_backward_match_scalar_oracle(self, length):
         rng = np.random.default_rng(40 + length)
-        params = init_lstm_params(3, 2, rng)
+        params = drawn(3, 2, rng)
         params.b[:] += rng.uniform(-0.5, 0.5, size=12)
         seq = rng.normal(size=(2, length, 2))
         d_out = rng.normal(size=(2, length, 3))
-        out, cache = lstm_layer_forward(params, seq, length)
-        d_seq, grads = lstm_layer_backward(params, cache, d_out)
+        out, cache = run_layer(params, seq, length)
+        d_seq, grads = run_layer_backward(params, cache, d_out)
         want_w = np.zeros((12, 5))
         want_b = np.zeros(12)
         for s in range(2):
-            np.testing.assert_allclose(out[s], oracle_layer(params, seq[s]),
+            np.testing.assert_allclose(out[s], oracle_layer(cell(params), seq[s]),
                                        rtol=1e-12, atol=1e-15)
-            o_seq, o_w, o_b = oracle_layer_backward(params, seq[s], d_out[s])
+            o_seq, o_w, o_b = oracle_layer_backward(cell(params), seq[s], d_out[s])
             np.testing.assert_allclose(d_seq[s], o_seq, rtol=1e-11, atol=1e-14)
             want_w += np.array(o_w)
             want_b += np.array(o_b)
@@ -313,39 +360,67 @@ class TestFusedLayer:
             flat[-1] = 123.25
             assert net.param_dict()[name].ravel()[-1] == 123.25, name
 
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_parameters_lie_end_to_end_in_one_buffer(self, bidirectional):
+        # param_dict order is the flat order, and the layers' stacked views,
+        # the named views and the buffer are one set of numbers
+        net = build_network(3, hidden1=4, hidden2=5, bidirectional=bidirectional, seed=4)
+        params = net.param_dict()
+        assert np.concatenate([arr.ravel() for arr in params.values()]).tobytes() \
+            == net.flat.tobytes()
+        assert sum(arr.size for arr in params.values()) == net.flat.size
+        for arr in [*params.values(), net.dense_w, net.dense_b] + [
+                view for layer in net.layers for view in (layer.w_x, layer.w_a, layer.b)]:
+            assert np.shares_memory(arr, net.flat)
+        for i, layer in enumerate(net.layers, 1):
+            for j, tag in enumerate("fb"[: layer.directions]):
+                layer.w_x[j, -1, -1] = 7.5 + j
+                layer.w_a[j, 0, 0] = -2.5 - j
+                layer.b[j, 1] = 0.125 * (j + 1)
+                assert params[f"l{i}{tag}.w_x"][-1, -1] == 7.5 + j
+                assert params[f"l{i}{tag}.w_a"][0, 0] == -2.5 - j
+                assert params[f"l{i}{tag}.b"][1] == 0.125 * (j + 1)
+        net.flat[-1] = 3.0
+        assert params["dense.b"][0] == 3.0 and net.dense_b[0] == 3.0
+        grads = net.zeros_like()
+        assert grads.flat.shape == net.flat.shape and not grads.flat.any()
+        assert [(name, arr.shape) for name, arr in grads.param_dict().items()] == [
+            (name, arr.shape) for name, arr in params.items()]
+        assert not np.shares_memory(grads.flat, net.flat)
+
 
 class TestBidirectional:
     def test_swap_and_reverse_identity(self):
         # Swapping direction parameters while reversing the input reverses
         # time and swaps the output halves — exactly.
         rng = np.random.default_rng(4)
-        fwd = init_lstm_params(3, 2, rng)
-        bwd = init_lstm_params(3, 2, rng)
+        layer = drawn(3, 2, rng, directions=2)
+        swapped_layer = LstmParams(w_x=layer.w_x[::-1].copy(), w_a=layer.w_a[::-1].copy(),
+                                   b=layer.b[::-1].copy())
         seq = rng.normal(size=(2, 5, 2))
-        a, _ = layer_forward((fwd, bwd), seq, False)
-        b, _ = layer_forward((bwd, fwd), seq[:, ::-1, :], False)
+        a, _ = layer_forward(layer, seq, False)
+        b, _ = layer_forward(swapped_layer, seq[:, ::-1, :], False)
         swapped = np.concatenate([b[:, :, 3:], b[:, :, :3]], axis=2)
         np.testing.assert_array_equal(a, swapped[:, ::-1, :])
 
     def test_halves_are_directional_runs(self):
         rng = np.random.default_rng(5)
-        fwd = init_lstm_params(2, 3, rng)
-        bwd = init_lstm_params(2, 3, rng)
+        layer = drawn(2, 3, rng, directions=2)
         seq = rng.normal(size=(1, 4, 3))
-        out, _ = layer_forward((fwd, bwd), seq, False)
-        front, _ = lstm_layer_forward(fwd, seq, 4)
-        back, _ = lstm_layer_forward(bwd, seq[:, ::-1, :], 4)
+        out, _ = layer_forward(layer, seq, False)
+        front, _ = run_layer(direction(layer, 0), seq, 4)
+        back, _ = run_layer(direction(layer, 1), seq[:, ::-1, :], 4)
         np.testing.assert_array_equal(out[:, :, :2], front)
         np.testing.assert_array_equal(out[:, :, 2:], back[:, ::-1, :])
 
     def test_one_direction_layer_returns_its_output_uncopied(self):
         rng = np.random.default_rng(6)
-        fwd = init_lstm_params(2, 3, rng)
+        fwd = drawn(2, 3, rng)
         seq = rng.normal(size=(2, 4, 3))
-        out, caches = layer_forward((fwd,), seq, False)
-        alone, _ = lstm_layer_forward(fwd, seq, 4)
+        out, cache = layer_forward(fwd, seq, False)
+        alone, _ = run_layer(fwd, seq, 4)
         np.testing.assert_array_equal(out, alone)
-        assert np.shares_memory(out, caches[0]["a"])
+        assert np.shares_memory(out, cache["a"])
 
 
 # --- full-length reference: every direction of every layer over all L steps --
@@ -359,8 +434,8 @@ def full_length_forward(net, inputs, mode, seed=None):
     act, layers = inputs, []
     for layer in net.layers:
         outs, caches = [], []
-        for params, step in zip(layer, (1, -1)):
-            out, cache = lstm_layer_forward(params, act[:, ::step, :], act.shape[1])
+        for j, step in zip(range(layer.directions), (1, -1)):
+            out, cache = run_layer(direction(layer, j), act[:, ::step, :], act.shape[1])
             outs.append(out[:, ::step, :])
             caches.append(cache)
         out = np.concatenate(outs, axis=2)
@@ -385,11 +460,12 @@ def full_length_backward(net, saved, d_preds):
         if keep is not None:
             d_act = d_act * keep
         d_act = d_act * relu
-        h = net.layers[i][0].hidden
+        layer = net.layers[i]
+        h = layer.hidden
         parts = []
-        for k, (params, cache, step, tag) in enumerate(
-                zip(net.layers[i], caches, (1, -1), "fb")):
-            d_part, g = lstm_layer_backward(params, cache, d_act[:, ::step, k * h: (k + 1) * h])
+        for k, (cache, step, tag) in enumerate(zip(caches, (1, -1), "fb")):
+            d_part, g = run_layer_backward(direction(layer, k), cache,
+                                           d_act[:, ::step, k * h: (k + 1) * h])
             parts.append(d_part[:, ::step, :])
             for name, arr in g.items():
                 grads[f"l{i + 1}{tag}.{name}"] = arr
@@ -427,27 +503,31 @@ class TestTopLayer:
             assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_top_backward_direction_caches_one_step(self):
+        # the stack narrows to the forward direction after step 0, and the
+        # backward direction's cache holds only its one step; zeros after it
         net = build_network(3, hidden1=4, hidden2=5, dropout_rate=0.2, seed=1)
         x = np.random.default_rng(8).normal(size=(6, 7, 3))
         _, cache = network_forward(net, x, "train", seed=2)
-        steps = [[{len(c[key]) for key in ("gates", "c", "tc", "a")} for c in layer]
-                 for layer in cache["dirs"]]
-        assert steps == [[{7}, {7}], [{7}, {1}]]
-        assert [len(c["xs"]) for c in cache["dirs"][1]] == [7 * 6, 7 * 6]
+        assert [c["steps"] for c in cache["layers"]] == [(7, 7), (7, 1)]
+        top = cache["layers"][1]
+        for key in ("c", "tc", "a"):
+            assert top[key].shape == (2, 7, 6, 5)
+            assert top[key][1, 0].any() and not top[key][1, 1:].any(), key
+        assert top["xs"].shape == (2, 7, 6, 8)
         assert cache["relu"][1].shape == cache["drop"][1].shape == (6, 1, 10)
 
     def test_one_step_layer_is_the_first_step_of_the_full_run(self):
         rng = np.random.default_rng(9)
-        params = init_lstm_params(5, 3, rng)
+        params = drawn(5, 3, rng)
         seq = rng.normal(size=(4, 6, 3))
         d_first = rng.normal(size=(4, 1, 5))
-        full, full_cache = lstm_layer_forward(params, seq, 6)
-        one, one_cache = lstm_layer_forward(params, seq, 1)
+        full, full_cache = run_layer(params, seq, 6)
+        one, one_cache = run_layer(params, seq, 1)
         assert one.tobytes() == full[:, :1].tobytes()
         d_full = np.zeros((4, 6, 5))
         d_full[:, :1] = d_first
-        want_seq, want = lstm_layer_backward(params, full_cache, d_full)
-        got_seq, got = lstm_layer_backward(params, one_cache, d_first)
+        want_seq, want = run_layer_backward(params, full_cache, d_full)
+        got_seq, got = run_layer_backward(params, one_cache, d_first)
         assert got_seq.tobytes() == want_seq.tobytes()
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
@@ -507,15 +587,15 @@ class TestNetworkForward:
         bi = build_network(f, hidden1=h1, hidden2=h2, dropout_rate=0.0,
                            bidirectional=True, seed=4)
         for name in ("w_x", "w_a", "b"):
-            getattr(bi.layers[0][0], name)[...] = getattr(uni.layers[0][0], name)
-            getattr(bi.layers[0][1], name)[...] = 0.0
-            getattr(bi.layers[1][1], name)[...] = 0.0
+            getattr(bi.layers[0], name)[0] = getattr(uni.layers[0], name)[0]
+            getattr(bi.layers[0], name)[1] = 0.0
+            getattr(bi.layers[1], name)[1] = 0.0
         # Layer-2 forward sees [fwd_half | bwd_half]; copy the uni input
         # weights over fwd_half and zero the bwd_half columns.
-        bi.layers[1][0].w_x[...] = 0.0
-        bi.layers[1][0].w_x[:, :h1] = uni.layers[1][0].w_x
-        bi.layers[1][0].w_a[...] = uni.layers[1][0].w_a
-        bi.layers[1][0].b[...] = uni.layers[1][0].b
+        bi.layers[1].w_x[0] = 0.0
+        bi.layers[1].w_x[0, :, :h1] = uni.layers[1].w_x[0]
+        bi.layers[1].w_a[0] = uni.layers[1].w_a[0]
+        bi.layers[1].b[0] = uni.layers[1].b[0]
         bi.dense_w[...] = 0.0
         bi.dense_w[:h2] = uni.dense_w
         bi.dense_b[...] = uni.dense_b
@@ -543,9 +623,9 @@ class TestNetworkForward:
 
 class TestInitialization:
     def test_weights_bounded_by_fan_in_and_forget_bias_one(self):
-        params = init_lstm_params(5, 3, np.random.default_rng(0))
+        params = drawn(5, 3, np.random.default_rng(0))
         bound = 1.0 / math.sqrt(8)
-        assert params.w_x.shape == (20, 3) and params.w_a.shape == (20, 5)
+        assert params.w_x.shape == (1, 20, 3) and params.w_a.shape == (1, 20, 5)
         for w in (params.w_x, params.w_a):
             assert np.abs(w).max() <= bound
         np.testing.assert_array_equal(gate_bias(params, "f"), 1.0)
@@ -557,7 +637,7 @@ class TestInitialization:
         # Each gate draws one (h, h+d) block over [a_prev, x], c then u, f,
         # o; the fused arrays are those blocks split by column.
         hidden, input_dim = 4, 3
-        params = init_lstm_params(hidden, input_dim, np.random.default_rng(5))
+        params = cell(drawn(hidden, input_dim, np.random.default_rng(5)))
         rng = np.random.default_rng(5)
         bound = 1.0 / math.sqrt(hidden + input_dim)
         for k in range(4):
@@ -570,7 +650,7 @@ class TestInitialization:
     def test_reused_block_buffer_gives_the_uniform_draws_byte_for_byte(self, dtype):
         hidden, input_dim = 24, 11
         rng = np.random.default_rng(23)
-        params = init_lstm_params(hidden, input_dim, rng, dtype)
+        params = cell(drawn(hidden, input_dim, rng, dtype))
         want_rng = np.random.default_rng(23)
         bound = 1.0 / math.sqrt(hidden + input_dim)
         for k in range(4):
@@ -600,9 +680,9 @@ class TestInitialization:
                                       ("l2f", h2, dirs * h1), ("l2b", h2, dirs * h1)):
             if prefix.endswith("b") and not bidirectional:
                 continue
-            cell = init_lstm_params(hidden, width, rng)
+            one = cell(drawn(hidden, width, rng))
             for name in ("w_x", "w_a", "b"):
-                want[f"{prefix}.{name}"] = getattr(cell, name)
+                want[f"{prefix}.{name}"] = getattr(one, name)
         bound = 1.0 / math.sqrt(dirs * h2)
         want["dense.w"] = rng.uniform(-bound, bound, size=dirs * h2)
         want["dense.b"] = np.zeros(1)
@@ -691,9 +771,9 @@ class TestGradients:
                             bidirectional=bidirectional, seed=2)
         x = np.random.default_rng(5).normal(size=(4, 3, 2))
         preds, cache = network_forward(net, x, "eval")
-        assert cache["dirs"] == cache["relu"] == cache["drop"] == []
+        assert cache["layers"] == cache["relu"] == cache["drop"] == []
         _, train_cache = network_forward(net, x, "train", seed=1)
-        assert len(train_cache["dirs"]) == len(train_cache["relu"]) == 2
+        assert len(train_cache["layers"]) == len(train_cache["relu"]) == 2
         with pytest.raises(DataError, match="needs a cache from a train-mode forward pass"):
             network_backward(net, cache, np.zeros(4))
 
@@ -751,6 +831,30 @@ def in_both_dtypes(cases):
                for case, i in zip(cases, ids)])
 
 
+class FlatSet:
+    """Named arrays end to end in one flat buffer, in the dict's order: what
+    adam_step and init_adam_state read of a network (flat, dtype and
+    param_dict())."""
+
+    def __init__(self, arrays):
+        self.flat = np.concatenate([arr.ravel() for arr in arrays.values()])
+        self.dtype = self.flat.dtype
+        self.arrays = named(arrays, self.flat)
+
+    def param_dict(self):
+        return self.arrays
+
+
+def named(like, flat):
+    """Views of flat in the names, shapes and order of the dict `like`."""
+    views, at = {}, 0
+    for name, arr in like.items():
+        views[name] = flat[at: at + arr.size].reshape(arr.shape)
+        at += arr.size
+    assert at == flat.size
+    return views
+
+
 def chunk_order_sq(grads):
     """The squared global norm in adam_step's order: each array's pieces of
     _CHUNK elements, each piece's np.sum of squares added in turn."""
@@ -768,60 +872,99 @@ def squared_norm_of_step(monkeypatch, grads):
     seen = []
     monkeypatch.setattr(nets, "math", types.SimpleNamespace(
         sqrt=lambda x: seen.append(x) or math.sqrt(x)))
-    params = {k: np.zeros(g.shape) for k, g in grads.items()}
-    adam_step(params, {k: g.copy() for k, g in grads.items()}, init_adam_state(params),
-              TrainConfig())
+    params = FlatSet({k: np.zeros(g.shape) for k, g in grads.items()})
+    adam_step(params, FlatSet(grads), init_adam_state(params), TrainConfig())
     assert len(seen) == 1
     return seen[0]
 
 
+_CHUNK, _UPDATE_BYTES = 32768, 1 << 18  # the piece sizes of the per-array step below
+
+
+def per_array_adam_step(params, grads, m_all, v_all, t, config):
+    """Adam as it ran before the flat buffers: every pass array by array, the
+    norm in each array's _CHUNK-element pieces, the update in each array's
+    _UPDATE_BYTES pieces. The oracle of the flat step, bit for bit."""
+    dtype = np.result_type(np.float32, *params.values())
+    sq = 0.0
+    for g in grads.values():
+        flat = g.reshape(-1)
+        for lo in range(0, flat.size, _CHUNK):
+            piece = flat[lo: lo + _CHUNK]
+            sq += float(np.sum(piece * piece))
+    norm = math.sqrt(sq)
+    factor = config.clip_norm / norm if 0.0 < config.clip_norm < norm else 1.0
+    m_corr, v_corr = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
+    size = _UPDATE_BYTES // dtype.itemsize
+    for name, arr in params.items():
+        flats = [x.reshape(-1) for x in (arr, m_all[name], v_all[name], grads[name])]
+        for lo in range(0, arr.size, size):
+            p, m, v, g = (x[lo: lo + size] for x in flats)
+            tmp = np.empty(len(p), dtype)
+            g *= factor
+            np.multiply(g, 1.0 - config.beta1, out=tmp)
+            m *= config.beta1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - config.beta2
+            v *= config.beta2
+            v += tmp
+            np.divide(v, v_corr, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += config.eps
+            np.divide(m, m_corr, out=g)
+            g *= config.learning_rate
+            g /= tmp
+            p -= g
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
-        params = {"a": np.array([1.0, 2.0, -3.0])}
+        params = FlatSet({"a": np.array([1.0, 2.0, -3.0])})
         g = np.array([0.3, -0.2, 0.05])
         state = init_adam_state(params)
         config = TrainConfig(learning_rate=1e-3, clip_norm=0.0)
-        adam_step(params, {"a": g.copy()}, state, config)
+        adam_step(params, FlatSet({"a": g.copy()}), state, config)
         want = np.array([1.0, 2.0, -3.0]) - 1e-3 * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(params["a"], want, rtol=1e-12)
+        np.testing.assert_allclose(params.arrays["a"], want, rtol=1e-12)
         assert state.step == 1
 
     def test_zero_gradient_leaves_parameters_alone(self):
-        params = {"a": np.array([1.0, -2.0])}
+        params = FlatSet({"a": np.array([1.0, -2.0])})
         state = init_adam_state(params)
-        adam_step(params, {"a": np.zeros(2)}, state, TrainConfig())
-        np.testing.assert_array_equal(params["a"], [1.0, -2.0])
+        adam_step(params, FlatSet({"a": np.zeros(2)}), state, TrainConfig())
+        np.testing.assert_array_equal(params.arrays["a"], [1.0, -2.0])
 
     def test_norm_ten_clipped_to_one_scales_moments_by_tenth(self):
-        params = {"a": np.array([0.0, 0.0])}
+        params = FlatSet({"a": np.array([0.0, 0.0])})
         g = np.array([6.0, 8.0])
         state = init_adam_state(params)
-        adam_step(params, {"a": g.copy()}, state, TrainConfig(clip_norm=1.0))
-        np.testing.assert_allclose(state.m["a"], 0.1 * (1.0 - 0.9) * g, rtol=1e-12)
+        adam_step(params, FlatSet({"a": g.copy()}), state, TrainConfig(clip_norm=1.0))
+        np.testing.assert_allclose(state.m, 0.1 * (1.0 - 0.9) * g, rtol=1e-12)
         np.testing.assert_allclose(
-            state.v["a"], (1.0 - 0.999) * (0.1 * g) ** 2, rtol=1e-12
+            state.v, (1.0 - 0.999) * (0.1 * g) ** 2, rtol=1e-12
         )
 
     def test_gradients_below_the_clip_norm_pass_through(self):
-        params = {"a": np.array([0.0])}
+        params = FlatSet({"a": np.array([0.0])})
         g = np.array([0.5])
         state = init_adam_state(params)
-        adam_step(params, {"a": g.copy()}, state, TrainConfig(clip_norm=1.0))
-        np.testing.assert_allclose(state.m["a"], 0.1 * g, rtol=1e-12)
+        adam_step(params, FlatSet({"a": g.copy()}), state, TrainConfig(clip_norm=1.0))
+        np.testing.assert_allclose(state.m, 0.1 * g, rtol=1e-12)
 
     def test_zero_clip_norm_disables_clipping(self):
-        params = {"a": np.array([0.0, 0.0])}
+        params = FlatSet({"a": np.array([0.0, 0.0])})
         g = np.array([60.0, 80.0])
         state = init_adam_state(params)
-        adam_step(params, {"a": g.copy()}, state, TrainConfig(clip_norm=0.0))
-        np.testing.assert_allclose(state.m["a"], 0.1 * g, rtol=1e-12)
+        adam_step(params, FlatSet({"a": g.copy()}), state, TrainConfig(clip_norm=0.0))
+        np.testing.assert_allclose(state.m, 0.1 * g, rtol=1e-12)
 
     @pytest.mark.parametrize("clip_norm", [0.0, 0.5])
     def test_matches_literal_formula_bit_for_bit(self, clip_norm):
         rng = np.random.default_rng(60)
         shapes = {"w": (4, 3), "b": (4,), "big": (5, 6)}
-        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-        want = {k: arr.copy() for k, arr in params.items()}
+        params = FlatSet({k: rng.normal(size=shape) for k, shape in shapes.items()})
+        want = {k: arr.copy() for k, arr in params.arrays.items()}
         m = {k: np.zeros(shape) for k, shape in shapes.items()}
         v = {k: np.zeros(shape) for k, shape in shapes.items()}
         state = init_adam_state(params)
@@ -838,26 +981,24 @@ class TestAdam:
                 m_hat = m[k] / (1.0 - b1 ** t)
                 v_hat = v[k] / (1.0 - b2 ** t)
                 want[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
-            adam_step(params, {k: g.copy() for k, g in grads.items()}, state, config)
+            adam_step(params, FlatSet(grads), state, config)
+            got_m, got_v = named(params.arrays, state.m), named(params.arrays, state.v)
             for k in shapes:
-                np.testing.assert_array_equal(params[k], want[k])
-                np.testing.assert_array_equal(state.m[k], m[k])
-                np.testing.assert_array_equal(state.v[k], v[k])
+                np.testing.assert_array_equal(params.arrays[k], want[k])
+                np.testing.assert_array_equal(got_m[k], m[k])
+                np.testing.assert_array_equal(got_v[k], v[k])
         assert state.step == 5
 
-    def test_key_and_shape_mismatches_rejected(self):
-        params = {"a": np.zeros(2)}
+    def test_gradients_or_moments_of_another_layout_rejected(self):
+        params = FlatSet({"a": np.zeros(2)})
         state = init_adam_state(params)
-        with pytest.raises(DataError, match="parameter and gradient key sets differ"):
-            adam_step(params, {"b": np.zeros(2)}, state, TrainConfig())
-        with pytest.raises(DataError, match=r"a: parameter \(2,\) vs gradient \(3,\)"):
-            adam_step(params, {"a": np.zeros(3)}, state, TrainConfig())
-
-    def test_non_contiguous_arrays_rejected(self):
-        params = {"a": np.zeros((3, 2))}
-        state = init_adam_state(params)
-        with pytest.raises(DataError, match="a: parameter and gradient must be C-contiguous"):
-            adam_step(params, {"a": np.zeros((2, 3)).T}, state, TrainConfig())
+        for grads in (FlatSet({"a": np.zeros(3)}), FlatSet({"a": np.zeros(2, np.float32)})):
+            with pytest.raises(DataError, match="must share one layout"):
+                adam_step(params, grads, state, TrainConfig())
+        state.m = np.zeros(3)
+        with pytest.raises(DataError, match="must share one layout"):
+            adam_step(params, FlatSet({"a": np.zeros(2)}), state, TrainConfig())
+        assert state.step == 0
 
     @pytest.mark.parametrize("n", [1, 7, 8, 129, nets._CHUNK - 1, nets._CHUNK, nets._CHUNK + 1,
                                    2 * nets._CHUNK + 8, 4_000_001])
@@ -882,15 +1023,15 @@ class TestAdam:
         # w spans seven norm pieces, and four update pieces in float32 (seven in float64)
         shapes = {"w": (3 * nets._UPDATE_BYTES // 32 + 5, 8), "b": (40,)}
         rng = np.random.default_rng(61)
-        params = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
-        want = {k: arr.copy() for k, arr in params.items()}
+        params = FlatSet({k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()})
+        want = {k: arr.copy() for k, arr in params.arrays.items()}
         m = {k: np.zeros(shape, dtype) for k, shape in shapes.items()}
         v = {k: np.zeros(shape, dtype) for k, shape in shapes.items()}
         state = init_adam_state(params)
         config = TrainConfig(learning_rate=3e-3, clip_norm=clip_norm)
         for t in range(1, 4):
             grads = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
-            step = {k: g.copy() for k, g in grads.items()}
+            step = FlatSet(grads)
             # the whole-array arithmetic, one operation at a time
             norm = math.sqrt(chunk_order_sq(grads))
             factor = clip_norm / norm if 0.0 < clip_norm < norm else 1.0
@@ -911,10 +1052,40 @@ class TestAdam:
                 g /= tmp
                 want[k] -= g
             adam_step(params, step, state, config)
+            got_m, got_v = named(params.arrays, state.m), named(params.arrays, state.v)
             for k in shapes:
-                assert params[k].tobytes() == want[k].tobytes()
-                assert state.m[k].tobytes() == m[k].tobytes()
-                assert state.v[k].tobytes() == v[k].tobytes()
+                assert params.arrays[k].tobytes() == want[k].tobytes()
+                assert got_m[k].tobytes() == m[k].tobytes()
+                assert got_v[k].tobytes() == v[k].tobytes()
+
+    # (h1, h2): l2f.w_a spans 5 and 29 norm pieces; the 285k and 1.87M
+    # parameters span 5 and 29 float32 update pieces (9 and 58 float64), and
+    # at (300, 480) the step is split on 2 CPUs
+    @pytest.mark.parametrize("widths, clip_norm, dtype", in_both_dtypes(
+        [((100, 200), 0.0), ((100, 200), 1e-3), ((300, 480), 1.0)]))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_flat_step_equals_the_per_array_step_byte_for_byte(self, monkeypatch, cpus,
+                                                               widths, clip_norm, dtype):
+        split_on(monkeypatch, cpus)
+        net = build_network(10, *widths, seed=5, dtype=dtype)
+        grads = net.zeros_like()
+        rng = np.random.default_rng(widths[0])
+        want = {k: arr.copy() for k, arr in net.param_dict().items()}
+        m = {k: np.zeros_like(arr) for k, arr in want.items()}
+        v = {k: np.zeros_like(arr) for k, arr in want.items()}
+        state = init_adam_state(net)
+        config = TrainConfig(learning_rate=3e-3, clip_norm=clip_norm)
+        for t in range(1, 4):
+            grads.flat[:] = rng.normal(size=grads.flat.size) * rng.uniform(0.1, 3.0)
+            per_array = {k: g.copy() for k, g in grads.param_dict().items()}
+            per_array_adam_step(want, per_array, m, v, t, config)
+            adam_step(net, grads, state, config)
+        got = net.param_dict()
+        got_m, got_v = named(want, state.m), named(want, state.v)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+            assert got_m[k].tobytes() == m[k].tobytes(), k
+            assert got_v[k].tobytes() == v[k].tobytes(), k
 
 
 def split_on(monkeypatch, cpus):
@@ -949,16 +1120,20 @@ RECURRENT_PAPER_PRODUCTS = [
 ]
 
 
-def whole_product_layer(params, seq, d_out):
-    """The layer's forward and backward time loops as one block runs them:
-    one whole (m, h) @ (h, 4h) product per forward step and one whole
-    (m, 4h) @ (4h, h) product per backward step. Returns (out, d_gates)."""
-    m, length, _ = seq.shape
+def per_direction_layer(params, seq, steps, d_out):
+    """One direction's layer pass as the loops ran before directions were
+    stacked: its own input projection, its first `steps` steps with one
+    whole (m, h) @ (h, 4h) product per forward step and one whole
+    (m, 4h) @ (4h, h) product per backward step, then the gradients as
+    whole products over all L*m rows. params holds one direction's 2-D
+    arrays (cell), d_out is (m, steps, h). Returns (out (m, steps, h),
+    d_seq (m, L, d), {"w_x": ..., "w_a": ..., "b": ...})."""
+    m, length, d = seq.shape
     h = params.hidden
-    xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, -1)
-    gates = (xs @ params.w_x.T).reshape(length, m, 4 * h)
-    c_all, tc, out = (np.empty((length, m, h), seq.dtype) for _ in range(3))
-    for t in range(length):
+    xs = np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(length * m, d)
+    gates = (xs @ params.w_x.T).reshape(length, m, 4 * h)[:steps]
+    c_all, tc, out = (np.empty((steps, m, h), seq.dtype) for _ in range(3))
+    for t in range(steps):
         g = gates[t]
         g += params.b
         if t:
@@ -974,9 +1149,9 @@ def whole_product_layer(params, seq, d_out):
             c_all[t] += g[:, 2 * h: 3 * h] * c_all[t - 1]
         np.tanh(c_all[t], out=tc[t])
         np.multiply(g[:, 3 * h:], tc[t], out=out[t])
-    d_gates = np.empty_like(gates)
+    d_gates = np.zeros((length, m, 4 * h), seq.dtype)
     da, dc = np.zeros((m, h), seq.dtype), np.zeros((m, h), seq.dtype)
-    for t in range(length - 1, -1, -1):
+    for t in range(steps - 1, -1, -1):
         g, dg = gates[t], d_gates[t]
         cand, gu, gf, go = g[:, :h], g[:, h: 2 * h], g[:, 2 * h: 3 * h], g[:, 3 * h:]
         da += d_out[:, t, :]
@@ -992,7 +1167,34 @@ def whole_product_layer(params, seq, d_out):
             da = dg @ params.w_a
         else:
             dg[:, 2 * h: 3 * h] = 0.0
-    return out, d_gates
+    rows = d_gates.reshape(length * m, 4 * h)
+    grads = {"w_x": rows.T @ xs, "w_a": rows[m: steps * m].T @ out[:-1].reshape(-1, h),
+             "b": rows.sum(axis=0)}
+    d_seq = (rows @ params.w_x).reshape(length, m, d).transpose(1, 0, 2)
+    return out.transpose(1, 0, 2), d_seq, grads
+
+
+def per_direction_reference(layer, seq, top, d_out):
+    """A layer's forward and backward pass as they ran before stacking: a
+    loop over its directions, each through per_direction_layer, the
+    backward direction on the reversed sequence and, in the top layer, for
+    one step. Returns (output, d_seq, one gradient dict per direction)."""
+    length, h = seq.shape[1], layer.hidden
+    outs, parts, grads = [], [], []
+    for j, step in zip(range(layer.directions), (1, -1)):
+        steps = 1 if top and step < 0 else length
+        d_dir = d_out[:, ::step, j * h: (j + 1) * h]
+        if d_dir.shape[1] < steps:  # the top layer's forward direction
+            padded = np.zeros((len(d_out), steps, h), d_out.dtype)
+            padded[:, -1:] = d_dir
+            d_dir = padded
+        out, d_seq, g = per_direction_layer(cell(layer, j), seq[:, ::step], steps, d_dir)
+        out = out[:, ::step]
+        outs.append(out[:, -1:] if top else out)
+        parts.append(d_seq[:, ::step])
+        grads.append(g)
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
+    return out, (parts[0] if len(parts) == 1 else parts[0] + parts[1]), grads
 
 
 def column_blocks(a, b, count):
@@ -1019,7 +1221,7 @@ class TestThreadedSplit:
         a, b = a.astype(dtype), b.astype(dtype)  # keeps a transposed operand's layout
         counts = split_on(monkeypatch, 2)
         monkeypatch.setattr(_pool, "_BLOCK_WORK", 1)  # split the small ones too
-        assert nets._matmul(a, b).tobytes() == (a @ b).tobytes()
+        assert nets._matmul(a[None], b[None])[0].tobytes() == (a @ b).tobytes()
         assert counts == [2]
 
     # a scan: every product cut into 2, 3 and 4 column blocks, whichever
@@ -1046,7 +1248,7 @@ class TestThreadedSplit:
         for m in (32, 600):
             a = rng.normal(size=(m, 2000))
             counts = split_on(monkeypatch, 3)
-            assert nets._matmul(a, b).tobytes() == (a @ b).tobytes()
+            assert nets._matmul(a[None], b[None])[0].tobytes() == (a @ b).tobytes()
             assert counts == [1]
 
     # the per-step products of the paper's widths, split by hidden unit:
@@ -1084,22 +1286,52 @@ class TestThreadedSplit:
         [(32, 600), (15, 600), (32, 800), (32, 700), (32, 32)]))
     def test_layer_passes_byte_identical_on_one_and_two_cpus(self, monkeypatch, m, h, dtype):
         rng = np.random.default_rng(m)
-        params = init_lstm_params(h, 24, rng, dtype)
+        params = drawn(h, 24, rng, dtype)
         seq = rng.normal(size=(m, 7, 24)).astype(dtype)
         d_out = rng.normal(size=(m, 7, h)).astype(dtype)
         runs = []
         for cpus in (1, 2):
             counts = split_on(monkeypatch, cpus)
-            out, cache = lstm_layer_forward(params, seq, 7)
-            d_seq, grads = lstm_layer_backward(params, cache, d_out)
+            out, cache = run_layer(params, seq, 7)
+            d_seq, grads = run_layer_backward(params, cache, d_out)
             runs.append([out.tobytes(), d_seq.tobytes()] + [g.tobytes() for g in grads.values()])
             work = m * 4 * h * h
             want = 1 if h % 8 or work < 1 << 24 else min(cpus, work >> 23)
             assert len(counts) == 6 and counts[1] == counts[2] == want  # the time loops
         assert runs[0] == runs[1]
-        want_out, want_d_gates = whole_product_layer(params, seq, d_out)
-        assert out.tobytes() == want_out.transpose(1, 0, 2).tobytes()
-        assert grads["b"].tobytes() == want_d_gates.reshape(-1, 4 * h).sum(axis=0).tobytes()
+        want_out, want_seq, want = per_direction_layer(cell(params), seq, 7, d_out)
+        assert out.tobytes() == want_out.tobytes()
+        assert d_seq.tobytes() == want_seq.tobytes()
+        for name, g in want.items():
+            assert grads[name].tobytes() == g.tobytes(), name
+
+    # the stack of a Bi-LSTM layer against its directions run one at a
+    # time: the widths of the tests, the reference and all_models runs and
+    # the paper, where the loops split by unit on 2 CPUs; the top layer
+    # narrows to its forward direction after step 0
+    @pytest.mark.parametrize("h, top, dtype", in_both_dtypes(
+        [(h, top) for h in (2, 16, 32, 800, 1000) for top in (False, True)]))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_stacked_layer_equals_the_per_direction_loops_byte_for_byte(
+            self, monkeypatch, cpus, h, top, dtype):
+        m, length = (16, 3) if h >= 800 else (32, 7)
+        rng = np.random.default_rng(h + top)
+        layer = drawn(h, 24, rng, dtype, directions=2)
+        layer.b[:] = rng.uniform(-0.5, 0.5, size=layer.b.shape)
+        seq = rng.normal(size=(m, length, 24)).astype(dtype)
+        d_out = rng.normal(size=(m, 1 if top else length, 2 * h)).astype(dtype)
+        want_out, want_seq, want = per_direction_reference(layer, seq, top, d_out)
+        counts = split_on(monkeypatch, cpus)
+        out, cache = layer_forward(layer, seq, top)
+        grads = stack(h, 24, 2, dtype)
+        d_seq = layer_backward(layer, cache, d_out, grads)
+        work = m * 4 * h * h
+        assert counts[1] == counts[2] == (min(cpus, work >> 23) if work >= 1 << 24 else 1)
+        assert out.tobytes() == want_out.tobytes()
+        assert d_seq.tobytes() == want_seq.tobytes()
+        for j, g in enumerate(want):
+            for name in ("w_x", "w_a", "b"):
+                assert getattr(grads, name)[j].tobytes() == g[name].tobytes(), (j, name)
 
     @pytest.mark.parametrize("clip_norm, dtype", in_both_dtypes([(0.0,), (1.0,)]))
     def test_multi_chunk_adam_step_byte_identical_on_one_and_two_cpus(self, monkeypatch,
@@ -1116,12 +1348,11 @@ class TestThreadedSplit:
         for cpus in (1, 2):
             counts = split_on(monkeypatch, cpus)
             monkeypatch.setattr(_pool, "_BLOCK_WORK", 1)
-            params = {k: arr.copy() for k, arr in start.items()}
+            params = FlatSet(start)
             state = init_adam_state(params)
             for grads in steps:
-                adam_step(params, {k: g.copy() for k, g in grads.items()}, state, config)
-            runs.append([arr.tobytes() for group in (params, state.m, state.v)
-                         for arr in group.values()])
+                adam_step(params, FlatSet(grads), state, config)
+            runs.append([params.flat.tobytes(), state.m.tobytes(), state.v.tobytes()])
             assert counts == [cpus] * 6  # the norm and the update of each step
         assert runs[0] == runs[1]
 
@@ -1177,18 +1408,18 @@ class TestFloat32:
         assert d_preds.dtype == np.float64
         with monkeypatch.context() as patch:
             seen_after = numpy_recording_results(patch, nets)
-            grads = network_backward(net, cache, d_preds)
-            state = init_adam_state(params)
-            adam_step(params, grads, state, TrainConfig(clip_norm=1e-3))
+            grad_set = net.zeros_like()
+            grads = network_backward(net, cache, d_preds, grad_set)
+            state = init_adam_state(net)
+            adam_step(net, grad_set, state, TrainConfig(clip_norm=1e-3))
             eval_preds, eval_cache = network_forward(net, inputs)
         for results in (seen, seen_after):
             assert results and {dtype for _, dtype in results} == {np.dtype(np.float32)}, results
-        arrays = (float_arrays(cache) + list(grads.values()) + list(state.m.values())
-                  + list(state.v.values()) + list(params.values())
-                  + float_arrays(eval_cache) + [preds, eval_preds])
-        assert len(float_arrays(cache)) > 20 and all(mask is not None for mask in cache["drop"])
+        arrays = (float_arrays(cache) + list(grads.values()) + [state.m, state.v, net.flat]
+                  + list(params.values()) + float_arrays(eval_cache) + [preds, eval_preds])
+        assert len(float_arrays(cache)) > 10 and all(mask is not None for mask in cache["drop"])
         assert {arr.dtype for arr in arrays} == {np.dtype(np.float32)}
-        assert state.m["l1b.w_a"].any() and state.v["l2f.w_x"].any()
+        assert named(params, state.m)["l1b.w_a"].any() and named(params, state.v)["l2f.w_x"].any()
 
     def test_train_keeps_the_net_float32(self):
         rng = np.random.default_rng(71)
@@ -1318,7 +1549,7 @@ class TestSaveLoad:
         path = str(tmp_path / "net.bin")
         save_network(net, path)
         back = load_network(path)
-        assert [len(layer) for layer in back.layers] == [1 + bidirectional] * 2
+        assert [layer.directions for layer in back.layers] == [1 + bidirectional] * 2
         assert back.dropout_rate == 0.15
         x = np.random.default_rng(8).normal(size=(4, 3, 3))
         want, _ = network_forward(net, x)
@@ -1342,6 +1573,21 @@ class TestSaveLoad:
             want, _ = network_forward(net, x, mode, seed=4)
             got, _ = network_forward(back, x, mode, seed=4)
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bidirectional, dtype", in_both_dtypes([(True,), (False,)]))
+    def test_checkpoint_bytes_equal_the_per_array_layout(self, tmp_path, bidirectional, dtype):
+        # each parameter saved as an array of its own, as before the one buffer
+        net = build_network(4, hidden1=5, hidden2=6, dropout_rate=0.3,
+                            bidirectional=bidirectional, seed=23, dtype=dtype)
+        rng = np.random.default_rng(24)
+        net, _ = train(net, rng.normal(size=(10, 3, 4)), rng.normal(size=10),
+                       TrainConfig(epochs=1, batch_size=4))
+        save_network(net, str(tmp_path / "net.bin"))
+        arrays = {name: arr.copy() for name, arr in net.param_dict().items()}
+        _binio.save(str(tmp_path / "arrays.bin"), "network", {"dropout_rate": 0.3}, arrays)
+        assert (tmp_path / "net.bin").read_bytes() == (tmp_path / "arrays.bin").read_bytes()
+        back = load_network(str(tmp_path / "arrays.bin"))
+        assert back.flat.tobytes() == net.flat.tobytes()
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
         # A v1 file stored eight per-gate arrays per direction behind the old

@@ -290,8 +290,8 @@ class TestStagedRun:
         assert isinstance(svr, baselines.SvrModel)
         assert isinstance(lstm, nets.BiLstmNetwork)
         assert isinstance(prop, nets.BiLstmNetwork)
-        assert [len(layer) for layer in lstm.layers] == [1, 1]
-        assert [len(layer) for layer in prop.layers] == [2, 2]
+        assert [layer.directions for layer in lstm.layers] == [1, 1]
+        assert [layer.directions for layer in prop.layers] == [2, 2]
         # the networks train and are stored in float32, the baselines in float64
         assert lstm.dtype == prop.dtype == np.float32
         assert lr.weights.dtype == svr.support_vectors.dtype == np.float64
