@@ -8,8 +8,10 @@ The header is UTF-8 JSON: {"kind": str, "meta": {...}, "arrays": [[name,
 dtype, shape], ...]}. JSON round-trips floats exactly (NaN and 1e308
 included), so scalars live in meta. The arrays follow back to back in
 header order as raw C-order bytes; `load` reads each one with `readinto`
-straight into its final storage. `load_meta` stops after the header, with
-the same checks, the file size against the array specs included.
+straight into the storage its kind's loader lays out for it: a new array
+(`empty`), or a view of a buffer the artifact already holds. `load_meta`
+stops after the header, with the same checks, the file size against the
+array specs included.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ _PREFIX = struct.Struct("<4sHI")
 _DTYPES = ("<f8", "<f4", "<i8")
 
 T = TypeVar("T")
+Spec = tuple[str, np.dtype, tuple[int, ...]]  # an array's name, native dtype and shape
 
 
 def save(path: str, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -48,7 +51,7 @@ def save(path: str, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> Non
             f.write(memoryview(arr.reshape(-1)).cast("B"))
 
 
-def _read_header(f: BinaryIO, path: str, kind: str) -> tuple[dict, list[tuple]]:
+def _read_header(f: BinaryIO, path: str, kind: str) -> tuple[dict, list[Spec]]:
     """Check the prefix, the header and the file size; return (meta, specs)
     with f positioned at the first array."""
     prefix = f.read(_PREFIX.size)
@@ -76,7 +79,8 @@ def _read_header(f: BinaryIO, path: str, kind: str) -> tuple[dict, list[tuple]]:
     for name, dtype, shape in specs:
         if dtype not in _DTYPES or not all(type(d) is int and d >= 0 for d in shape):
             raise DataError(f"{path}: array {name!r}: bad dtype {dtype!r} or shape {shape}")
-    body = sum(math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in specs)
+    specs = [(name, np.dtype(dtype).newbyteorder("="), shape) for name, dtype, shape in specs]
+    body = sum(math.prod(shape) * dtype.itemsize for _, dtype, shape in specs)
     have = size - f.tell()
     if have != body:
         raise DataError(f"{path}: truncated or padded: arrays want {body} bytes, "
@@ -91,25 +95,40 @@ def _build(path: str, kind: str, build: Callable[..., T], *parts) -> T:
         raise DataError(f"{path}: malformed {kind} artifact: {exc!r}") from exc
 
 
-def load(path: str, kind: str, build: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
-    """Read a container of `kind` and return build(meta, arrays).
+def empty(specs: list[Spec]) -> dict[str, np.ndarray]:
+    """A new array for each spec, by name: the storage of an artifact that
+    holds its arrays as they are read."""
+    return {name: np.empty(shape, dtype) for name, dtype, shape in specs}
+
+
+def load(path: str, kind: str,
+         build: Callable[[dict, list[Spec]], tuple[T, dict[str, np.ndarray]]]) -> T:
+    """Read a container of `kind` and return the artifact of build(meta,
+    specs), which returns it with the arrays to read into: one C-contiguous
+    array per spec, by name, in the file's order, of its dtype and shape.
+    Each is filled with `readinto` after build returns, so the artifact may
+    hold them as views of one buffer.
 
     Raises DataError on a wrong magic, version or kind, a malformed or
-    truncated file, or contents that `build` cannot assemble."""
+    truncated file, a header that `build` cannot lay out, or arrays that
+    are not the ones the layout holds, in its order and shapes."""
     with open(path, "rb") as f:
         meta, specs = _read_header(f, path, kind)
-        arrays = {}
-        for name, dtype, shape in specs:
-            arr = np.empty(shape, dtype=np.dtype(dtype).newbyteorder("="))
-            view = memoryview(arr.reshape(-1)).cast("B")
+        artifact, arrays = _build(path, kind, build, meta, specs)
+        if len(arrays) != len(specs):
+            raise DataError(f"{path}: {len(specs)} arrays, expected {len(arrays)}")
+        for (name, dtype, shape), (want, arr) in zip(specs, arrays.items()):
+            if (name, dtype, shape) != (want, arr.dtype, arr.shape):
+                raise DataError(f"{path}: array {name!r} {dtype} {shape} where "
+                                f"{want!r} {arr.dtype} {arr.shape} belongs")
+            view = memoryview(arr).cast("B")
             got = f.readinto(view)
             if got != view.nbytes:
                 raise DataError(f"{path}: truncated: array {name!r} wants {view.nbytes} "
                                 f"bytes, got {got}")
             if sys.byteorder != "little":
                 arr.byteswap(inplace=True)
-            arrays[name] = arr
-    return _build(path, kind, build, meta, arrays)
+    return artifact
 
 
 def load_meta(path: str, kind: str, build: Callable[[dict], T]) -> T:

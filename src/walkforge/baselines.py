@@ -322,8 +322,11 @@ def save_linear(model: LinearModel, path: str) -> None:
 
 
 def load_linear(path: str) -> LinearModel:
-    return _binio.load(path, "linear", lambda meta, arrays: LinearModel(
-        weights=arrays["weights"], bias=float(meta["bias"])))
+    def build(meta: dict, specs: list[_binio.Spec]) -> tuple[LinearModel, dict]:
+        arrays = _binio.empty(specs)
+        return LinearModel(weights=arrays["weights"], bias=float(meta["bias"])), arrays
+
+    return _binio.load(path, "linear", build)
 
 
 def save_svr(model: SvrModel, path: str) -> None:
@@ -338,7 +341,11 @@ def save_svr(model: SvrModel, path: str) -> None:
 
 
 def load_svr(path: str) -> SvrModel:
-    return _binio.load(path, "svr", lambda meta, arrays: SvrModel(**meta, **arrays))
+    def build(meta: dict, specs: list[_binio.Spec]) -> tuple[SvrModel, dict]:
+        arrays = _binio.empty(specs)
+        return SvrModel(**meta, **arrays), arrays
+
+    return _binio.load(path, "svr", build)
 
 
 def load_svr_status(path: str) -> tuple[bool, int]:

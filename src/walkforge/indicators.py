@@ -261,10 +261,10 @@ def save_cache(matrix: FeatureMatrix, path: str) -> None:
 
 
 def load_cache(path: str) -> FeatureMatrix:
-    def build(meta: dict, arrays: dict[str, np.ndarray]) -> FeatureMatrix:
-        names = tuple(meta["names"])
+    def build(meta: dict, specs: list[_binio.Spec]) -> tuple[FeatureMatrix, dict]:
+        names, arrays = tuple(meta["names"]), _binio.empty(specs)
         if len(names) != arrays["values"].shape[1]:
             raise ValueError(f"{len(names)} names for {arrays['values'].shape[1]} columns")
-        return FeatureMatrix(names=names, usable_from=int(meta["usable_from"]), **arrays)
+        return FeatureMatrix(names=names, usable_from=int(meta["usable_from"]), **arrays), arrays
 
     return _binio.load(path, "features", build)

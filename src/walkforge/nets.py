@@ -112,9 +112,26 @@ def _split_work(m: int, k: int, n: int) -> int:
     scans; in float32 none differed, so the rule is conservative there).
     A time loop split by hidden units takes the rule of its backward step's
     product (m, 4h) @ (4h, h): with h a multiple of 8, each gate's block of
-    units also starts on a group of 8 columns of the forward step's
-    (m, h) @ (h, 4h). A stack of directions is weighed as one direction."""
+    units also starts on a group of 8 rows of the forward step's
+    (4h, h) @ (h, m). A stack of directions is weighed as one direction."""
     return m * k * n if n % 8 == 0 else 0
+
+
+# The batch rows up to which a float64 forward step's unit blocks kept the
+# bits of its whole product whatever the row count (see _forward_split_work).
+_F64_SPLIT_ROWS = 192
+
+
+def _forward_split_work(m: int, h: int, dtype: np.dtype) -> int:
+    """The work run_lockstep weighs to split lstm_layer_forward's loop by
+    hidden units: the rule of _split_work, and in float64 also m at most
+    _F64_SPLIT_ROWS or a multiple of 8. Past that, a float64 step's
+    (4h, h) @ (h, m) product got other bits in unit blocks than whole when
+    m % 8 != 0; no float32 one did (README "Inside one fit" has the
+    scans)."""
+    if dtype == np.float64 and m > _F64_SPLIT_ROWS and m % 8:
+        return 0
+    return _split_work(m, 4 * h, h)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -163,14 +180,20 @@ def lstm_layer_forward(params: LstmParams, xs: np.ndarray,
     loop, so each step makes one stacked recurrent GEMM; the projection
     keeps its L*m rows, and so its bits, whatever the steps are. The bias
     is added to every step's projection at once, before the loop, and each
-    step's gate arithmetic is a few calls over (k, m, 4, h). A split loop
-    gives each thread a block of hidden units for every step: the thread
-    computes its units' columns of the four gates' recurrent products, one
-    stacked matmul over w_a's rows for them, and then their gate and cell
-    arithmetic. The threads advance in lockstep, each waiting before it
-    reads the previous step's whole output. One block makes each
-    direction's whole (m, h) @ (h, 4h) product per step, as the per-gate
-    products at small widths do not give its bits."""
+    step's gate arithmetic is a few calls over (k, m, 4, h). Each step's
+    recurrent product is w_a @ a_prev^T, the weight on the left: at a few
+    dozen rows OpenBLAS packs far less of it that way than for
+    a_prev @ w_a^T, and the two give the same bits in float32 (in float64
+    only up to 128 rows or when m is a multiple of 8; README "Inside one
+    fit"). It lands in a (k, 4, units, m) buffer whose transposed view is
+    added to the gates. A split loop gives each thread a block of hidden
+    units for every step: the thread computes its units' rows of the four
+    gates' recurrent products, one stacked matmul over w_a's rows for them,
+    and then their gate and cell arithmetic. The threads advance in
+    lockstep, each waiting before it reads the previous step's whole
+    output. One block makes each direction's whole (4h, h) @ (h, m)
+    product per step, as the per-gate products at small widths do not give
+    its bits."""
     k, length, m, d = xs.shape
     h = params.hidden
     if d != params.input_dim:
@@ -186,24 +209,28 @@ def lstm_layer_forward(params: LstmParams, xs: np.ndarray,
         g_all = gates[:, : len(active), ..., units]  # (k, S, m, 4, units): c, u, f, o
         g_all += bias[..., units]
         c_units, tc_units, out_units = c_all[..., units], tc[..., units], out[..., units]
-        rec = np.empty((k, m, 4, hi - lo), dtype=gates.dtype)  # a step's recurrent products
+        # a step's recurrent products, w_a's rows for these units times a_prev^T,
+        # and their view in the gates' order
+        rec = np.empty((k, 4, hi - lo, m), dtype=gates.dtype)
+        rec_t = rec.transpose(0, 3, 1, 2)
         # for gates c, u, f, o: the sigmoids' halving and one, and for the candidate 1 and
         # -0.0, which change no bit of its tanh, so each step's activations are whole-row
         # calls; full-size, since a broadcast operand makes numpy loop row by row
-        half, one = np.empty_like(rec), np.empty_like(rec)
+        half, one = (np.empty((k, m, 4, hi - lo), dtype=gates.dtype) for _ in range(2))
         half[...] = np.array([1.0, 0.5, 0.5, 0.5], dtype=gates.dtype)[:, None]
         one[...] = np.array([-0.0, 1.0, 1.0, 1.0], dtype=gates.dtype)[:, None]
+        a_prev = out.transpose(0, 1, 3, 2)  # (k, S, h, m)
         if hi - lo == h:
-            a_prev, w_rec, rec_out = out, params.w_a.transpose(0, 2, 1), rec.reshape(k, m, 4 * h)
-        else:  # (k, 1, m, h) @ (k, 4, h, units) for each gate's rows of these units
-            a_prev, rec_out = out[:, :, None], rec.transpose(0, 2, 1, 3)
-            w_rec = params.w_a.reshape(k, 4, h, h)[:, :, units].transpose(0, 1, 3, 2)
+            w_rec, rec_out = params.w_a, rec.reshape(k, 4 * h, m)
+        else:  # (k, 4, units, h) @ (k, 1, h, m): each gate's rows of these units
+            w_rec, rec_out = params.w_a.reshape(k, 4, h, h)[:, :, units], rec
+            a_prev = a_prev[:, :, None]
         for t, n in enumerate(active):
             g = g_all[:n, t]
             if t:
                 wait()  # every block has written out[:, t - 1]
-                np.matmul(a_prev[:n, t - 1], w_rec[:n], out=rec_out[:n])
-                g += rec[:n]
+                np.matmul(w_rec[:n], a_prev[:n, t - 1], out=rec_out[:n])
+                g += rec_t[:n]
             g *= half[:n]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
             np.tanh(g, out=g)
             g += one[:n]
@@ -215,7 +242,7 @@ def lstm_layer_forward(params: LstmParams, xs: np.ndarray,
             np.tanh(c, out=tc_units[:n, t])
             np.multiply(g[..., 3, :], tc_units[:n, t], out=out_units[:n, t])
 
-    _pool.run_lockstep(loop, h, _split_work(m, 4 * h, h), _ALIGN)
+    _pool.run_lockstep(loop, h, _forward_split_work(m, h, gates.dtype), _ALIGN)
     if not np.isfinite(out).all():
         raise NumericError("non-finite activation in lstm layer")
     cache = {"xs": xs, "gates": gates, "c": c_all, "tc": tc, "a": out, "steps": steps}
@@ -601,7 +628,7 @@ _CHUNK = 32768
 _UPDATE_BYTES = 1 << 18
 
 # Element operations per parameter in one Adam step, as the work run_blocks
-# weighs: the update makes 15 passes over the chunk and the norm one more.
+# weighs: the update makes up to 15 passes over the chunk and the norm one more.
 _ADAM_OPS = 16
 
 
@@ -614,19 +641,20 @@ def adam_step(
     """One bias-corrected Adam update after global-norm clipping.
 
     The parameters, the gradients (a params.zeros_like() set) and the
-    moments share one flat layout and are updated in place: the gradient
-    buffer is overwritten with the step. The squares for the global norm
-    go through each parameter array in pieces of _CHUNK elements, in
+    moments share one flat layout; the parameters and moments are updated
+    in place, and the gradients are only read. The squares for the global
+    norm go through each parameter array in pieces of _CHUNK elements, in
     param_dict order (which is the flat order); the squared norm is the sum
     of each piece's np.sum(g * g), in that order, so it does not depend on
     the thread count, and for an array of one piece it is np.sum(g * g).
     The update goes through the one flat span in pieces of _UPDATE_BYTES.
     Both passes are split over threads by run_blocks; each block keeps its
-    temporaries in a one-piece work buffer of its own, in the parameters'
-    dtype, and each piece runs all of its operations before the next. The
-    arithmetic, operation for operation, is
+    temporaries in work buffers of its own, of one piece or its whole span
+    if that is shorter, in the parameters' dtype, and each piece runs all
+    of its operations before the next. The arithmetic, operation for
+    operation, is
 
-        g = grad * factor
+        g = grad * factor  (skipped when the step is not clipped: factor 1)
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * (g * g)
         param -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
@@ -648,7 +676,7 @@ def adam_step(
     squares = [0.0] * len(norm_pieces)
 
     def square_sums(first: int, last: int) -> None:
-        buf = np.empty(_CHUNK, dtype=dtype)
+        buf = np.empty(min(_CHUNK, flat.size), dtype=dtype)
         for j in range(first, last):
             lo, hi = norm_pieces[j]
             g = g_flat[lo:hi]
@@ -671,12 +699,15 @@ def adam_step(
     size = _UPDATE_BYTES // dtype.itemsize
 
     def update(first: int, last: int) -> None:
-        buf = np.empty(size, dtype=dtype)
+        # the scaled gradient, then the step; and the moments' temporaries
+        step_buf, tmp_buf = (np.empty(min(size, flat.size - first * size), dtype=dtype)
+                             for _ in range(2))
         for j in range(first, last):
             lo, hi = j * size, min((j + 1) * size, flat.size)
             p, m, v, g = flat[lo:hi], state.m[lo:hi], state.v[lo:hi], g_flat[lo:hi]
-            tmp = buf[: hi - lo]
-            g *= factor
+            step, tmp = step_buf[: hi - lo], tmp_buf[: hi - lo]
+            if factor != 1.0:
+                g = np.multiply(g, factor, out=step)
             np.multiply(g, 1.0 - config.beta1, out=tmp)
             m *= config.beta1
             m += tmp
@@ -687,10 +718,10 @@ def adam_step(
             np.divide(v, v_corr, out=tmp)
             np.sqrt(tmp, out=tmp)
             tmp += config.eps
-            np.divide(m, m_corr, out=g)
-            g *= config.learning_rate
-            g /= tmp
-            p -= g
+            np.divide(m, m_corr, out=step)
+            step *= config.learning_rate
+            step /= tmp
+            p -= step
 
     _pool.run_blocks(update, -(-flat.size // size), ops)
     return params, state
@@ -745,18 +776,18 @@ def save_network(net: BiLstmNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> BiLstmNetwork:
-    """Inverse of save_network: the arrays read from the file are copied
-    into a new network's buffer, so no initial weights are drawn."""
+    """Inverse of save_network: a new network is laid out from the shapes
+    of the file's first arrays, and the file's arrays are read straight
+    into its buffer, which holds them end to end in the file's order. No
+    initial weights are drawn and nothing is copied; a file whose arrays
+    are not that layout's, in its order, raises DataError."""
 
-    def build(meta: dict, arrays: dict[str, np.ndarray]) -> BiLstmNetwork:
-        w_x = arrays["l1f.w_x"]
-        hiddens = (arrays["l1f.w_a"].shape[1], arrays["l2f.w_a"].shape[1])
-        net = _network(w_x.shape[1], hiddens, 2 if "l1b.b" in arrays else 1,
-                       float(meta["dropout_rate"]), w_x.dtype)
-        for name, arr in net.param_dict().items():
-            if arrays[name].shape != arr.shape:
-                raise ValueError(f"{name}: shape {arrays[name].shape}, expected {arr.shape}")
-            arr[...] = arrays[name]
-        return net
+    def build(meta: dict, specs: list[_binio.Spec]) -> tuple[BiLstmNetwork, dict]:
+        shapes = {name: (dtype, shape) for name, dtype, shape in specs}
+        dtype, (_, input_dim) = shapes["l1f.w_x"]
+        hiddens = (shapes["l1f.w_a"][1][1], shapes["l2f.w_a"][1][1])
+        net = _network(input_dim, hiddens, 2 if "l1b.b" in shapes else 1,
+                       float(meta["dropout_rate"]), dtype)
+        return net, net.param_dict()
 
     return _binio.load(path, "network", build)

@@ -78,6 +78,8 @@ class RunConfig:
             raise ConfigError(f"synthetic row count must be >= 1, got {self.synthetic}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:  # every generator the seed reaches wants one >= 0
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # every other setting by its owner's check, before any stage writes;
         # the synthesis and forest settings by building their configs, once
         ingest.check_fill_cap(self.fill_cap)

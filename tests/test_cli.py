@@ -190,11 +190,19 @@ class TestConfigExitCode:
         ("--quote-noise", "-1", "spread, quote_noise and aux_noise must be non-negative"),
         ("--spread", "-0.1", "spread, quote_noise and aux_noise must be non-negative"),
         ("--aux-noise", "-1", "spread, quote_noise and aux_noise must be non-negative"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("WALKFORGE_SEED", "-1", "seed must be >= 0, got -1"),  # with no --seed flag
     ])
-    def test_bad_setting_fails_before_any_stage_writes(self, tmp_path, capsys,
+    def test_bad_setting_fails_before_any_stage_writes(self, tmp_path, capsys, monkeypatch,
                                                        flag, value, message):
         out = tmp_path / "out"
-        assert cli.main(["pipeline", *flags(out), flag, value]) == 2
+        argv = flags(out)
+        if flag.startswith("--"):
+            argv += [flag, value]
+        else:
+            monkeypatch.setenv(flag, value)
+            del argv[argv.index("--seed"):argv.index("--seed") + 2]
+        assert cli.main(["pipeline", *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

@@ -1060,9 +1060,10 @@ class TestAdam:
 
     # (h1, h2): l2f.w_a spans 5 and 29 norm pieces; the 285k and 1.87M
     # parameters span 5 and 29 float32 update pieces (9 and 58 float64), and
-    # at (300, 480) the step is split on 2 CPUs
+    # at (300, 480) the step is split on 2 CPUs; clipped at 1e-3 and 1.0, and
+    # not clipped, with clipping off (0.0) and with the norm below it (1e6)
     @pytest.mark.parametrize("widths, clip_norm, dtype", in_both_dtypes(
-        [((100, 200), 0.0), ((100, 200), 1e-3), ((300, 480), 1.0)]))
+        [((100, 200), 0.0), ((100, 200), 1e-3), ((100, 200), 1e6), ((300, 480), 1.0)]))
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_flat_step_equals_the_per_array_step_byte_for_byte(self, monkeypatch, cpus,
                                                                widths, clip_norm, dtype):
@@ -1079,7 +1080,9 @@ class TestAdam:
             grads.flat[:] = rng.normal(size=grads.flat.size) * rng.uniform(0.1, 3.0)
             per_array = {k: g.copy() for k, g in grads.param_dict().items()}
             per_array_adam_step(want, per_array, m, v, t, config)
+            grads.flat.flags.writeable = False  # the step only reads the gradients
             adam_step(net, grads, state, config)
+            grads.flat.flags.writeable = True
         got = net.param_dict()
         got_m, got_v = named(want, state.m), named(want, state.v)
         for k in want:
@@ -1195,6 +1198,54 @@ def per_direction_reference(layer, seq, top, d_out):
         grads.append(g)
     out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
     return out, (parts[0] if len(parts) == 1 else parts[0] + parts[1]), grads
+
+
+def a_times_w_transposed_forward(params, xs, steps):
+    """lstm_layer_forward as it ran with each step's recurrent product as
+    a_prev @ w_a^T, into a (k, m, 4, units) buffer: the same stack, split
+    and gate arithmetic. Returns its cache's arrays: gates, c, tc and a, the
+    output."""
+    k, length, m, d = xs.shape
+    h = params.hidden
+    active = nets._active(steps)
+    gates = nets._matmul(xs.reshape(k, length * m, d), params.w_x.transpose(0, 2, 1))
+    gates = gates.reshape(k, length, m, 4, h)
+    c_all, tc, out = (np.zeros((k, len(active), m, h), dtype=gates.dtype) for _ in range(3))
+    bias = params.b.reshape(k, 1, 1, 4, h)
+
+    def loop(lo, hi, wait):
+        units = slice(lo, hi)
+        g_all = gates[:, : len(active), ..., units]
+        g_all += bias[..., units]
+        c_units, tc_units, out_units = c_all[..., units], tc[..., units], out[..., units]
+        rec = np.empty((k, m, 4, hi - lo), dtype=gates.dtype)
+        half, one = np.empty_like(rec), np.empty_like(rec)
+        half[...] = np.array([1.0, 0.5, 0.5, 0.5], dtype=gates.dtype)[:, None]
+        one[...] = np.array([-0.0, 1.0, 1.0, 1.0], dtype=gates.dtype)[:, None]
+        if hi - lo == h:
+            a_prev, w_rec, rec_out = out, params.w_a.transpose(0, 2, 1), rec.reshape(k, m, 4 * h)
+        else:
+            a_prev, rec_out = out[:, :, None], rec.transpose(0, 2, 1, 3)
+            w_rec = params.w_a.reshape(k, 4, h, h)[:, :, units].transpose(0, 1, 3, 2)
+        for t, n in enumerate(active):
+            g = g_all[:n, t]
+            if t:
+                wait()
+                np.matmul(a_prev[:n, t - 1], w_rec[:n], out=rec_out[:n])
+                g += rec[:n]
+            g *= half[:n]
+            np.tanh(g, out=g)
+            g += one[:n]
+            g *= half[:n]
+            c = c_units[:n, t]
+            np.multiply(g[..., 1, :], g[..., 0, :], out=c)
+            if t:
+                c += g[..., 2, :] * c_units[:n, t - 1]
+            np.tanh(c, out=tc_units[:n, t])
+            np.multiply(g[..., 3, :], tc_units[:n, t], out=out_units[:n, t])
+
+    _pool.run_lockstep(loop, h, nets._split_work(m, 4 * h, h), nets._ALIGN)
+    return {"gates": gates, "c": c_all, "tc": tc, "a": out}
 
 
 def column_blocks(a, b, count):
@@ -1332,6 +1383,56 @@ class TestThreadedSplit:
         for j, g in enumerate(want):
             for name in ("w_x", "w_a", "b"):
                 assert getattr(grads, name)[j].tobytes() == g[name].tobytes(), (j, name)
+
+    # the forward loop with each step's product as w_a @ a_prev^T against the
+    # a_prev @ w_a^T loop it replaced: batches of one (numpy's
+    # matrix-vector path), the paper fit's 15 and 32 and its evaluation's 50
+    # and 143, at the widths of the tests, the reference run and the paper;
+    # on 2 CPUs the loops at 800 and 1000 units split by unit (from m = 15).
+    # Same bits in float32; in float64 past 128 rows (143) with m % 8 != 0,
+    # OpenBLAS's kernel gives the last m % 8 rows other bits in the two
+    # orientations when it threads the product (as at 143 x 32 x 128)
+    @pytest.mark.parametrize("m, h, dtype", in_both_dtypes(
+        [(m, h) for m in (1, 15, 32, 50, 143) for h in (2, 16, 32, 800, 1000)]))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_forward_loop_equals_the_a_times_w_transposed_loop_byte_for_byte(
+            self, monkeypatch, cpus, m, h, dtype):
+        rng = np.random.default_rng(m * h)
+        layer = drawn(h, 10, rng, dtype, directions=2)
+        layer.b[:] = rng.uniform(-0.5, 0.5, size=layer.b.shape)
+        xs = rng.normal(size=(2, 3, m, 10)).astype(dtype)
+        counts = split_on(monkeypatch, cpus)
+        work = m * 4 * h * h
+        blocks = min(cpus, work >> 23) if h % 8 == 0 and work >= 1 << 24 else 1
+        same_bits = dtype == np.float32 or m <= 128 or m % 8 == 0
+        for steps in ((3, 3), (3, 1)):  # both directions run on, or one stops
+            want = a_times_w_transposed_forward(layer, xs.copy(), steps)
+            _, cache = lstm_layer_forward(layer, xs.copy(), steps)
+            for name in ("gates", "c", "tc", "a"):
+                if same_bits:
+                    assert cache[name].tobytes() == want[name].tobytes(), (steps, name)
+                else:
+                    np.testing.assert_allclose(cache[name], want[name], rtol=1e-12,
+                                               atol=1e-15)
+        assert counts[1::2] == [blocks] * 4  # each time loop, in both orders
+
+    # past 192 rows, a float64 step's unit blocks change bits unless m is a
+    # multiple of 8, so there the loop stays whole; the backward loop splits
+    @pytest.mark.parametrize("m, blocks", [(196, 1), (200, 2), (192, 2), (193, 1)])
+    def test_float64_forward_loop_splits_past_192_rows_only_at_multiples_of_8(
+            self, monkeypatch, m, blocks):
+        rng = np.random.default_rng(m)
+        params = drawn(800, 10, rng)
+        seq = rng.normal(size=(m, 3, 10))
+        d_out = rng.normal(size=(m, 3, 800))
+        runs = []
+        for cpus in (1, 2):
+            counts = split_on(monkeypatch, cpus)
+            out, cache = run_layer(params, seq, 3)
+            d_seq, grads = run_layer_backward(params, cache, d_out)
+            runs.append([out.tobytes(), d_seq.tobytes()] + [g.tobytes() for g in grads.values()])
+        assert counts[1:3] == [blocks, 2]  # on 2 CPUs: the forward, then the backward loop
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("clip_norm, dtype", in_both_dtypes([(0.0,), (1.0,)]))
     def test_multi_chunk_adam_step_byte_identical_on_one_and_two_cpus(self, monkeypatch,
@@ -1588,6 +1689,34 @@ class TestSaveLoad:
         assert (tmp_path / "net.bin").read_bytes() == (tmp_path / "arrays.bin").read_bytes()
         back = load_network(str(tmp_path / "arrays.bin"))
         assert back.flat.tobytes() == net.flat.tobytes()
+
+    # arrays the layout laid out from the file's header does not hold, in its
+    # order, shapes and dtype; the file's size always matches its header
+    @pytest.mark.parametrize("damage, message", [
+        ("out_of_order", "array 'l1f.b' .* where 'l1f.w_a' .* belongs"),
+        ("misshapen", r"array 'l2f.w_x' float64 \(3, 16\) where 'l2f.w_x' float64 \(16, 3\)"),
+        ("other_dtype", "array 'dense.w' float64 .* where 'dense.w' float32"),
+        ("missing_array", "7 arrays, expected 8"),
+        ("truncated", "truncated"),
+    ])
+    def test_file_of_another_layout_rejected(self, tmp_path, damage, message):
+        net = build_network(2, hidden1=3, hidden2=4, bidirectional=False, seed=1,
+                            dtype=np.float64 if damage != "other_dtype" else np.float32)
+        arrays = dict(net.param_dict())
+        if damage == "out_of_order":
+            arrays = {name: arrays[name] for name in ("l1f.w_x", "l1f.b", "l1f.w_a")} | arrays
+        elif damage == "misshapen":
+            arrays["l2f.w_x"] = arrays["l2f.w_x"].reshape(3, 16)
+        elif damage == "other_dtype":
+            arrays["dense.w"] = arrays["dense.w"].astype(np.float64)
+        elif damage == "missing_array":
+            del arrays["dense.b"]
+        path = tmp_path / "net.bin"
+        _binio.save(str(path), "network", {"dropout_rate": 0.2}, arrays)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(DataError, match=message):
+            load_network(str(path))
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
         # A v1 file stored eight per-gate arrays per direction behind the old
