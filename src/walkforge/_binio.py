@@ -121,7 +121,7 @@ def load(path: str, kind: str,
             if (name, dtype, shape) != (want, arr.dtype, arr.shape):
                 raise DataError(f"{path}: array {name!r} {dtype} {shape} where "
                                 f"{want!r} {arr.dtype} {arr.shape} belongs")
-            view = memoryview(arr).cast("B")
+            view = memoryview(arr.reshape(-1)).cast("B")  # a view: arr is C-contiguous
             got = f.readinto(view)
             if got != view.nbytes:
                 raise DataError(f"{path}: truncated: array {name!r} wants {view.nbytes} "

@@ -112,26 +112,60 @@ def _split_work(m: int, k: int, n: int) -> int:
     scans; in float32 none differed, so the rule is conservative there).
     A time loop split by hidden units takes the rule of its backward step's
     product (m, 4h) @ (4h, h): with h a multiple of 8, each gate's block of
-    units also starts on a group of 8 rows of the forward step's
-    (4h, h) @ (h, m). A stack of directions is weighed as one direction."""
+    units also starts on a group of 8 columns of the forward step's
+    (m, h) @ (h, 4h), or rows of its (4h, h) @ (h, m) (_recurrent_product).
+    A stack of directions is weighed as one direction."""
     return m * k * n if n % 8 == 0 else 0
 
 
-# The batch rows up to which a float64 forward step's unit blocks kept the
-# bits of its whole product whatever the row count (see _forward_split_work).
-_F64_SPLIT_ROWS = 192
+# Layers of at least this many hidden units make each forward step's
+# recurrent product with the weight on the left (see _recurrent_product).
+_WEIGHT_LEFT_UNITS = 256
 
 
 def _forward_split_work(m: int, h: int, dtype: np.dtype) -> int:
     """The work run_lockstep weighs to split lstm_layer_forward's loop by
-    hidden units: the rule of _split_work, and in float64 also m at most
-    _F64_SPLIT_ROWS or a multiple of 8. Past that, a float64 step's
-    (4h, h) @ (h, m) product got other bits in unit blocks than whole when
-    m % 8 != 0; no float32 one did (README "Inside one fit" has the
-    scans)."""
-    if dtype == np.float64 and m > _F64_SPLIT_ROWS and m % 8:
-        return 0
-    return _split_work(m, 4 * h, h)
+    hidden units: the rule of _split_work, and in float64 also m a
+    multiple of 8. A float64 product with the weight on the left can get
+    other bits in the last m % 8 columns in unit blocks than whole; no
+    float32 one did (README "Inside one fit" has the scans)."""
+    return _split_work(m, 4 * h, h) if dtype == np.float32 or m % 8 == 0 else 0
+
+
+def _recurrent_product(w_a: np.ndarray, out: np.ndarray, lo: int,
+                       hi: int) -> tuple[Callable[[int, int], object], np.ndarray]:
+    """The recurrent product of lstm_layer_forward's block of units lo:hi,
+    for w_a (k, 4h, h) and the outputs out (k, S, m, h): a function of
+    (n, t) that multiplies the first n directions' out[:, t] into a new
+    buffer, and that buffer's (k, m, 4, units) view in the gates' order.
+
+    A layer of _WEIGHT_LEFT_UNITS or more units computes w_a @ a_prev^T
+    into a (k, 4, units, m) buffer: at a few dozen rows OpenBLAS packs far
+    less of its wide weight that way, while a narrower layer's products
+    are cheap and the strided view's addition to the gates is not. The two
+    orientations give the same bits in float32 (in float64 only up to 128
+    rows or when m is a multiple of 8; README "Inside one fit"). One block
+    makes each direction's whole (4h, h) @ (h, m) or (m, h) @ (h, 4h)
+    product, as per-gate products at small widths do not give its bits;
+    a thread's block makes one stacked matmul over each gate's units."""
+    k, _, m, h = out.shape
+    w_units = w_a.reshape(k, 4, h, h)[:, :, lo:hi]  # each gate's rows for the units
+    if h >= _WEIGHT_LEFT_UNITS:
+        rec = np.empty((k, 4, hi - lo, m), dtype=out.dtype)
+        a_prev = out.transpose(0, 1, 3, 2)  # (k, S, h, m)
+        if hi - lo == h:
+            w_rec, rec_out = w_a, rec.reshape(k, 4 * h, m)
+        else:  # (k, 4, units, h) @ (k, 1, h, m)
+            w_rec, rec_out, a_prev = w_units, rec, a_prev[:, :, None]
+        return (lambda n, t: np.matmul(w_rec[:n], a_prev[:n, t], out=rec_out[:n]),
+                rec.transpose(0, 3, 1, 2))
+    rec = np.empty((k, m, 4, hi - lo), dtype=out.dtype)
+    if hi - lo == h:
+        a_prev, w_rec, rec_out = out, w_a.transpose(0, 2, 1), rec.reshape(k, m, 4 * h)
+    else:  # (k, 1, m, h) @ (k, 4, h, units)
+        a_prev, rec_out = out[:, :, None], rec.transpose(0, 2, 1, 3)
+        w_rec = w_units.transpose(0, 1, 3, 2)
+    return lambda n, t: np.matmul(a_prev[:n, t], w_rec[:n], out=rec_out[:n]), rec
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -180,20 +214,12 @@ def lstm_layer_forward(params: LstmParams, xs: np.ndarray,
     loop, so each step makes one stacked recurrent GEMM; the projection
     keeps its L*m rows, and so its bits, whatever the steps are. The bias
     is added to every step's projection at once, before the loop, and each
-    step's gate arithmetic is a few calls over (k, m, 4, h). Each step's
-    recurrent product is w_a @ a_prev^T, the weight on the left: at a few
-    dozen rows OpenBLAS packs far less of it that way than for
-    a_prev @ w_a^T, and the two give the same bits in float32 (in float64
-    only up to 128 rows or when m is a multiple of 8; README "Inside one
-    fit"). It lands in a (k, 4, units, m) buffer whose transposed view is
-    added to the gates. A split loop gives each thread a block of hidden
-    units for every step: the thread computes its units' rows of the four
-    gates' recurrent products, one stacked matmul over w_a's rows for them,
-    and then their gate and cell arithmetic. The threads advance in
-    lockstep, each waiting before it reads the previous step's whole
-    output. One block makes each direction's whole (4h, h) @ (h, m)
-    product per step, as the per-gate products at small widths do not give
-    its bits."""
+    step's gate arithmetic is a few calls over (k, m, 4, h). A split loop
+    gives each thread a block of hidden units for every step: the thread
+    computes its units' part of the four gates' recurrent products
+    (_recurrent_product has the orientation and the calls) and then their
+    gate and cell arithmetic. The threads advance in lockstep, each waiting
+    before it reads the previous step's whole output."""
     k, length, m, d = xs.shape
     h = params.hidden
     if d != params.input_dim:
@@ -209,28 +235,19 @@ def lstm_layer_forward(params: LstmParams, xs: np.ndarray,
         g_all = gates[:, : len(active), ..., units]  # (k, S, m, 4, units): c, u, f, o
         g_all += bias[..., units]
         c_units, tc_units, out_units = c_all[..., units], tc[..., units], out[..., units]
-        # a step's recurrent products, w_a's rows for these units times a_prev^T,
-        # and their view in the gates' order
-        rec = np.empty((k, 4, hi - lo, m), dtype=gates.dtype)
-        rec_t = rec.transpose(0, 3, 1, 2)
+        product, rec = _recurrent_product(params.w_a, out, lo, hi)
         # for gates c, u, f, o: the sigmoids' halving and one, and for the candidate 1 and
         # -0.0, which change no bit of its tanh, so each step's activations are whole-row
         # calls; full-size, since a broadcast operand makes numpy loop row by row
         half, one = (np.empty((k, m, 4, hi - lo), dtype=gates.dtype) for _ in range(2))
         half[...] = np.array([1.0, 0.5, 0.5, 0.5], dtype=gates.dtype)[:, None]
         one[...] = np.array([-0.0, 1.0, 1.0, 1.0], dtype=gates.dtype)[:, None]
-        a_prev = out.transpose(0, 1, 3, 2)  # (k, S, h, m)
-        if hi - lo == h:
-            w_rec, rec_out = params.w_a, rec.reshape(k, 4 * h, m)
-        else:  # (k, 4, units, h) @ (k, 1, h, m): each gate's rows of these units
-            w_rec, rec_out = params.w_a.reshape(k, 4, h, h)[:, :, units], rec
-            a_prev = a_prev[:, :, None]
         for t, n in enumerate(active):
             g = g_all[:n, t]
             if t:
                 wait()  # every block has written out[:, t - 1]
-                np.matmul(w_rec[:n], a_prev[:n, t - 1], out=rec_out[:n])
-                g += rec_t[:n]
+                product(n, t - 1)
+                g += rec[:n]
             g *= half[:n]  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for u, f, o
             np.tanh(g, out=g)
             g += one[:n]
@@ -641,15 +658,15 @@ def adam_step(
     """One bias-corrected Adam update after global-norm clipping.
 
     The parameters, the gradients (a params.zeros_like() set) and the
-    moments share one flat layout; the parameters and moments are updated
-    in place, and the gradients are only read. The squares for the global
-    norm go through each parameter array in pieces of _CHUNK elements, in
+    moments share one flat layout and are updated in place: the gradient
+    buffer is overwritten with the step. The squares for the global norm
+    go through each parameter array in pieces of _CHUNK elements, in
     param_dict order (which is the flat order); the squared norm is the sum
     of each piece's np.sum(g * g), in that order, so it does not depend on
     the thread count, and for an array of one piece it is np.sum(g * g).
     The update goes through the one flat span in pieces of _UPDATE_BYTES.
     Both passes are split over threads by run_blocks; each block keeps its
-    temporaries in work buffers of its own, of one piece or its whole span
+    temporaries in a work buffer of its own, of one piece or its whole span
     if that is shorter, in the parameters' dtype, and each piece runs all
     of its operations before the next. The arithmetic, operation for
     operation, is
@@ -699,15 +716,13 @@ def adam_step(
     size = _UPDATE_BYTES // dtype.itemsize
 
     def update(first: int, last: int) -> None:
-        # the scaled gradient, then the step; and the moments' temporaries
-        step_buf, tmp_buf = (np.empty(min(size, flat.size - first * size), dtype=dtype)
-                             for _ in range(2))
+        buf = np.empty(min(size, flat.size - first * size), dtype=dtype)
         for j in range(first, last):
             lo, hi = j * size, min((j + 1) * size, flat.size)
             p, m, v, g = flat[lo:hi], state.m[lo:hi], state.v[lo:hi], g_flat[lo:hi]
-            step, tmp = step_buf[: hi - lo], tmp_buf[: hi - lo]
+            tmp = buf[: hi - lo]
             if factor != 1.0:
-                g = np.multiply(g, factor, out=step)
+                g *= factor
             np.multiply(g, 1.0 - config.beta1, out=tmp)
             m *= config.beta1
             m += tmp
@@ -718,10 +733,10 @@ def adam_step(
             np.divide(v, v_corr, out=tmp)
             np.sqrt(tmp, out=tmp)
             tmp += config.eps
-            np.divide(m, m_corr, out=step)
-            step *= config.learning_rate
-            step /= tmp
-            p -= step
+            np.divide(m, m_corr, out=g)
+            g *= config.learning_rate
+            g /= tmp
+            p -= g
 
     _pool.run_blocks(update, -(-flat.size // size), ops)
     return params, state

@@ -353,6 +353,17 @@ class TestSvrBehavior:
         np.testing.assert_allclose(preds, model.bias)
         assert np.all(np.abs(preds - y) <= 0.5 + 1e-9)
 
+    def test_model_without_support_vectors_round_trips(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(20, 2))
+        model = fit_svr(x, 3.0 + 0.01 * rng.normal(size=20), c=10.0, epsilon=0.5)
+        path = str(tmp_path / "svr.bin")
+        save_svr(model, path)
+        back = load_svr(path)
+        assert back.support_vectors.shape == model.support_vectors.shape == (0, 2)
+        assert back.bias == model.bias
+        np.testing.assert_array_equal(predict_svr(back, x), predict_svr(model, x))
+
     def test_points_inside_the_tube_carry_no_weight(self):
         rng = np.random.default_rng(5)
         x = np.linspace(-2, 2, 30)[:, None]

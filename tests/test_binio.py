@@ -32,12 +32,12 @@ def assert_same_bits(a, b):
         assert a == b
 
 
-def make_svr():
+def make_svr(n_support=4):
     rng = np.random.default_rng(3)
     return baselines.SvrModel(
-        support_vectors=rng.normal(size=(4, 3)), dual_coef=rng.normal(size=4),
+        support_vectors=rng.normal(size=(n_support, 3)), dual_coef=rng.normal(size=n_support),
         bias=0.1 + 0.2, gamma=1e308, c=5e-324, epsilon=float("nan"),
-        support_idx=np.array([0, 2, 5, 9], dtype=np.int64),
+        support_idx=np.array([0, 2, 5, 9][:n_support], dtype=np.int64),
         converged=False, iterations=12345, dual_objective=-2381.9731234567891,
     )
 
@@ -54,6 +54,8 @@ KINDS = {
                lambda: baselines.LinearModel(weights=np.array([1.5, -0.1, 1e-300]),
                                              bias=-0.7)),
     "svr": (baselines.save_svr, baselines.load_svr, make_svr),
+    # a flat tube needs none: its (0, 3) support vectors hold no bytes
+    "svr0": (baselines.save_svr, baselines.load_svr, lambda: make_svr(0)),
     "features": (indicators.save_cache, indicators.load_cache,
                  lambda: indicators.expand_features(synthesize(70, seed=5), (7, 13))),
 }
