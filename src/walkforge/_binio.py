@@ -9,9 +9,8 @@ dtype, shape], ...]}. JSON round-trips floats exactly (NaN and 1e308
 included), so scalars live in meta. The arrays follow back to back in
 header order as raw C-order bytes; `load` reads each one with `readinto`
 straight into the storage its kind's loader lays out for it: a new array
-(`empty`), or a view of a buffer the artifact already holds. `load_meta`
-stops after the header, with the same checks, the file size against the
-array specs included.
+(`empty`), or a view of a buffer the artifact already holds. Each kind has
+one loader, which reads the whole artifact.
 """
 
 from __future__ import annotations
@@ -88,13 +87,6 @@ def _read_header(f: BinaryIO, path: str, kind: str) -> tuple[dict, list[Spec]]:
     return meta, specs
 
 
-def _build(path: str, kind: str, build: Callable[..., T], *parts) -> T:
-    try:
-        return build(*parts)
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed {kind} artifact: {exc!r}") from exc
-
-
 def empty(specs: list[Spec]) -> dict[str, np.ndarray]:
     """A new array for each spec, by name: the storage of an artifact that
     holds its arrays as they are read."""
@@ -114,7 +106,10 @@ def load(path: str, kind: str,
     are not the ones the layout holds, in its order and shapes."""
     with open(path, "rb") as f:
         meta, specs = _read_header(f, path, kind)
-        artifact, arrays = _build(path, kind, build, meta, specs)
+        try:
+            artifact, arrays = build(meta, specs)
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed {kind} artifact: {exc!r}") from exc
         if len(arrays) != len(specs):
             raise DataError(f"{path}: {len(specs)} arrays, expected {len(arrays)}")
         for (name, dtype, shape), (want, arr) in zip(specs, arrays.items()):
@@ -130,10 +125,3 @@ def load(path: str, kind: str,
                 arr.byteswap(inplace=True)
     return artifact
 
-
-def load_meta(path: str, kind: str, build: Callable[[dict], T]) -> T:
-    """Return build(meta) of a container of `kind` without reading its
-    arrays; the file is checked, and fails, exactly as `load` checks it."""
-    with open(path, "rb") as f:
-        meta, _ = _read_header(f, path, kind)
-    return _build(path, kind, build, meta)

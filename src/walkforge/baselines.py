@@ -347,8 +347,3 @@ def load_svr(path: str) -> SvrModel:
 
     return _binio.load(path, "svr", build)
 
-
-def load_svr_status(path: str) -> tuple[bool, int]:
-    """(converged, iterations) of an SVR checkpoint, read from its header."""
-    return _binio.load_meta(path, "svr", lambda meta: (bool(meta["converged"]),
-                                                       int(meta["iterations"])))

@@ -112,23 +112,18 @@ def _split_work(m: int, k: int, n: int) -> int:
     scans; in float32 none differed, so the rule is conservative there).
     A time loop split by hidden units takes the rule of its backward step's
     product (m, 4h) @ (4h, h): with h a multiple of 8, each gate's block of
-    units also starts on a group of 8 columns of the forward step's
-    (m, h) @ (h, 4h), or rows of its (4h, h) @ (h, m) (_recurrent_product).
-    A stack of directions is weighed as one direction."""
+    units also starts on a group of 8 rows of the forward step's
+    (4h, h) @ (h, m) (_recurrent_product). A stack of directions is weighed
+    as one direction."""
     return m * k * n if n % 8 == 0 else 0
-
-
-# Layers of at least this many hidden units make each forward step's
-# recurrent product with the weight on the left (see _recurrent_product).
-_WEIGHT_LEFT_UNITS = 256
 
 
 def _forward_split_work(m: int, h: int, dtype: np.dtype) -> int:
     """The work run_lockstep weighs to split lstm_layer_forward's loop by
     hidden units: the rule of _split_work, and in float64 also m a
-    multiple of 8. A float64 product with the weight on the left can get
-    other bits in the last m % 8 columns in unit blocks than whole; no
-    float32 one did (README "Inside one fit" has the scans)."""
+    multiple of 8. A float64 step's product can get other bits in the last
+    m % 8 columns in unit blocks than whole; no float32 one did (README
+    "Inside one fit" has the scans)."""
     return _split_work(m, 4 * h, h) if dtype == np.float32 or m % 8 == 0 else 0
 
 
@@ -136,36 +131,23 @@ def _recurrent_product(w_a: np.ndarray, out: np.ndarray, lo: int,
                        hi: int) -> tuple[Callable[[int, int], object], np.ndarray]:
     """The recurrent product of lstm_layer_forward's block of units lo:hi,
     for w_a (k, 4h, h) and the outputs out (k, S, m, h): a function of
-    (n, t) that multiplies the first n directions' out[:, t] into a new
-    buffer, and that buffer's (k, m, 4, units) view in the gates' order.
-
-    A layer of _WEIGHT_LEFT_UNITS or more units computes w_a @ a_prev^T
-    into a (k, 4, units, m) buffer: at a few dozen rows OpenBLAS packs far
-    less of its wide weight that way, while a narrower layer's products
-    are cheap and the strided view's addition to the gates is not. The two
-    orientations give the same bits in float32 (in float64 only up to 128
-    rows or when m is a multiple of 8; README "Inside one fit"). One block
-    makes each direction's whole (4h, h) @ (h, m) or (m, h) @ (h, 4h)
-    product, as per-gate products at small widths do not give its bits;
-    a thread's block makes one stacked matmul over each gate's units."""
+    (n, t) that computes w_a @ a_prev^T for the first n directions'
+    a_prev = out[:, t] into a (k, 4, units, m) buffer, and that buffer's
+    (k, m, 4, units) view in the gates' order. With the weight on the left
+    OpenBLAS packs far less of a wide weight (README "Inside one fit"). One
+    block makes each direction's whole (4h, h) @ (h, m) product, as
+    per-gate products at small widths do not give its bits; a thread's
+    block makes one stacked matmul over each gate's units."""
     k, _, m, h = out.shape
-    w_units = w_a.reshape(k, 4, h, h)[:, :, lo:hi]  # each gate's rows for the units
-    if h >= _WEIGHT_LEFT_UNITS:
-        rec = np.empty((k, 4, hi - lo, m), dtype=out.dtype)
-        a_prev = out.transpose(0, 1, 3, 2)  # (k, S, h, m)
-        if hi - lo == h:
-            w_rec, rec_out = w_a, rec.reshape(k, 4 * h, m)
-        else:  # (k, 4, units, h) @ (k, 1, h, m)
-            w_rec, rec_out, a_prev = w_units, rec, a_prev[:, :, None]
-        return (lambda n, t: np.matmul(w_rec[:n], a_prev[:n, t], out=rec_out[:n]),
-                rec.transpose(0, 3, 1, 2))
-    rec = np.empty((k, m, 4, hi - lo), dtype=out.dtype)
+    rec = np.empty((k, 4, hi - lo, m), dtype=out.dtype)
+    a_prev = out.transpose(0, 1, 3, 2)  # (k, S, h, m)
     if hi - lo == h:
-        a_prev, w_rec, rec_out = out, w_a.transpose(0, 2, 1), rec.reshape(k, m, 4 * h)
-    else:  # (k, 1, m, h) @ (k, 4, h, units)
-        a_prev, rec_out = out[:, :, None], rec.transpose(0, 2, 1, 3)
-        w_rec = w_units.transpose(0, 1, 3, 2)
-    return lambda n, t: np.matmul(a_prev[:n, t], w_rec[:n], out=rec_out[:n]), rec
+        w_rec, rec_out = w_a, rec.reshape(k, 4 * h, m)
+    else:  # (k, 4, units, h) @ (k, 1, h, m)
+        w_rec, rec_out = w_a.reshape(k, 4, h, h)[:, :, lo:hi], rec
+        a_prev = a_prev[:, :, None]
+    return (lambda n, t: np.matmul(w_rec[:n], a_prev[:n, t], out=rec_out[:n]),
+            rec.transpose(0, 3, 1, 2))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -216,10 +198,10 @@ def lstm_layer_forward(params: LstmParams, xs: np.ndarray,
     is added to every step's projection at once, before the loop, and each
     step's gate arithmetic is a few calls over (k, m, 4, h). A split loop
     gives each thread a block of hidden units for every step: the thread
-    computes its units' part of the four gates' recurrent products
-    (_recurrent_product has the orientation and the calls) and then their
-    gate and cell arithmetic. The threads advance in lockstep, each waiting
-    before it reads the previous step's whole output."""
+    computes its units' rows of the four gates' w_a @ a_prev^T
+    (_recurrent_product) and then their gate and cell arithmetic. The
+    threads advance in lockstep, each waiting before it reads the previous
+    step's whole output."""
     k, length, m, d = xs.shape
     h = params.hidden
     if d != params.input_dim:

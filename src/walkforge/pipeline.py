@@ -500,9 +500,9 @@ def _fit_warnings(cfg: RunConfig, runs: list[evalreport.BatchMetrics]) -> list[s
     lines = []
     for batch in sorted({r.batch for r in runs if r.model == "svr"}):
         path = _require(cfg, _fit_file("models", "svr", batch), "train")
-        converged, iterations = baselines.load_svr_status(path)
-        if not converged:
-            lines.append(f"svr batch {batch}: not converged after {iterations} "
+        model = baselines.load_svr(path)
+        if not model.converged:
+            lines.append(f"svr batch {batch}: not converged after {model.iterations} "
                          f"iterations (max_iter {cfg.svr_max_iter}, tol {cfg.svr_tol})")
     return lines
 

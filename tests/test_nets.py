@@ -1384,17 +1384,18 @@ class TestThreadedSplit:
             for name in ("w_x", "w_a", "b"):
                 assert getattr(grads, name)[j].tobytes() == g[name].tobytes(), (j, name)
 
-    # the forward loop against a copy of its a_prev @ w_a^T loop, which
-    # layers under 256 units still run and wider ones replace with
-    # w_a @ a_prev^T: batches of one (numpy's matrix-vector path), the paper
-    # fit's 15 and 32 and its evaluation's 50 and 143, at the widths of the
-    # tests, the reference run and the paper; on 2 CPUs the loops at 800 and
-    # 1000 units split by unit (from m = 15 in float32, at m = 32 in
-    # float64). Same bits in float32; in float64 past 128 rows (143) with
-    # m % 8 != 0, OpenBLAS's kernel can give the last m % 8 rows other bits
-    # in the two orientations
+    # the forward loop, which computes w_a @ a_prev^T, against a copy of the
+    # a_prev @ w_a^T loop it replaced: batches of one (numpy's matrix-vector
+    # path), the paper fit's 15 and 32 and its evaluation's 50 and 143, at
+    # the widths of the tests, the reference run and the paper; on 2 CPUs the
+    # loops at 800 and 1000 units split by unit (from m = 15 in float32, at
+    # m = 32 in float64), and in float32 so does a 128-unit layer over an
+    # all_models evaluation's 493 windows. Same bits in float32; in float64
+    # past 128 rows with m % 8 != 0, OpenBLAS's kernel can give the last
+    # m % 8 rows other bits in the two orientations
     @pytest.mark.parametrize("m, h, dtype", in_both_dtypes(
-        [(m, h) for m in (1, 15, 32, 50, 143) for h in (2, 16, 32, 800, 1000)]))
+        [(m, h) for m in (1, 15, 32, 50, 143) for h in (2, 16, 32, 800, 1000)]
+        + [(493, 128)]))
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_forward_loop_equals_the_a_times_w_transposed_loop_byte_for_byte(
             self, monkeypatch, cpus, m, h, dtype):
@@ -1406,8 +1407,7 @@ class TestThreadedSplit:
         work = m * 4 * h * h
         copy_blocks = min(cpus, work >> 23) if h % 8 == 0 and work >= 1 << 24 else 1
         blocks = copy_blocks if dtype == np.float32 or m % 8 == 0 else 1
-        same_bits = (dtype == np.float32 or m <= 128 or m % 8 == 0
-                     or h < nets._WEIGHT_LEFT_UNITS)
+        same_bits = dtype == np.float32 or m <= 128 or m % 8 == 0
         for steps in ((3, 3), (3, 1)):  # both directions run on, or one stops
             want = a_times_w_transposed_forward(layer, xs.copy(), steps)
             _, cache = lstm_layer_forward(layer, xs.copy(), steps)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from walkforge import _binio, baselines, evalreport, indicators, ingest, nets, pipeline, scaling, splitter
+from walkforge import baselines, evalreport, indicators, ingest, nets, pipeline, scaling, splitter
 from walkforge.errors import ConfigError, DataError
 
 
@@ -387,13 +387,13 @@ class TestFitWarnings:
         with open(os.path.join(cfg.out, "report.json")) as f:
             assert "converged" not in f.read()
 
-    def test_warning_read_from_checkpoint_header_alone(self, tmp_path):
-        # a checkpoint holding only its header scalars: the report reads
-        # converged and iterations without loading any support vector
+    def test_warning_read_from_checkpoint(self, tmp_path):
+        # the report takes converged and iterations from the checkpoint
         cfg = small_cfg(tmp_path / "out", model="svr", synthetic=110, chart=False)
         pipeline.stage_pipeline(cfg)
         path = os.path.join(cfg.out, "models", "svr_b0.bin")
-        _binio.save(path, "svr", {"converged": False, "iterations": 77}, {})
+        model = baselines.load_svr(path)
+        baselines.save_svr(replace(model, converged=False, iterations=77), path)
         pipeline.stage_report(cfg)
         with open(os.path.join(cfg.out, "report.txt")) as f:
             assert f.read().endswith(
