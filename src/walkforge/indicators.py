@@ -6,8 +6,8 @@ time axis, each shared intermediate (rolling mean and std, the EMA and the
 EMA of the EMA) computed once. With the 23-column schema and windows
 (7, 30, 90) the expanded matrix has 23 + 23*12*3 = 851 columns. Entries
 before a column's valid_from row are NaN; usable_from floors the
-matrix-wide warm-up at 2*max(window) - 1 so the double-smoothed kinds have
-settled before any row is consumed downstream.
+matrix-wide warm-up at warmup_rows(windows) so the double-smoothed kinds
+have settled before any row is consumed downstream.
 """
 
 from __future__ import annotations
@@ -212,13 +212,14 @@ def check_windows(windows: tuple[int, ...]) -> None:
 def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) -> FeatureMatrix:
     """Expand a cleaned series into raw + indicator columns.
 
-    Needs n >= 2*max(window) + 1 rows so at least one row survives the
-    warm-up floor of 2*max(window) - 1 with a successor to predict.
+    Needs warmup_rows(windows) + 2 rows so at least one row survives the
+    warm-up floor with a successor to predict.
     """
     check_windows(windows)
     if not np.isfinite(raw.values).all():
         raise DataError("feature expansion needs a cleaned series (no missing values)")
-    required = 2 * max(windows) + 1
+    usable_from = warmup_rows(windows)  # every column's valid_from is at most max(windows)
+    required = usable_from + 2
     if raw.n < required:
         raise DataError(f"series has {raw.n} rows, feature expansion needs at least {required}")
 
@@ -239,7 +240,6 @@ def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) 
         derived[:, :, :, j] = block.transpose(2, 1, 0)
         derived_from[:, :, j] = vf
 
-    usable_from = int(max(2 * max(windows) - 1, valid_from.max()))
     matrix = FeatureMatrix(
         names=names,
         dates=raw.dates.copy(),

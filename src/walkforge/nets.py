@@ -24,11 +24,12 @@ while it trains: a layer's stacked weights are strided views of it, the
 backward pass writes each gradient into its view, and the Adam update runs
 over the one span.
 
-Large products are split over threads along their larger side, by rows or
-by columns (`_pool.run_blocks`); the time loops by hidden units, the
-threads advancing step by step in lockstep (`_pool.run_lockstep`); and
-the Adam step by pieces of the parameters. Each split gives the bits of the
-whole computation (see `_split_work`).
+Large float32 products are split over threads along their larger side, by
+rows or by columns (`_pool.run_blocks`); float32 time loops by hidden
+units, the threads advancing step by step in lockstep
+(`_pool.run_lockstep`); and the Adam step, in either dtype, by pieces of
+the parameters. Each split gives the bits of the whole computation (see
+`_split_work`).
 
 A network computes in its parameters' dtype: build_network draws float64
 by default, and every other function takes its dtype from the arrays it is
@@ -100,31 +101,23 @@ def init_lstm_params(params: LstmParams, rng: np.random.Generator) -> None:
 _ALIGN = 8
 
 
-def _split_work(m: int, k: int, n: int) -> int:
-    """The work run_blocks weighs to split an (m, k) @ (k, n) product by
-    rows, or by columns in blocks that start at multiples of _ALIGN: m*k*n,
-    or 0, which keeps it whole, when n is not a multiple of 8. Each output
-    element keeps its whole sum, so a block gets the bits the whole product
-    gives it, except in a one-row block (numpy's matrix-vector path) or one
-    under about 10^6 multiply-adds (OpenBLAS's small-matrix kernels), which
-    run_blocks never makes, and in the last n % 8 columns, whose bits depend
-    on the shape of the call they fall in (README "Inside one fit" has the
-    scans; in float32 none differed, so the rule is conservative there).
-    A time loop split by hidden units takes the rule of its backward step's
-    product (m, 4h) @ (4h, h): with h a multiple of 8, each gate's block of
-    units also starts on a group of 8 rows of the forward step's
-    (4h, h) @ (h, m) (_recurrent_product). A stack of directions is weighed
-    as one direction."""
-    return m * k * n if n % 8 == 0 else 0
-
-
-def _forward_split_work(m: int, h: int, dtype: np.dtype) -> int:
-    """The work run_lockstep weighs to split lstm_layer_forward's loop by
-    hidden units: the rule of _split_work, and in float64 also m a
-    multiple of 8. A float64 step's product can get other bits in the last
-    m % 8 columns in unit blocks than whole; no float32 one did (README
-    "Inside one fit" has the scans)."""
-    return _split_work(m, 4 * h, h) if dtype == np.float32 or m % 8 == 0 else 0
+def _split_work(m: int, k: int, n: int, dtype: np.dtype) -> int:
+    """The work run_blocks or run_lockstep weighs to split an (m, k) @ (k, n)
+    float32 product by rows, or by columns or hidden units in blocks that
+    start at multiples of _ALIGN: m*k*n, or 0, which keeps it whole, when n
+    is not a multiple of 8 or the dtype is not float32 (float64 serves
+    direct callers and the tests, and never splits). Each output element
+    keeps its whole sum, so a block gets the bits the whole product gives
+    it, except in a one-row block (numpy's matrix-vector path) or one under
+    about 10^6 multiply-adds (OpenBLAS's small-matrix kernels), which
+    run_blocks never makes, and possibly in the last n % 8 columns, whose
+    bits can depend on the shape of the call they fall in. A time loop
+    split by hidden units takes the rule of its backward step's product
+    (m, 4h) @ (4h, h): with h a multiple of 8, each gate's block of units
+    also starts on a group of 8 rows of the forward step's (4h, h) @ (h, m)
+    (_recurrent_product). A stack of directions is weighed as one
+    direction."""
+    return m * k * n if dtype == np.float32 and n % 8 == 0 else 0
 
 
 def _recurrent_product(w_a: np.ndarray, out: np.ndarray, lo: int,
@@ -134,10 +127,10 @@ def _recurrent_product(w_a: np.ndarray, out: np.ndarray, lo: int,
     (n, t) that computes w_a @ a_prev^T for the first n directions'
     a_prev = out[:, t] into a (k, 4, units, m) buffer, and that buffer's
     (k, m, 4, units) view in the gates' order. With the weight on the left
-    OpenBLAS packs far less of a wide weight (README "Inside one fit"). One
-    block makes each direction's whole (4h, h) @ (h, m) product, as
-    per-gate products at small widths do not give its bits; a thread's
-    block makes one stacked matmul over each gate's units."""
+    OpenBLAS packs far less of a wide weight. One block makes each
+    direction's whole (4h, h) @ (h, m) product, as per-gate products at
+    small widths do not give its bits; a thread's block makes one stacked
+    matmul over each gate's units."""
     k, _, m, h = out.shape
     rec = np.empty((k, 4, hi - lo, m), dtype=out.dtype)
     a_prev = out.transpose(0, 1, 3, 2)  # (k, S, h, m)
@@ -153,15 +146,15 @@ def _recurrent_product(w_a: np.ndarray, out: np.ndarray, lo: int,
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One product per direction, a (k, m, K) @ b (k, K, n), into out or
     a new (k, m, n) array. Each direction's product is the 2-D call it would
-    be alone, so it has that call's bits. A large product is split over
-    threads along its larger side, as one direction's product would be:
-    by blocks of columns when it has more columns than rows, so each thread
-    packs only its share of b, and by blocks of rows otherwise. Each block
-    writes its part of out in place."""
+    be alone, so it has that call's bits. A large float32 product is split
+    over threads along its larger side, as one direction's product would
+    be: by blocks of columns when it has more columns than rows, so each
+    thread packs only its share of b, and by blocks of rows otherwise. Each
+    block writes its part of out in place."""
     m, k, n = a.shape[1], a.shape[2], b.shape[2]
     if out is None:
         out = np.empty((len(a), m, n), dtype=np.result_type(a, b))
-    work = _split_work(m, k, n)
+    work = _split_work(m, k, n, out.dtype)
     if n > m:
         def columns(lo: int, hi: int) -> None:
             np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
@@ -241,7 +234,7 @@ def lstm_layer_forward(params: LstmParams, xs: np.ndarray,
             np.tanh(c, out=tc_units[:n, t])
             np.multiply(g[..., 3, :], tc_units[:n, t], out=out_units[:n, t])
 
-    _pool.run_lockstep(loop, h, _forward_split_work(m, h, gates.dtype), _ALIGN)
+    _pool.run_lockstep(loop, h, _split_work(m, 4 * h, h, gates.dtype), _ALIGN)
     if not np.isfinite(out).all():
         raise NumericError("non-finite activation in lstm layer")
     cache = {"xs": xs, "gates": gates, "c": c_all, "tc": tc, "a": out, "steps": steps}
@@ -312,7 +305,7 @@ def lstm_layer_backward(params: LstmParams, cache: dict, d_out: np.ndarray,
                 wait()  # every block has written d_gates[:, t]
                 np.matmul(d_gates[:n, t].reshape(n, m, 4 * h), w_units[:n], out=da_n)
 
-    _pool.run_lockstep(loop, h, _split_work(m, 4 * h, h), _ALIGN)
+    _pool.run_lockstep(loop, h, _split_work(m, 4 * h, h, gates.dtype), _ALIGN)
     rows = d_gates.reshape(k, length * m, 4 * h)
     _matmul(rows.transpose(0, 2, 1), xs.reshape(k, length * m, -1), out=grads.w_x)
     a_prev = cache["a"][:second, : ran - 1].reshape(second, (ran - 1) * m, h)

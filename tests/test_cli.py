@@ -361,3 +361,44 @@ class TestCheckpointKind:
         assert cli.main(["evaluate", *flags(out)]) == 3
         err = capsys.readouterr().err
         assert "lr_b0.bin" in err and "expected 'linear'" in err
+
+
+def files_under(root):
+    """Every file under root, by path relative to it, with its bytes."""
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as f:
+                found[os.path.relpath(path, root)] = f.read()
+    return found
+
+
+class TestQuickStartStages:
+    """README's Quick start stage by stage: each command gets --out, --seed
+    and only the flags its stage reads."""
+
+    STAGE_FLAGS = {
+        "synth": ["--synthetic", "200", "--windows", "3,7"],
+        "featurize": ["--windows", "3,7"],
+        "select": ["--trees", "4"],
+        "plan": ["--train-len", "120", "--test-len", "40", "--stride", "40"],
+        "train": ["--h1", "2", "--h2", "3", "--lookback", "3", "--epochs", "2"],
+        "evaluate": ["--lookback", "3"],
+        "report": [],
+    }
+
+    def test_every_artifact_but_the_report_equals_the_one_shot_run(self, tmp_path, capsys):
+        staged, oneshot = tmp_path / "staged", tmp_path / "oneshot"
+        common = ["--seed", "5"]
+        for stage, extra in self.STAGE_FLAGS.items():
+            assert cli.main([stage, "--out", str(staged), *common, *extra]) == 0, stage
+        every = [flag for extra in self.STAGE_FLAGS.values() for flag in extra]
+        assert cli.main(["pipeline", "--out", str(oneshot), *common, *every]) == 0
+        capsys.readouterr()
+        got, want = files_under(staged), files_under(oneshot)
+        assert sorted(got) == sorted(want) and len(want) == 21
+        # the report's config block records the report invocation's own
+        # flags, so its two files are left out
+        for name in sorted(set(want) - {"report.json", "report.txt"}):
+            assert got[name] == want[name], name

@@ -827,8 +827,14 @@ def in_both_dtypes(cases):
     the pipeline's networks compute in, with "-float32" appended."""
     ids = ["-".join(map(str, case)) for case in cases]
     return ([pytest.param(*case, np.float64, id=i) for case, i in zip(cases, ids)]
-            + [pytest.param(*case, np.float32, id=f"{i}-float32")
-               for case, i in zip(cases, ids)])
+            + float32_only(cases))
+
+
+def float32_only(cases):
+    """Each case in float32, the only dtype whose work splits, under the id
+    in_both_dtypes gives it."""
+    return [pytest.param(*case, np.float32, id="-".join(map(str, case)) + "-float32")
+            for case in cases]
 
 
 class FlatSet:
@@ -1242,7 +1248,7 @@ def a_times_w_transposed_forward(params, xs, steps):
             np.tanh(c, out=tc_units[:n, t])
             np.multiply(g[..., 3, :], tc_units[:n, t], out=out_units[:n, t])
 
-    _pool.run_lockstep(loop, h, nets._split_work(m, 4 * h, h), nets._ALIGN)
+    _pool.run_lockstep(loop, h, nets._split_work(m, 4 * h, h, gates.dtype), nets._ALIGN)
     return {"gates": gates, "c": c_all, "tc": tc, "a": out}
 
 
@@ -1261,7 +1267,7 @@ class TestThreadedSplit:
     """Row, column and hidden-unit blocks on threads give the bits of the
     whole computation."""
 
-    @pytest.mark.parametrize("m, k, n, form, dtype", in_both_dtypes(RECURRENT_PAPER_PRODUCTS))
+    @pytest.mark.parametrize("m, k, n, form, dtype", float32_only(RECURRENT_PAPER_PRODUCTS))
     def test_split_product_is_byte_equal_at_recurrent_paper_shapes(self, monkeypatch,
                                                                    m, k, n, form, dtype):
         rng = np.random.default_rng(m * k + n)
@@ -1275,7 +1281,7 @@ class TestThreadedSplit:
 
     # a scan: every product cut into 2, 3 and 4 column blocks, whichever
     # side _matmul splits it along
-    @pytest.mark.parametrize("m, k, n, form, dtype", in_both_dtypes(RECURRENT_PAPER_PRODUCTS))
+    @pytest.mark.parametrize("m, k, n, form, dtype", float32_only(RECURRENT_PAPER_PRODUCTS))
     def test_column_blocks_are_byte_equal_at_recurrent_paper_shapes(self, monkeypatch,
                                                                     m, k, n, form, dtype):
         rng = np.random.default_rng(m * k + n)
@@ -1288,14 +1294,13 @@ class TestThreadedSplit:
             assert column_blocks(a, b, cpus).tobytes() == whole, cpus
 
     def test_columns_not_a_multiple_of_8_stay_whole(self, monkeypatch):
-        # with one BLAS thread, OpenBLAS gives the last 500 % 8 columns bits
-        # that depend on the call's shape: other bits in 16 rows than in 32,
-        # and in some blocks of columns (the last of 3 here) than in the
-        # whole; the first product would split by columns, the second by rows
+        # OpenBLAS can give the last 500 % 8 columns bits that depend on the
+        # call's shape, so float32 work of that width stays whole; the first
+        # product would split by columns, the second by rows
         rng = np.random.default_rng(7)
-        b = rng.normal(size=(2000, 500))
+        b = rng.normal(size=(2000, 500)).astype(np.float32)
         for m in (32, 600):
-            a = rng.normal(size=(m, 2000))
+            a = rng.normal(size=(m, 2000)).astype(np.float32)
             counts = split_on(monkeypatch, 3)
             assert nets._matmul(a[None], b[None])[0].tobytes() == (a @ b).tobytes()
             assert counts == [1]
@@ -1303,7 +1308,7 @@ class TestThreadedSplit:
     # the per-step products of the paper's widths, split by hidden unit:
     # training batches of 32 and 15, evaluation batches of 143 and 50;
     # 600 is a width the layer test below uses
-    @pytest.mark.parametrize("m, h, dtype", in_both_dtypes(
+    @pytest.mark.parametrize("m, h, dtype", float32_only(
         [(32, 800), (15, 800), (143, 1000), (50, 1000), (32, 1000), (32, 600)]))
     def test_unit_blocks_of_a_step_are_byte_equal(self, monkeypatch, m, h, dtype):
         rng = np.random.default_rng(m + h)
@@ -1328,10 +1333,9 @@ class TestThreadedSplit:
             assert da.tobytes() == backward.tobytes(), cpus
 
     # a step's recurrent product, m x h x 4h, is above 2^24 but at h = 700
-    # (700 % 8 = 4), where unit blocks would change bits in float64, and
-    # at h = 32 (below 2^24), where per-gate products would in float32:
-    # there the loops run as one block, the whole products of the reference;
-    # so does a float64 forward loop at m = 15 (see the test below)
+    # (700 % 8 = 4), and at h = 32 (below 2^24), where per-gate products
+    # would change bits in float32: there the loops run as one block, the
+    # whole products of the reference; so does every float64 loop
     @pytest.mark.parametrize("m, h, dtype", in_both_dtypes(
         [(32, 600), (15, 600), (32, 800), (32, 700), (32, 32)]))
     def test_layer_passes_byte_identical_on_one_and_two_cpus(self, monkeypatch, m, h, dtype):
@@ -1346,9 +1350,9 @@ class TestThreadedSplit:
             d_seq, grads = run_layer_backward(params, cache, d_out)
             runs.append([out.tobytes(), d_seq.tobytes()] + [g.tobytes() for g in grads.values()])
             work = m * 4 * h * h
-            want = 1 if h % 8 or work < 1 << 24 else min(cpus, work >> 23)
-            forward = want if dtype == np.float32 or m % 8 == 0 else 1
-            assert len(counts) == 6 and counts[1:3] == [forward, want]  # the time loops
+            split = dtype == np.float32 and h % 8 == 0 and work >= 1 << 24
+            want = min(cpus, work >> 23) if split else 1
+            assert len(counts) == 6 and counts[1:3] == [want, want]  # the time loops
         assert runs[0] == runs[1]
         want_out, want_seq, want = per_direction_layer(cell(params), seq, 7, d_out)
         assert out.tobytes() == want_out.tobytes()
@@ -1358,7 +1362,7 @@ class TestThreadedSplit:
 
     # the stack of a Bi-LSTM layer against its directions run one at a
     # time: the widths of the tests, the reference and all_models runs and
-    # the paper, where the loops split by unit on 2 CPUs; the top layer
+    # the paper, where float32 loops split by unit on 2 CPUs; the top layer
     # narrows to its forward direction after step 0
     @pytest.mark.parametrize("h, top, dtype", in_both_dtypes(
         [(h, top) for h in (2, 16, 32, 800, 1000) for top in (False, True)]))
@@ -1377,7 +1381,8 @@ class TestThreadedSplit:
         grads = stack(h, 24, 2, dtype)
         d_seq = layer_backward(layer, cache, d_out, grads)
         work = m * 4 * h * h
-        assert counts[1] == counts[2] == (min(cpus, work >> 23) if work >= 1 << 24 else 1)
+        split = dtype == np.float32 and work >= 1 << 24
+        assert counts[1] == counts[2] == (min(cpus, work >> 23) if split else 1)
         assert out.tobytes() == want_out.tobytes()
         assert d_seq.tobytes() == want_seq.tobytes()
         for j, g in enumerate(want):
@@ -1387,12 +1392,12 @@ class TestThreadedSplit:
     # the forward loop, which computes w_a @ a_prev^T, against a copy of the
     # a_prev @ w_a^T loop it replaced: batches of one (numpy's matrix-vector
     # path), the paper fit's 15 and 32 and its evaluation's 50 and 143, at
-    # the widths of the tests, the reference run and the paper; on 2 CPUs the
-    # loops at 800 and 1000 units split by unit (from m = 15 in float32, at
-    # m = 32 in float64), and in float32 so does a 128-unit layer over an
-    # all_models evaluation's 493 windows. Same bits in float32; in float64
-    # past 128 rows with m % 8 != 0, OpenBLAS's kernel can give the last
-    # m % 8 rows other bits in the two orientations
+    # the widths of the tests, the reference run and the paper; on 2 CPUs
+    # float32 loops at 800 and 1000 units split by unit from m = 15, and so
+    # does a 128-unit layer over an all_models evaluation's 493 windows.
+    # Same bits in float32; in float64 past 128 rows with m % 8 != 0,
+    # OpenBLAS's kernel can give the last m % 8 rows other bits in the two
+    # orientations
     @pytest.mark.parametrize("m, h, dtype", in_both_dtypes(
         [(m, h) for m in (1, 15, 32, 50, 143) for h in (2, 16, 32, 800, 1000)]
         + [(493, 128)]))
@@ -1405,8 +1410,8 @@ class TestThreadedSplit:
         xs = rng.normal(size=(2, 3, m, 10)).astype(dtype)
         counts = split_on(monkeypatch, cpus)
         work = m * 4 * h * h
-        copy_blocks = min(cpus, work >> 23) if h % 8 == 0 and work >= 1 << 24 else 1
-        blocks = copy_blocks if dtype == np.float32 or m % 8 == 0 else 1
+        split = dtype == np.float32 and h % 8 == 0 and work >= 1 << 24
+        blocks = min(cpus, work >> 23) if split else 1
         same_bits = dtype == np.float32 or m <= 128 or m % 8 == 0
         for steps in ((3, 3), (3, 1)):  # both directions run on, or one stops
             want = a_times_w_transposed_forward(layer, xs.copy(), steps)
@@ -1417,25 +1422,22 @@ class TestThreadedSplit:
                 else:
                     np.testing.assert_allclose(cache[name], want[name], rtol=1e-12,
                                                atol=1e-15)
-        assert counts[1::2] == [copy_blocks, blocks] * 2  # each time loop, in both orders
+        assert counts[1::2] == [blocks] * 4  # each time loop, in both orders
 
-    # a float64 step's unit blocks can change bits unless m is a multiple of
-    # 8, so otherwise the loop stays whole; the backward loop splits
-    @pytest.mark.parametrize("m, blocks", [(15, 1), (16, 2), (193, 1), (200, 2)])
-    def test_float64_forward_loop_splits_only_at_multiples_of_8_rows(
-            self, monkeypatch, m, blocks):
-        rng = np.random.default_rng(m)
-        params = drawn(800, 10, rng)
-        seq = rng.normal(size=(m, 3, 10))
-        d_out = rng.normal(size=(m, 3, 800))
-        runs = []
-        for cpus in (1, 2):
-            counts = split_on(monkeypatch, cpus)
-            out, cache = run_layer(params, seq, 3)
-            d_seq, grads = run_layer_backward(params, cache, d_out)
-            runs.append([out.tobytes(), d_seq.tobytes()] + [g.tobytes() for g in grads.values()])
-        assert counts[1:3] == [blocks, 2]  # on 2 CPUs: the forward, then the backward loop
-        assert runs[0] == runs[1]
+    def test_only_float32_products_and_time_loops_split(self, monkeypatch):
+        # at paper width on 2 CPUs: a product, the forward and the backward
+        # loop; float64 serves direct callers and the tests, and runs whole
+        for dtype, blocks in ((np.float64, 1), (np.float32, 2)):
+            rng = np.random.default_rng(800)
+            a, b = (rng.normal(size=shape).astype(dtype) for shape in ((32, 1000), (1000, 4000)))
+            params = drawn(800, 10, rng, dtype)
+            seq = rng.normal(size=(32, 3, 10)).astype(dtype)
+            d_out = rng.normal(size=(32, 3, 800)).astype(dtype)
+            counts = split_on(monkeypatch, 2)
+            nets._matmul(a[None], b[None])
+            _, cache = run_layer(params, seq, 3)
+            run_layer_backward(params, cache, d_out)
+            assert counts[0] == blocks and counts[2:4] == [blocks, blocks], dtype
 
     @pytest.mark.parametrize("clip_norm, dtype", in_both_dtypes([(0.0,), (1.0,)]))
     def test_multi_chunk_adam_step_byte_identical_on_one_and_two_cpus(self, monkeypatch,
