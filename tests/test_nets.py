@@ -827,14 +827,8 @@ def in_both_dtypes(cases):
     the pipeline's networks compute in, with "-float32" appended."""
     ids = ["-".join(map(str, case)) for case in cases]
     return ([pytest.param(*case, np.float64, id=i) for case, i in zip(cases, ids)]
-            + float32_only(cases))
-
-
-def float32_only(cases):
-    """Each case in float32, the only dtype whose work splits, under the id
-    in_both_dtypes gives it."""
-    return [pytest.param(*case, np.float32, id="-".join(map(str, case)) + "-float32")
-            for case in cases]
+            + [pytest.param(*case, np.float32, id=f"{i}-float32")
+               for case, i in zip(cases, ids)])
 
 
 class FlatSet:
@@ -1267,7 +1261,7 @@ class TestThreadedSplit:
     """Row, column and hidden-unit blocks on threads give the bits of the
     whole computation."""
 
-    @pytest.mark.parametrize("m, k, n, form, dtype", float32_only(RECURRENT_PAPER_PRODUCTS))
+    @pytest.mark.parametrize("m, k, n, form, dtype", in_both_dtypes(RECURRENT_PAPER_PRODUCTS))
     def test_split_product_is_byte_equal_at_recurrent_paper_shapes(self, monkeypatch,
                                                                    m, k, n, form, dtype):
         rng = np.random.default_rng(m * k + n)
@@ -1277,11 +1271,12 @@ class TestThreadedSplit:
         counts = split_on(monkeypatch, 2)
         monkeypatch.setattr(_pool, "_BLOCK_WORK", 1)  # split the small ones too
         assert nets._matmul(a[None], b[None])[0].tobytes() == (a @ b).tobytes()
-        assert counts == [2]
+        assert counts == [2 if dtype == np.float32 else 1]  # float64 runs whole
 
     # a scan: every product cut into 2, 3 and 4 column blocks, whichever
-    # side _matmul splits it along
-    @pytest.mark.parametrize("m, k, n, form, dtype", float32_only(RECURRENT_PAPER_PRODUCTS))
+    # side _matmul splits it along; only float32 splits, and the float64
+    # cases record that its kernel keeps the bits as well
+    @pytest.mark.parametrize("m, k, n, form, dtype", in_both_dtypes(RECURRENT_PAPER_PRODUCTS))
     def test_column_blocks_are_byte_equal_at_recurrent_paper_shapes(self, monkeypatch,
                                                                     m, k, n, form, dtype):
         rng = np.random.default_rng(m * k + n)
@@ -1307,8 +1302,8 @@ class TestThreadedSplit:
 
     # the per-step products of the paper's widths, split by hidden unit:
     # training batches of 32 and 15, evaluation batches of 143 and 50;
-    # 600 is a width the layer test below uses
-    @pytest.mark.parametrize("m, h, dtype", float32_only(
+    # 600 is a width the layer test below uses; float64 as in the scan above
+    @pytest.mark.parametrize("m, h, dtype", in_both_dtypes(
         [(32, 800), (15, 800), (143, 1000), (50, 1000), (32, 1000), (32, 600)]))
     def test_unit_blocks_of_a_step_are_byte_equal(self, monkeypatch, m, h, dtype):
         rng = np.random.default_rng(m + h)
@@ -1424,15 +1419,17 @@ class TestThreadedSplit:
                                                atol=1e-15)
         assert counts[1::2] == [blocks] * 4  # each time loop, in both orders
 
-    def test_only_float32_products_and_time_loops_split(self, monkeypatch):
-        # at paper width on 2 CPUs: a product, the forward and the backward
-        # loop; float64 serves direct callers and the tests, and runs whole
+    # at paper width on 2 CPUs: a product, the forward and the backward
+    # loop, at m rows a multiple of 8 or not; float64 serves direct callers
+    # and the tests, and runs whole
+    @pytest.mark.parametrize("m", [15, 16, 193, 200])
+    def test_only_float32_products_and_time_loops_split(self, monkeypatch, m):
         for dtype, blocks in ((np.float64, 1), (np.float32, 2)):
-            rng = np.random.default_rng(800)
-            a, b = (rng.normal(size=shape).astype(dtype) for shape in ((32, 1000), (1000, 4000)))
+            rng = np.random.default_rng(800 + m)
+            a, b = (rng.normal(size=shape).astype(dtype) for shape in ((m, 1000), (1000, 4000)))
             params = drawn(800, 10, rng, dtype)
-            seq = rng.normal(size=(32, 3, 10)).astype(dtype)
-            d_out = rng.normal(size=(32, 3, 800)).astype(dtype)
+            seq = rng.normal(size=(m, 3, 10)).astype(dtype)
+            d_out = rng.normal(size=(m, 3, 800)).astype(dtype)
             counts = split_on(monkeypatch, 2)
             nets._matmul(a[None], b[None])
             _, cache = run_layer(params, seq, 3)
