@@ -78,7 +78,10 @@ def _read_header(f: BinaryIO, path: str, kind: str) -> tuple[dict, list[Spec]]:
     for name, dtype, shape in specs:
         if dtype not in _DTYPES or not all(type(d) is int and d >= 0 for d in shape):
             raise DataError(f"{path}: array {name!r}: bad dtype {dtype!r} or shape {shape}")
-    specs = [(name, np.dtype(dtype).newbyteorder("="), shape) for name, dtype, shape in specs]
+    # numpy's own native descriptor, not an equal new one: np.asarray(a,
+    # np.float64) then returns a loaded array a itself, so a ufunc writing a
+    # in place reads one operand, not an overlapping view, and copies nothing
+    specs = [(name, np.dtype(dtype[1:]), shape) for name, dtype, shape in specs]
     body = sum(math.prod(shape) * dtype.itemsize for _, dtype, shape in specs)
     have = size - f.tell()
     if have != body:

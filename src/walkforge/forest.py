@@ -52,7 +52,7 @@ class ForestConfig:
         return mtry
 
 
-_BLOCK = 1 << 18  # values per column block while ranking x
+_BLOCK = 1 << 16  # values per column block while ranking x: ~1 MB of temporaries
 
 
 def _dense_keys(x: np.ndarray) -> np.ndarray:

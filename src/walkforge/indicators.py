@@ -125,11 +125,13 @@ def _roc(x: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def compute_indicator(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+def compute_indicator(x: np.ndarray, window: int,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Every kind at one window, for one series (n,) or a stack of series
     (k, n), time on the last axis. Returns (values, valid_from): values[i]
     holds kind KINDS[i] in x's shape, NaN before column valid_from[i]. Each
-    series of a stack gets the bits it gets alone."""
+    series of a stack gets the bits it gets alone. values is written into
+    out, of shape (12,) + x.shape and any strides, when it is given."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size < 1:
         raise DataError("indicator input must be a non-empty series (n,) or stack (k, n)")
@@ -153,7 +155,7 @@ def compute_indicator(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarra
         "boll_lo": (sma - 2.0 * std, w - 1),
         "macd": (e - _ema(x, 2 * w), 0),
     }
-    return (np.stack([kinds[kind][0] for kind in KINDS]),
+    return (np.stack([kinds[kind][0] for kind in KINDS], out=out),
             np.array([kinds[kind][1] for kind in KINDS]))
 
 
@@ -235,10 +237,9 @@ def expand_features(raw: RawSeries, windows: tuple[int, ...] = DEFAULT_WINDOWS) 
     stack = raw.values.T  # (k, n): each column's series on the last axis
     derived = values[:, k:].reshape(n, k, len(KINDS), len(windows))
     derived_from = valid_from[k:].reshape(k, len(KINDS), len(windows))
-    for j, w in enumerate(windows):
-        block, vf = compute_indicator(stack, w)  # (kind, column, row)
-        derived[:, :, :, j] = block.transpose(2, 1, 0)
-        derived_from[:, :, j] = vf
+    for j, w in enumerate(windows):  # each window's kinds land in the matrix
+        _, derived_from[:, :, j] = compute_indicator(
+            stack, w, out=derived[:, :, :, j].transpose(2, 1, 0))  # (kind, column, row)
 
     matrix = FeatureMatrix(
         names=names,

@@ -135,13 +135,15 @@ def load_csv(path: str) -> RawSeries:
 
 
 def write_csv(series: RawSeries, path: str) -> None:
-    """Inverse of load_csv: ISO dates, shortest decimal text that round-trips."""
+    """Inverse of load_csv: ISO dates, shortest decimal text that round-trips,
+    missing cells empty, lines ending in CRLF as csv.writer ends them."""
+    gaps = np.isnan(series.values).any(axis=1).tolist()
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("date",) + series.columns)
-        for day, row in zip(series.dates, series.values):
-            writer.writerow([format_date(day)]
-                            + ["" if math.isnan(v) else repr(float(v)) for v in row])
+        f.write(",".join(("date",) + series.columns) + "\r\n")
+        for day, row, gap in zip(series.dates.tolist(), series.values, gaps):
+            row = row.tolist()  # a row at a time: no second copy of the series
+            cells = ("" if math.isnan(v) else repr(v) for v in row) if gap else map(repr, row)
+            f.write(format_date(day) + "," + ",".join(cells) + "\r\n")
 
 
 def _fill_column(col: np.ndarray, dates: np.ndarray, name: str, cap: int) -> np.ndarray:

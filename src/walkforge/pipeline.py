@@ -267,7 +267,8 @@ def stage_select(cfg: RunConfig) -> str:
     matrix = indicators.load_cache(_require(cfg, "features.wffm", "featurize"))
     usable = matrix.usable()
     params = scaling.fit(usable, slice(None), matrix.names)
-    scaled = scaling.transform(usable, params)
+    # scaled in place: the forest and its forked workers share this one copy
+    scaled = scaling.transform(usable, params, out=usable)
     close_idx = matrix.index_of("close")
     x = scaled[:-1]
     y = scaled[1:, close_idx]
@@ -324,9 +325,10 @@ def _batch_data(matrix: indicators.FeatureMatrix, selected: list[str],
     close_col = usable[:, [matrix.index_of("close")]]
     rows = slice(batch.train_start, batch.train_end)
 
-    feat_params = scaling.fit(usable[:, sel_idx], rows, tuple(selected))
+    chosen = usable[:, sel_idx]
+    feat_params = scaling.fit(chosen, rows, tuple(selected))
     close_params = scaling.fit(close_col, rows, ("close",))
-    features = scaling.transform(usable[:, sel_idx], feat_params)
+    features = scaling.transform(chosen, feat_params)
     close_scaled = scaling.transform(close_col, close_params)[:, 0]
 
     train_set = splitter.make_windows(features, close_scaled,

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DataError
 
+_BLOCK = 1 << 16  # values per column block that fit copies at once
+
 
 @dataclass(frozen=True)
 class ScalerParams:
@@ -38,8 +40,13 @@ def fit(matrix: np.ndarray, rows: np.ndarray | range | slice, columns: tuple[str
         raise DataError("row range selects no rows")
     if not np.isfinite(sub).all():
         raise DataError("scaler fit rows contain non-finite values")
-    center = np.median(sub, axis=0)
-    q1, q3 = np.quantile(sub, [0.25, 0.75], axis=0)
+    # column blocks: each statistic partitions a copy of one block at a time,
+    # never of the whole matrix, and columns are independent, so the bits
+    # are those of one call over every column
+    width = max(1, _BLOCK // len(sub))
+    blocks = [sub[:, lo:lo + width] for lo in range(0, sub.shape[1], width)]
+    center = np.concatenate([np.median(block, axis=0) for block in blocks])
+    q1, q3 = np.concatenate([np.quantile(block, [0.25, 0.75], axis=0) for block in blocks], axis=1)
     scale = q3 - q1
     scale[scale == 0.0] = 1.0
     return ScalerParams(columns=tuple(columns), center=center, scale=scale)
@@ -53,8 +60,13 @@ def _check_width(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
     return matrix
 
 
-def transform(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
-    return (_check_width(matrix, params) - params.center) / params.scale
+def transform(matrix: np.ndarray, params: ScalerParams,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """(matrix - center) / scale, written into out when given; out may be
+    matrix itself, which then holds the scaled values."""
+    out = np.subtract(_check_width(matrix, params), params.center, out=out)
+    out /= params.scale
+    return out
 
 
 def inverse_transform(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:

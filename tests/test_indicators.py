@@ -243,6 +243,18 @@ class TestStacks:
         direct, _ = compute_indicator(x, 7)
         assert strided.tobytes() == direct.tobytes()
 
+    def test_out_takes_a_strided_view(self):
+        x = self.stack(120)
+        want, want_from = compute_indicator(x, 7)
+        # the (kind, column, row) view of one window in a (row, column, kind, window) block
+        block = np.full((120, len(x), len(KINDS), 2), -1.0)
+        view = block[:, :, :, 1].transpose(2, 1, 0)
+        values, valid_from = compute_indicator(x, 7, out=view)
+        assert values is view
+        assert view.tobytes() == want.tobytes()
+        assert valid_from.tolist() == want_from.tolist()
+        assert (block[:, :, :, 0] == -1.0).all()
+
     def test_roc_zero_reports_first_zero_of_lowest_series(self):
         x = self.stack(40)
         x[3, 4] = 0.0
@@ -309,9 +321,9 @@ class TestStackedExpansion:
 
         calls = []
 
-        def counting(x, window):
+        def counting(x, window, out=None):
             calls.append((np.shape(x), window))
-            return compute_indicator(x, window)
+            return compute_indicator(x, window, out=out)
 
         monkeypatch.setattr(indicators, "compute_indicator", counting)
         raw = synthesize(200, seed=4)

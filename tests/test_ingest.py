@@ -1,5 +1,8 @@
 """CSV ingestion, gap repair, and the synthetic generator."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,24 @@ class TestCsvRoundTrip:
         assert back.columns == series.columns
         np.testing.assert_array_equal(back.dates, series.dates)
         np.testing.assert_array_equal(back.values, series.values)
+
+    def test_bytes_match_a_csv_writer(self, tmp_path):
+        series = synthesize(40, seed=5)
+        values = series.values.copy()
+        values[3, 2] = np.nan
+        values[9, :] = np.nan
+        values[11, 0], values[12, 1], values[13, 2] = -0.0, 1e16, 1e-5
+        series = RawSeries(dates=series.dates, values=values, columns=series.columns)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(("date",) + series.columns)
+            for day, row in zip(series.dates, series.values):
+                writer.writerow([format_date(day)]
+                                + ["" if math.isnan(v) else repr(float(v)) for v in row])
+        path = tmp_path / "series.csv"
+        write_csv(series, str(path))
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_rows_come_back_sorted_by_date(self, tmp_path):
         path = tmp_path / "shuffled.csv"

@@ -3,12 +3,14 @@ stages, and staged-versus-one-shot equivalence on a small synthetic run."""
 
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from walkforge import baselines, evalreport, indicators, ingest, nets, pipeline, scaling, splitter
+from walkforge import (baselines, evalreport, forest, indicators, ingest, nets, pipeline,
+                       scaling, splitter)
 from walkforge.errors import ConfigError, DataError
 
 
@@ -443,3 +445,63 @@ class TestSingleModelRun:
         matrix = indicators.load_cache(os.path.join(cfg.out, "features.wffm"))
         assert matrix.n - matrix.usable_from == 110
         assert os.path.exists(os.path.join(cfg.out, "report.json"))
+
+
+class TestFeatureMatrixMemory:
+    """Traced memory of featurize and select on 1100 synthetic rows at the
+    default windows, as multiples of the feature matrix's value bytes (V).
+
+    Each bound lies between two readings: the code that held extra copies
+    (a per-window stack of every kind; an unscaled and a scaled matrix at
+    once; a whole-matrix copy per scaler statistic; 2 MiB ranking blocks)
+    and the code that holds one resident matrix.
+
+    | reading                                | extra copies | one matrix | bound |
+    |----------------------------------------|--------------|------------|-------|
+    | featurize, traced peak                 | 2.07 V       | 1.51 V     | 1.8 V |
+    | select, current when fit_forest starts | 2.00 V       | 1.14 V     | 1.5 V |
+    | select, traced peak by then            | 2.87 V       | 1.20 V     | 1.5 V |
+    | select, traced peak once x is ranked   | 3.00 V       | 1.56 V     | 1.8 V |
+    """
+
+    @pytest.fixture(scope="class")
+    def readings(self, tmp_path_factory):
+        cfg = pipeline.RunConfig(synthetic=1100, seed=7, trees=1, max_depth=2,
+                                 out=str(tmp_path_factory.mktemp("memory") / "out"))
+        pipeline.stage_synth(cfg)
+        got = {}
+        fit_forest, dense_keys = forest.fit_forest, forest._dense_keys
+
+        def recorder(x, y, config):
+            got["select_current"], got["select_peak"] = tracemalloc.get_traced_memory()
+            return fit_forest(x, y, config)
+
+        def keys_recorder(x):
+            keys = dense_keys(x)
+            got["select_keys_peak"] = tracemalloc.get_traced_memory()[1]
+            return keys
+
+        tracemalloc.start()
+        try:
+            path = pipeline.stage_featurize(cfg)
+            got["featurize_peak"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.clear_traces()
+            tracemalloc.reset_peak()
+            forest.fit_forest, forest._dense_keys = recorder, keys_recorder
+            try:
+                pipeline.stage_select(cfg)
+            finally:
+                forest.fit_forest, forest._dense_keys = fit_forest, dense_keys
+        finally:
+            tracemalloc.stop()
+        value_bytes = indicators.load_cache(path).values.nbytes
+        return {name: reading / value_bytes for name, reading in got.items()}
+
+    @pytest.mark.parametrize("name, bound", [
+        ("featurize_peak", 1.8),
+        ("select_current", 1.5),
+        ("select_peak", 1.5),
+        ("select_keys_peak", 1.8),
+    ])
+    def test_reading_within_bound(self, readings, name, bound):
+        assert readings[name] < bound, readings

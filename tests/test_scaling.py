@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from walkforge import scaling
 from walkforge.errors import DataError
 from walkforge.scaling import (
     ScalerParams,
@@ -46,6 +47,27 @@ class TestFit:
         for params in (by_slice, by_index):
             assert params.center[0] == by_range.center[0]
             assert params.scale[0] == by_range.scale[0]
+
+    @pytest.mark.parametrize("block", [scaling._BLOCK, 96])  # one block; many, the last short
+    @pytest.mark.parametrize("n", [41, 42])
+    @pytest.mark.parametrize("rows", [slice(3, None), range(1, 40), np.arange(38, -1, -2)])
+    def test_params_are_numpys_statistics_of_the_untouched_rows(self, monkeypatch,
+                                                                block, n, rows):
+        monkeypatch.setattr(scaling, "_BLOCK", block)
+        rng = np.random.default_rng(n)
+        # integer values tie often; signed zeros tie too
+        data = rng.integers(-3, 4, size=(n, 13)).astype(np.float64)
+        data[rng.random(data.shape) < 0.2] = -0.0
+        data[:, 5] = rng.standard_normal(n)
+        data[:, 7] = 2.5  # a zero IQR
+        before = data.copy()
+        params = fit(data, rows, tuple(f"c{j}" for j in range(13)))
+        assert data.tobytes() == before.tobytes()
+        q1, q3 = np.quantile(data[rows], [0.25, 0.75], axis=0)
+        scale = q3 - q1
+        scale[scale == 0.0] = 1.0
+        assert params.center.tobytes() == np.median(data[rows], axis=0).tobytes()
+        assert params.scale.tobytes() == scale.tobytes()
 
     def test_transformed_fit_rows_are_standardized(self):
         rng = np.random.default_rng(21)
@@ -96,6 +118,15 @@ class TestTransform:
         params = fit(data, slice(None), ("x",))
         scaled = transform(data, params)[:, 0]
         assert np.array_equal(np.argsort(scaled), np.argsort(data[:, 0]))
+
+    def test_in_place_writes_the_bytes_of_a_new_array(self):
+        rng = np.random.default_rng(8)
+        data = rng.lognormal(mean=4.0, sigma=0.5, size=(60, 5))
+        params = fit(data, slice(0, 40), tuple("abcde"))
+        want = (data - params.center) / params.scale
+        assert transform(data, params).tobytes() == want.tobytes()
+        assert transform(data, params, out=data) is data
+        assert data.tobytes() == want.tobytes()
 
     def test_single_row_vector_accepted(self):
         params = fit(col([1, 2, 3, 4, 5]), slice(None), ("x",))
