@@ -76,12 +76,8 @@ def _observed() -> bool:
 def worker_count(n_tasks: int) -> int:
     """Worker processes run_tasks uses for n_tasks tasks; 1 is the serial
     path in the calling process."""
-    # Before Python 3.11, ProcessPoolExecutor forks its workers on demand
-    # from submit(), after its manager thread has started; forking while a
-    # thread runs can deadlock the child (CPython gh-90622). From 3.11 the
-    # fork context starts every worker up front, before that thread.
     workers = min(_cpu_count(), n_tasks)
-    if workers <= 1 or sys.version_info < (3, 11) or _observed():
+    if workers <= 1 or _observed():
         return 1
     return workers
 

@@ -77,6 +77,8 @@ class SvrModel:
     gamma: float
     c: float
     epsilon: float
+    tol: float
+    max_iter: int
     support_idx: np.ndarray
     converged: bool
     iterations: int
@@ -301,6 +303,8 @@ def fit_svr(
         gamma=gamma,
         c=c,
         epsilon=epsilon,
+        tol=tol,
+        max_iter=max_iter,
         support_idx=np.nonzero(support)[0],
         converged=converged,
         iterations=iterations,
@@ -332,7 +336,8 @@ def load_linear(path: str) -> LinearModel:
 def save_svr(model: SvrModel, path: str) -> None:
     meta = {
         "bias": float(model.bias), "gamma": float(model.gamma), "c": float(model.c),
-        "epsilon": float(model.epsilon), "converged": bool(model.converged),
+        "epsilon": float(model.epsilon), "tol": float(model.tol),
+        "max_iter": int(model.max_iter), "converged": bool(model.converged),
         "iterations": int(model.iterations), "dual_objective": float(model.dual_objective),
     }
     arrays = {"support_vectors": model.support_vectors, "dual_coef": model.dual_coef,

@@ -87,6 +87,7 @@ class RunConfig:
         _ = self.synth_config, self.forest_config
         splitter.check_lengths(self.train_len, self.test_len, self.stride)
         splitter.check_lookback(self.lookback)
+        splitter.check_lookback_fits(self.lookback, self.train_len)
         nets.check_widths(self.k, self.h1, self.h2)  # the networks read the k selected features
         nets.check_dropout(self.dropout)
         self.train_config(self.seed)
@@ -297,19 +298,6 @@ def stage_plan(cfg: RunConfig) -> str:
     return path
 
 
-def _load_selection(cfg: RunConfig) -> list[str]:
-    with open(_require(cfg, "selection.json", "select")) as f:
-        try:
-            return list(json.load(f)["features"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad selection.json: {exc}") from exc
-
-
-def _load_plan(cfg: RunConfig) -> splitter.WalkForwardPlan:
-    with open(_require(cfg, "plan.json", "plan")) as f:
-        return splitter.plan_from_json(f.read())
-
-
 @dataclass(frozen=True)
 class _BatchData:
     train_set: splitter.SampleSet
@@ -341,6 +329,22 @@ def _batch_data(matrix: indicators.FeatureMatrix, selected: list[str],
                       close_params=close_params, close_usd=close_col[:, 0])
 
 
+def _batches(cfg: RunConfig) -> tuple[indicators.FeatureMatrix, splitter.WalkForwardPlan,
+                                      dict[int, _BatchData]]:
+    """The feature matrix, the plan and each batch's data by batch index:
+    what train and evaluate read of the earlier stages' artifacts."""
+    matrix = indicators.load_cache(_require(cfg, "features.wffm", "featurize"))
+    with open(_require(cfg, "selection.json", "select")) as f:
+        try:
+            selected = list(json.load(f)["features"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad selection.json: {exc}") from exc
+    with open(_require(cfg, "plan.json", "plan")) as f:
+        plan = splitter.plan_from_json(f.read())
+    return matrix, plan, {batch.index: _batch_data(matrix, selected, batch, cfg.lookback)
+                          for batch in plan.batches}
+
+
 def _model_seed(cfg: RunConfig, model: str, batch: int) -> int:
     return cfg.seed + _SEED_STRIDE * batch + MODEL_CHOICES.index(model) + 1
 
@@ -354,15 +358,11 @@ def stage_train(cfg: RunConfig) -> list[str]:
     """Fit every (batch, model) pair; the fits run on the worker pool, each
     writing its own checkpoint and losses file."""
     _ensure_out(cfg)
-    matrix = indicators.load_cache(_require(cfg, "features.wffm", "featurize"))
-    selected = _load_selection(cfg)
-    plan = _load_plan(cfg)
-    train_sets = {batch.index: _batch_data(matrix, selected, batch, cfg.lookback).train_set
-                  for batch in plan.batches}
+    _, plan, data = _batches(cfg)
 
     def fit(task: tuple[int, str]) -> str:
         batch, model_name = task
-        train_set = train_sets[batch]
+        train_set = data[batch].train_set
         seed = _model_seed(cfg, model_name, batch)
         path = _path(cfg, _fit_file("models", model_name, batch))
         if model_name == "lr":
@@ -389,21 +389,18 @@ def stage_train(cfg: RunConfig) -> list[str]:
     return _pool.run_tasks(fit, _fit_tasks(cfg, plan))
 
 
-def _load_model(model_name: str, path: str):
+def _predict(model_name: str, path: str,
+             sample_sets: tuple[splitter.SampleSet, ...]) -> list[np.ndarray]:
+    """The scaled predictions of the checkpoint at path for each sample set."""
+    if model_name in ("lstm", "proposed"):
+        net = nets.load_network(path)
+        return [np.asarray(nets.network_forward(net, sample_set.inputs, mode="eval")[0])
+                for sample_set in sample_sets]
     if model_name == "lr":
-        return baselines.load_linear(path)
-    if model_name == "svr":
-        return baselines.load_svr(path)
-    return nets.load_network(path)
-
-
-def _predict(model, sample_set: splitter.SampleSet) -> np.ndarray:
-    if isinstance(model, nets.BiLstmNetwork):
-        preds, _ = nets.network_forward(model, sample_set.inputs, mode="eval")
-        return np.asarray(preds)
-    if isinstance(model, baselines.LinearModel):
-        return baselines.predict_linear(model, sample_set.flat_inputs())
-    return baselines.predict_svr(model, sample_set.flat_inputs())
+        model, predict = baselines.load_linear(path), baselines.predict_linear
+    else:
+        model, predict = baselines.load_svr(path), baselines.predict_svr
+    return [predict(model, sample_set.flat_inputs()) for sample_set in sample_sets]
 
 
 def _to_usd(preds_scaled: np.ndarray, close_params: scaling.ScalerParams) -> np.ndarray:
@@ -413,67 +410,47 @@ def _to_usd(preds_scaled: np.ndarray, close_params: scaling.ScalerParams) -> np.
 
 def stage_evaluate(cfg: RunConfig) -> str:
     """Score every (batch, model) checkpoint and persistence on each batch's
-    train and test windows; the predictions run on the worker pool."""
+    train and test windows, and list each test row's predictions; the
+    predictions run on the worker pool."""
     _ensure_out(cfg)
-    matrix = indicators.load_cache(_require(cfg, "features.wffm", "featurize"))
-    selected = _load_selection(cfg)
-    plan = _load_plan(cfg)
-    data = {batch.index: _batch_data(matrix, selected, batch, cfg.lookback)
-            for batch in plan.batches}
+    matrix, plan, data = _batches(cfg)
 
-    def predict(task: tuple[int, str]) -> tuple[np.ndarray, np.ndarray]:
+    def predict(task: tuple[int, str]) -> list[np.ndarray]:
         """The model's train and test predictions in USD."""
         batch, model_name = task
-        model = _load_model(model_name, _require(
-            cfg, _fit_file("models", model_name, batch), "train"))
-        return tuple(_to_usd(_predict(model, sample_set), data[batch].close_params)
-                     for sample_set in (data[batch].train_set, data[batch].test_set))
+        path = _require(cfg, _fit_file("models", model_name, batch), "train")
+        sample_sets = (data[batch].train_set, data[batch].test_set)
+        return [_to_usd(preds, data[batch].close_params)
+                for preds in _predict(model_name, path, sample_sets)]
 
     tasks = _fit_tasks(cfg, plan)
     preds = dict(zip(tasks, _pool.run_tasks(predict, tasks)))
 
     runs: list[evalreport.BatchMetrics] = []
-    test_rows: dict[int, dict] = {}
-    for batch in plan.batches:
+    lines = ["batch,row,date,actual," + ",".join(cfg.models) + "\n"]
+    dates = matrix.dates[matrix.usable_from:]
+    for batch in plan.batches:  # in index order, as plan writes them
         batch_data = data[batch.index]
         usd = batch_data.close_usd
         splits = (("train", batch_data.train_set), ("test", batch_data.test_set))
-        test_anchors = batch_data.test_set.anchors
-        row_block = {
-            "rows": test_anchors + 1,
-            "dates": matrix.dates[matrix.usable_from:][test_anchors + 1],
-            "actual": usd[test_anchors + 1],
-            "preds": {},
-        }
         for model_name in cfg.models:
-            model_preds = preds[(batch.index, model_name)]
-            for (split, sample_set), split_preds in zip(splits, model_preds):
+            for (split, sample_set), split_preds in zip(splits, preds[(batch.index, model_name)]):
                 runs.append(evalreport.batch_metrics(
                     model_name, batch.index, split, split_preds, usd[sample_set.anchors + 1]))
-            row_block["preds"][model_name] = model_preds[1]
         for split, sample_set in splits:
             runs.append(evalreport.persistence_baseline(
                 usd, sample_set.anchors, batch.index, split))
-        test_rows[batch.index] = row_block
+        test_preds = [preds[(batch.index, model_name)][1] for model_name in cfg.models]
+        for pos, row in enumerate(batch_data.test_set.anchors + 1):
+            cells = [str(batch.index), str(int(row)), ingest.format_date(int(dates[row])),
+                     repr(float(usd[row]))] + [repr(float(p[pos])) for p in test_preds]
+            lines.append(",".join(cells) + "\n")
 
     path = _path(cfg, "metrics.json")
     evalreport.save_runs(runs, path)
-    _write_predictions(cfg, test_rows)
-    return path
-
-
-def _write_predictions(cfg: RunConfig, test_rows: dict[int, dict]) -> None:
     with open(_path(cfg, "predictions.csv"), "w") as f:
-        models = list(cfg.models)
-        f.write("batch,row,date,actual," + ",".join(models) + "\n")
-        for index in sorted(test_rows):
-            block = test_rows[index]
-            for pos, row in enumerate(block["rows"]):
-                cells = [str(index), str(int(row)),
-                         ingest.format_date(int(block["dates"][pos])),
-                         repr(float(block["actual"][pos]))]
-                cells += [repr(float(block["preds"][m][pos])) for m in models]
-                f.write(",".join(cells) + "\n")
+        f.writelines(lines)
+    return path
 
 
 def stage_report(cfg: RunConfig) -> str:
@@ -498,14 +475,15 @@ def stage_report(cfg: RunConfig) -> str:
 
 
 def _fit_warnings(cfg: RunConfig, runs: list[evalreport.BatchMetrics]) -> list[str]:
-    """One line per evaluated SVR checkpoint that stopped unconverged."""
+    """One line per evaluated SVR checkpoint that stopped unconverged, with
+    the limits its fit ran under."""
     lines = []
     for batch in sorted({r.batch for r in runs if r.model == "svr"}):
         path = _require(cfg, _fit_file("models", "svr", batch), "train")
         model = baselines.load_svr(path)
         if not model.converged:
             lines.append(f"svr batch {batch}: not converged after {model.iterations} "
-                         f"iterations (max_iter {cfg.svr_max_iter}, tol {cfg.svr_tol})")
+                         f"iterations (max_iter {model.max_iter}, tol {model.tol})")
     return lines
 
 

@@ -83,6 +83,13 @@ def check_lookback(lookback: int) -> None:
         raise ConfigError(f"lookback must be >= 1, got {lookback}")
 
 
+def check_lookback_fits(lookback: int, train_len: int) -> None:
+    """Every train range holds at least one window; RunConfig checks it."""
+    if lookback >= train_len:
+        raise ConfigError(f"lookback must be < train_len, got lookback={lookback}, "
+                          f"train_len={train_len}")
+
+
 def make_windows(
     features: np.ndarray,
     close_scaled: np.ndarray,

@@ -36,7 +36,8 @@ def make_svr(n_support=4):
     rng = np.random.default_rng(3)
     return baselines.SvrModel(
         support_vectors=rng.normal(size=(n_support, 3)), dual_coef=rng.normal(size=n_support),
-        bias=0.1 + 0.2, gamma=1e308, c=5e-324, epsilon=float("nan"),
+        bias=0.1 + 0.2, gamma=1e308, c=5e-324, epsilon=float("nan"), tol=1e-300,
+        max_iter=2**53 + 1,
         support_idx=np.array([0, 2, 5, 9][:n_support], dtype=np.int64),
         converged=False, iterations=12345, dual_objective=-2381.9731234567891,
     )
@@ -202,7 +203,23 @@ def test_missing_field_rejected(tmp_path):
 def test_svr_status_read_from_header(tmp_path):
     model, path = saved(tmp_path, "svr")
     back = baselines.load_svr(str(path))
-    assert (back.converged, back.iterations) == (model.converged, model.iterations)
+    assert ((back.converged, back.iterations, back.max_iter, back.tol)
+            == (model.converged, model.iterations, model.max_iter, model.tol))
+
+
+@pytest.mark.parametrize("key", ["tol", "max_iter"])
+def test_svr_without_its_limits_rejected(tmp_path, key):
+    # a checkpoint from before the fit recorded its limits is malformed
+    _, path = saved(tmp_path, "svr")
+    data = path.read_bytes()
+    length = struct.unpack("<4sHI", data[:10])[2]
+    header = json.loads(data[10:10 + length])
+    del header["meta"][key]
+    raw = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sHI", _binio.MAGIC, _binio.VERSION, len(raw)) + raw
+                     + data[10 + length:])
+    with pytest.raises(DataError, match="malformed svr artifact"):
+        baselines.load_svr(str(path))
 
 
 @pytest.mark.parametrize("damage", ["wrong_kind", "truncated_prefix", "truncated_header",

@@ -174,6 +174,7 @@ class TestConfigExitCode:
         ("--test-len", "0", "train_len, test_len, stride must be positive, got 24/0/8"),
         ("--stride", "0", "train_len, test_len, stride must be positive, got 24/8/0"),
         ("--lookback", "0", "lookback must be >= 1, got 0"),
+        ("--lookback", "24", "lookback must be < train_len, got lookback=24, train_len=24"),
         ("--h1", "0", "widths must be positive, got input=3, h1=0, h2=2"),
         ("--h2", "-4", "widths must be positive, got input=3, h1=2, h2=-4"),
         ("--svr-c", "-1", "need c > 0, epsilon >= 0, tol > 0, max_iter >= 1; "
@@ -383,22 +384,37 @@ class TestQuickStartStages:
         "featurize": ["--windows", "3,7"],
         "select": ["--trees", "4"],
         "plan": ["--train-len", "120", "--test-len", "40", "--stride", "40"],
-        "train": ["--h1", "2", "--h2", "3", "--lookback", "3", "--epochs", "2"],
+        "train": ["--h1", "2", "--h2", "3", "--lookback", "3", "--epochs", "2",
+                  "--svr-max-iter", "5"],
         "evaluate": ["--lookback", "3"],
         "report": [],
     }
 
-    def test_every_artifact_but_the_report_equals_the_one_shot_run(self, tmp_path, capsys):
-        staged, oneshot = tmp_path / "staged", tmp_path / "oneshot"
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """(staged files, one-shot files)."""
+        root = tmp_path_factory.mktemp("quickstart")
+        staged, oneshot = root / "staged", root / "oneshot"
         common = ["--seed", "5"]
         for stage, extra in self.STAGE_FLAGS.items():
             assert cli.main([stage, "--out", str(staged), *common, *extra]) == 0, stage
         every = [flag for extra in self.STAGE_FLAGS.values() for flag in extra]
         assert cli.main(["pipeline", "--out", str(oneshot), *common, *every]) == 0
-        capsys.readouterr()
-        got, want = files_under(staged), files_under(oneshot)
+        return files_under(staged), files_under(oneshot)
+
+    def test_every_artifact_but_the_report_equals_the_one_shot_run(self, runs):
+        got, want = runs
         assert sorted(got) == sorted(want) and len(want) == 21
         # the report's config block records the report invocation's own
         # flags, so its two files are left out
         for name in sorted(set(want) - {"report.json", "report.txt"}):
             assert got[name] == want[name], name
+
+    def test_the_report_warns_of_the_limits_train_used(self, runs):
+        # report reads each SVR fit's max_iter and tol from its checkpoint,
+        # so the staged report, run without SVR flags, warns as the one-shot
+        got, want = (files["report.txt"].decode().partition("\nWarnings\n")[2]
+                     for files in runs)
+        assert want.startswith("svr batch 0: not converged after 5 iterations "
+                               "(max_iter 5, tol 0.001)\n")
+        assert got == want

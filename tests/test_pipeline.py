@@ -283,11 +283,24 @@ class TestStagedRun:
                 assert os.path.exists(
                     os.path.join(staged.out, "models", f"{model}_b{batch}.bin"))
 
-    def test_checkpoint_types_round_trip(self, staged):
-        models_dir = os.path.join(staged.out, "models")
-        lr, svr, lstm, prop = (
-            pipeline._load_model(model, os.path.join(models_dir, f"{model}_b0.bin"))
-            for model in ("lr", "svr", "lstm", "proposed"))
+    def test_checkpoint_types_round_trip(self, staged, monkeypatch):
+        # _predict loads each model's checkpoint with its kind's loader
+        loaded = {}
+        for module, name in ((baselines, "load_linear"), (baselines, "load_svr"),
+                             (nets, "load_network")):
+            def recording(path, load=getattr(module, name)):
+                loaded[os.path.basename(path)] = model = load(path)
+                return model
+
+            monkeypatch.setattr(module, name, recording)
+        _, _, data = pipeline._batches(staged)
+        sample_sets = (data[0].train_set, data[0].test_set)
+        for model in ("lr", "svr", "lstm", "proposed"):
+            path = os.path.join(staged.out, "models", f"{model}_b0.bin")
+            preds = pipeline._predict(model, path, sample_sets)
+            assert [p.shape for p in preds] == [(s.m,) for s in sample_sets]
+        lr, svr, lstm, prop = (loaded[f"{model}_b0.bin"]
+                               for model in ("lr", "svr", "lstm", "proposed"))
         assert isinstance(lr, baselines.LinearModel)
         assert isinstance(svr, baselines.SvrModel)
         assert isinstance(lstm, nets.BiLstmNetwork)
@@ -352,6 +365,30 @@ class TestStagedRun:
             assert float(row[3]) > 0
             assert all(float(cell) >= 0 for cell in row[4:])
 
+    def test_predictions_csv_agrees_with_metrics(self, staged):
+        # every model column scored against the actual column gives its
+        # batch's test metrics, and each row's actual is that row's close
+        matrix = indicators.load_cache(os.path.join(staged.out, "features.wffm"))
+        close = matrix.usable()[:, matrix.index_of("close")]
+        dates = matrix.dates[matrix.usable_from:]
+        with open(os.path.join(staged.out, "predictions.csv")) as f:
+            header = f.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in f if line.strip()]
+        test = {(r.model, r.batch): r
+                for r in evalreport.load_runs(os.path.join(staged.out, "metrics.json"))
+                if r.split == "test" and r.model != "persistence"}
+        assert set(test) == {(m, b) for m in header[4:] for b in (0, 1)}
+        for batch in (0, 1):
+            block = [r for r in rows if r[0] == str(batch)]
+            at = [int(r[1]) for r in block]
+            actual = np.array([float(r[3]) for r in block])
+            assert actual.tolist() == close[at].tolist()
+            assert [r[2] for r in block] == [ingest.format_date(int(d)) for d in dates[at]]
+            for column, model in enumerate(header[4:], start=4):
+                preds = np.array([float(r[column]) for r in block])
+                want = test[(model, batch)]
+                assert evalreport.metrics(preds, actual) == (want.rmse, want.mae, want.mape)
+
     def test_report_json_contents(self, staged):
         with open(os.path.join(staged.out, "report.json")) as f:
             blob = json.load(f)
@@ -390,17 +427,19 @@ class TestFitWarnings:
             assert "converged" not in f.read()
 
     def test_warning_read_from_checkpoint(self, tmp_path):
-        # the report takes converged and iterations from the checkpoint
+        # the report takes converged, iterations, max_iter and tol from the
+        # checkpoint, not from its own config
         cfg = small_cfg(tmp_path / "out", model="svr", synthetic=110, chart=False)
         pipeline.stage_pipeline(cfg)
         path = os.path.join(cfg.out, "models", "svr_b0.bin")
         model = baselines.load_svr(path)
-        baselines.save_svr(replace(model, converged=False, iterations=77), path)
+        assert (model.max_iter, model.tol) == (cfg.svr_max_iter, cfg.svr_tol)
+        baselines.save_svr(replace(model, converged=False, iterations=77,
+                                   max_iter=99, tol=0.25), path)
         pipeline.stage_report(cfg)
         with open(os.path.join(cfg.out, "report.txt")) as f:
-            assert f.read().endswith(
-                "\nWarnings\nsvr batch 0: not converged after 77 iterations "
-                f"(max_iter {cfg.svr_max_iter}, tol {cfg.svr_tol})\n")
+            assert f.read().endswith("\nWarnings\nsvr batch 0: not converged after 77 "
+                                     "iterations (max_iter 99, tol 0.25)\n")
 
 
 class TestStagedVersusOneShot:

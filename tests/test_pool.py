@@ -293,13 +293,6 @@ class TestRunTasks:
         allow_cpus(monkeypatch, cpus)
         assert _pool.worker_count(tasks) == workers
 
-    def test_serial_before_python_3_11(self, monkeypatch):
-        # older pools fork on demand while their manager thread runs
-        allow_cpus(monkeypatch, 64)
-        monkeypatch.setattr(sys, "version_info", (3, 10, 14, "final", 0))
-        assert _pool.worker_count(3) == 1
-        assert _pool.run_tasks(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
-
     def test_results_in_task_order_from_a_closure(self, monkeypatch):
         allow_cpus(monkeypatch, 2)
         table = np.arange(10.0) ** 2  # reaches the workers by fork, not by pickle
@@ -538,10 +531,10 @@ class TestEvaluateWorkers:
         pids_file = tmp_path / "pids"
         predict = pipeline._predict
 
-        def recording(model, sample_set):  # not functools.wraps: no observer
+        def recording(model_name, path, sample_sets):  # not functools.wraps: no observer
             with open(pids_file, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            return predict(model, sample_set)
+            return predict(model_name, path, sample_sets)
 
         monkeypatch.setattr(pipeline, "_predict", recording)
         scores, pids = [], []
